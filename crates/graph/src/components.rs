@@ -93,6 +93,36 @@ impl UnionFind {
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
+
+    /// Component id of every element, ids assigned in order of first
+    /// appearance — so id order is smallest-member order, whatever order
+    /// the unions ran in.
+    fn canonical_labels(&mut self) -> Vec<usize> {
+        let n = self.len();
+        let mut labels = vec![usize::MAX; n];
+        let mut next = 0;
+        for v in 0..n {
+            let root = self.find(v);
+            if labels[root] == usize::MAX {
+                labels[root] = next;
+                next += 1;
+            }
+            labels[v] = labels[root];
+        }
+        labels
+    }
+
+    /// The sets in canonical order: sorted by smallest member, members
+    /// ascending. The one grouping routine behind every component
+    /// partition in the crate, whichever edge source fed the unions.
+    pub(crate) fn into_partition(mut self) -> Vec<Vec<usize>> {
+        let labels = self.canonical_labels();
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); self.component_count()];
+        for (vertex, &label) in labels.iter().enumerate() {
+            members[label].push(vertex);
+        }
+        members
+    }
 }
 
 /// Labels each vertex of the weighted graph `w` with a component id in
@@ -103,6 +133,11 @@ impl UnionFind {
 ///
 /// Returns [`Error::InvalidArgument`] when `w` is not square.
 pub fn connected_components(w: &Matrix, threshold: f64) -> Result<Vec<usize>> {
+    Ok(dense_union_find(w, threshold)?.canonical_labels())
+}
+
+/// Unions every pair `i < j` with `w_ij > threshold` or `w_ji > threshold`.
+fn dense_union_find(w: &Matrix, threshold: f64) -> Result<UnionFind> {
     if !w.is_square() {
         return Err(Error::InvalidArgument {
             message: format!(
@@ -121,17 +156,7 @@ pub fn connected_components(w: &Matrix, threshold: f64) -> Result<Vec<usize>> {
             }
         }
     }
-    let mut labels = vec![usize::MAX; n];
-    let mut next = 0;
-    for v in 0..n {
-        let root = uf.find(v);
-        if labels[root] == usize::MAX {
-            labels[root] = next;
-            next += 1;
-        }
-        labels[v] = labels[root];
-    }
-    Ok(labels)
+    Ok(uf)
 }
 
 /// Partitions the vertices of `w` into connected components in canonical
@@ -145,9 +170,10 @@ pub fn connected_components(w: &Matrix, threshold: f64) -> Result<Vec<usize>> {
 /// component-based decomposition in the workspace should follow. Edges
 /// with weight `> threshold` connect vertices.
 ///
-/// Because [`connected_components`] assigns ids in order of first
-/// appearance, id order already equals smallest-member order; this
-/// function only groups the labels.
+/// [`KernelGraph::component_partition`](crate::KernelGraph::component_partition)
+/// returns the same partition for a kernel graph without materializing
+/// `w`: it feeds spatial-index edges into the same union–find and the
+/// same grouping routine.
 ///
 /// ```
 /// use gssl_graph::components::component_partition;
@@ -170,13 +196,7 @@ pub fn connected_components(w: &Matrix, threshold: f64) -> Result<Vec<usize>> {
 /// complexity: O(n^2)
 /// deterministic
 pub fn component_partition(w: &Matrix, threshold: f64) -> Result<Vec<Vec<usize>>> {
-    let labels = connected_components(w, threshold)?;
-    let count = labels.iter().copied().max().map_or(0, |m| m + 1);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); count];
-    for (vertex, &label) in labels.iter().enumerate() {
-        members[label].push(vertex);
-    }
-    Ok(members)
+    Ok(dense_union_find(w, threshold)?.into_partition())
 }
 
 /// Returns `true` when the graph with edges of weight `> threshold` is

@@ -10,8 +10,10 @@
 //! fitted with — that is what [`KernelGraph::kernel_row`] provides.
 
 use crate::affinity::{affinity_matrix, affinity_matrix_with};
+use crate::components::{component_partition, UnionFind};
 use crate::error::{Error, Result};
 use crate::kernel::Kernel;
+use gssl_index::NeighborSearch;
 use gssl_linalg::{Matrix, Vector};
 
 /// A kernel graph frozen at fit time: the point cloud together with the
@@ -131,6 +133,77 @@ impl KernelGraph {
     /// deterministic
     pub fn weights_with(&self, executor: &gssl_runtime::Executor) -> Result<Matrix> {
         affinity_matrix_with(&self.points, self.kernel, self.bandwidth, executor)
+    }
+
+    /// The connected components of the kernel graph in canonical order
+    /// (smallest member first, members ascending), found without
+    /// building the `N × N` weight matrix: exactly
+    /// [`component_partition`]`(&self.weights()?, 0.0)` for every kernel.
+    ///
+    /// Each vertex runs one [`NeighborSearch::within_radius`] query at
+    /// [`Kernel::support_radius`], and a pair is an edge iff
+    /// [`Kernel::weight_unchecked`] of its squared distance is `> 0.0` —
+    /// the dense assembly's own test on the same distance bits
+    /// (`gssl_index::squared_distance` is the graph's expression). Those
+    /// edges feed the union–find and grouping routine the dense
+    /// partition uses. When `h·h` is not a normal `f64` the support
+    /// radius certifies nothing, and the dense partition runs instead.
+    ///
+    /// `index` must hold exactly this graph's points, in row order.
+    ///
+    /// ```
+    /// use gssl_graph::{component_partition, Kernel, KernelGraph};
+    /// use gssl_index::{NeighborSearch, SpatialIndex};
+    /// use gssl_linalg::Matrix;
+    /// # fn main() -> Result<(), gssl_graph::Error> {
+    /// let pts = Matrix::from_rows(&[&[0.0], &[9.0], &[0.5], &[9.5]])?;
+    /// let graph = KernelGraph::fit(pts.clone(), Kernel::Epanechnikov, 1.0)?;
+    /// let index = SpatialIndex::build(&pts)?;
+    /// let parts = graph.component_partition(&index)?;
+    /// assert_eq!(parts, vec![vec![0, 2], vec![1, 3]]);
+    /// assert_eq!(parts, component_partition(&graph.weights()?, 0.0)?);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidArgument`] when `index` does not hold exactly the
+    /// graph's points; propagates index query errors.
+    /// complexity: O(n * k * d)
+    /// deterministic
+    pub fn component_partition<I: NeighborSearch>(&self, index: &I) -> Result<Vec<Vec<usize>>> {
+        let n = self.len();
+        if index.len() != n
+            || index.dim() != self.dim()
+            || (0..n).any(|i| index.point(i) != self.points.row(i))
+        {
+            return Err(Error::InvalidArgument {
+                message: format!(
+                    "spatial index over {} points of dimension {} does not hold the \
+                     graph's {n} points of dimension {}",
+                    index.len(),
+                    index.dim(),
+                    self.dim()
+                ),
+            });
+        }
+        let h = self.bandwidth;
+        if !(h * h).is_normal() {
+            return component_partition(&self.weights()?, 0.0);
+        }
+        let radius = self.kernel.support_radius(h);
+        let mut uf = UnionFind::new(n);
+        for i in 0..n {
+            // Radius queries are symmetric, so every pair is found from
+            // both ends; its lower end unions it.
+            for nb in index.within_radius(self.points.row(i), radius)? {
+                if nb.index > i && self.kernel.weight_unchecked(nb.dist2, h) > 0.0 {
+                    uf.union(i, nb.index);
+                }
+            }
+        }
+        Ok(uf.into_partition())
     }
 
     /// The kernel row of a new point `x`: `[w(x, x₁), …, w(x, x_N)]`,

@@ -110,6 +110,39 @@ impl Kernel {
         }
     }
 
+    /// A distance beyond which [`Kernel::weight_unchecked`] returns
+    /// exactly `0.0` at this bandwidth: every squared distance
+    /// `d² > r·r` (with `r` the returned radius, squared in `f64`) has
+    /// weight `0.0`, so a radius query at `r` finds every nonzero weight.
+    ///
+    /// For the compact kernels `r = h·(1 + 1e-9)`, not `h`: the weight
+    /// is evaluated as `K(√d² / h)`, and `√d² / h` rounds to exactly `1`
+    /// for some `d²` just above `h·h` — where the boxcar weight is still
+    /// `1`. The relative slack dwarfs that rounding. For the Gaussian,
+    /// `exp(−d²/h²)` underflows to `0.0` once `d²/h² > 745.14`, so
+    /// `r = h·√746`.
+    ///
+    /// The guarantee holds whenever `h·h` is a normal `f64` (roughly
+    /// `1.5e-154 < h < 1.3e154`); below that, subnormal rounding can
+    /// exceed the slack.
+    ///
+    /// ```
+    /// use gssl_graph::Kernel;
+    /// let h = 1.0;
+    /// let r = Kernel::Boxcar.support_radius(h);
+    /// // One ulp beyond h² still rounds to t = 1: weight 1, inside r.
+    /// let d2 = f64::from_bits(1.0f64.to_bits() + 1);
+    /// assert_eq!(Kernel::Boxcar.weight_unchecked(d2, h), 1.0);
+    /// assert!(d2 <= r * r);
+    /// assert_eq!(Kernel::Boxcar.weight_unchecked(1.0001 * r * r, h), 0.0);
+    /// ```
+    pub fn support_radius(self, bandwidth: f64) -> f64 {
+        match self {
+            Kernel::Gaussian => bandwidth * 746.0f64.sqrt(),
+            _ => bandwidth * (1.0 + 1e-9),
+        }
+    }
+
     /// Whether the kernel has compact support — condition (ii) of
     /// Theorem II.1.
     pub fn is_compactly_supported(self) -> bool {
@@ -200,6 +233,39 @@ mod tests {
             }
         }
         assert!(Kernel::Gaussian.profile(5.0) > 0.0);
+    }
+
+    #[test]
+    fn weights_vanish_beyond_the_support_radius() {
+        for k in Kernel::all() {
+            for h in [1e-100, 0.37, 1.0, 1.5, 3.0, 1e100] {
+                let r = k.support_radius(h);
+                let r2 = r * r;
+                // The first representable squared distances past r²,
+                // then a geometric sweep far beyond it.
+                let mut d2 = f64::from_bits(r2.to_bits() + 1);
+                for _ in 0..64 {
+                    assert_eq!(k.weight_unchecked(d2, h), 0.0, "{k} h={h} d2={d2:e}");
+                    d2 = f64::from_bits(d2.to_bits() + 1);
+                }
+                for scale in [1.001, 1.5, 10.0, 1e6] {
+                    assert_eq!(k.weight_unchecked(r2 * scale, h), 0.0, "{k} h={h}");
+                }
+                // Nonzero weights exist inside the radius.
+                assert!(k.weight_unchecked(0.25 * h * h, h) > 0.0, "{k} h={h}");
+            }
+        }
+    }
+
+    #[test]
+    fn boxcar_is_nonzero_one_ulp_beyond_the_bandwidth() {
+        // √(1 + 2⁻⁵²) rounds to 1, so t = 1 and the boxcar weight is 1 at
+        // a squared distance strictly above h² = 1.
+        let d2 = 1.0 + f64::EPSILON;
+        assert!(d2 > 1.0);
+        assert_eq!(Kernel::Boxcar.weight_unchecked(d2, 1.0), 1.0);
+        let r = Kernel::Boxcar.support_radius(1.0);
+        assert!(d2 <= r * r);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 
 use gssl_graph::{
     affinity::{affinity_matrix, pairwise_squared_distances},
+    component_partition,
     components::{connected_components, is_connected},
-    degrees, dirichlet_energy, epsilon_graph, knn_graph, laplacian, Kernel, LaplacianKind,
-    Symmetrization,
+    degrees, dirichlet_energy, epsilon_graph, knn_graph, laplacian, Kernel, KernelGraph,
+    LaplacianKind, Symmetrization,
 };
+use gssl_index::{BruteForce, CoverTree, KdTree, NeighborSearch};
 use gssl_linalg::{Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -190,4 +192,114 @@ fn component_labels_are_contiguous() {
             assert!(labels.contains(&expect), "label {expect} skipped");
         }
     });
+}
+
+/// Clustered clouds whose gaps straddle the kernel's support: `clusters`
+/// blobs of jittered points on a line of centers `gap` apart, in `d`
+/// dimensions, shuffled so components interleave in index order.
+fn cluster_cloud(rng: &mut StdRng, clusters: usize, per: usize, d: usize, gap: f64) -> Matrix {
+    let mut rows: Vec<Vec<f64>> = (0..clusters * per)
+        .map(|i| {
+            (0..d)
+                .map(|j| {
+                    let center = if j == 0 {
+                        (i % clusters) as f64 * gap
+                    } else {
+                        0.0
+                    };
+                    center + rng.gen::<f64>() * 1.5
+                })
+                .collect()
+        })
+        .collect();
+    rows.shuffle(rng);
+    Matrix::from_fn(rows.len(), d, |i, j| rows[i][j])
+}
+
+/// The graph partition through every exact index backend, checked equal
+/// to the dense `component_partition(&weights, 0.0)`.
+fn assert_partition_matches_dense(graph: &KernelGraph, what: &str) -> Vec<Vec<usize>> {
+    let dense = component_partition(&graph.weights().unwrap(), 0.0).unwrap();
+    let pts = graph.points();
+    let brute = graph
+        .component_partition(&BruteForce::build(pts).unwrap())
+        .unwrap();
+    let cover = graph
+        .component_partition(&CoverTree::build(pts).unwrap())
+        .unwrap();
+    assert_eq!(brute, dense, "{what}: brute-force partition");
+    assert_eq!(cover, dense, "{what}: cover-tree partition");
+    if pts.cols() <= 16 {
+        let kd = graph
+            .component_partition(&KdTree::build(pts).unwrap())
+            .unwrap();
+        assert_eq!(kd, dense, "{what}: kd-tree partition");
+    }
+    dense
+}
+
+#[test]
+fn graph_partition_equals_the_dense_partition_for_every_kernel() {
+    for_cases(|rng| {
+        let clusters: usize = rng.gen_range(1usize..5);
+        let per: usize = rng.gen_range(1usize..7);
+        let d: usize = rng.gen_range(1usize..4);
+        // Gaps from well inside the support to well beyond it, so some
+        // cases chain clusters together and others split them.
+        let gap = rng.gen_range(1.0..6.0);
+        let h = rng.gen_range(0.3..3.0);
+        let pts = cluster_cloud(rng, clusters, per, d, gap);
+        for kernel in Kernel::all() {
+            let graph = KernelGraph::fit(pts.clone(), kernel, h).unwrap();
+            assert_partition_matches_dense(&graph, &format!("{kernel} h={h} gap={gap}"));
+        }
+    });
+}
+
+#[test]
+fn gaussian_partition_splits_where_weights_underflow() {
+    // Clusters 100 bandwidths apart: exp(-d²/h²) underflows to exactly
+    // 0.0 between them, so even the Gaussian graph has one component
+    // per cluster.
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let pts = cluster_cloud(&mut rng, 4, 6, 2, 100.0);
+    let graph = KernelGraph::fit(pts, Kernel::Gaussian, 1.0).unwrap();
+    let parts = assert_partition_matches_dense(&graph, "gaussian underflow");
+    assert_eq!(parts.len(), 4);
+}
+
+#[test]
+fn boxcar_pair_one_ulp_past_the_bandwidth_is_one_component() {
+    // d² = 1 + 2⁻⁵² > h² = 1, yet the boxcar weight is 1: a radius
+    // query at exactly h would split this pair.
+    let pts = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 2f64.powi(-26)], &[5.0, 0.0]]).unwrap();
+    let graph = KernelGraph::fit(pts, Kernel::Boxcar, 1.0).unwrap();
+    let parts = assert_partition_matches_dense(&graph, "boxcar ulp pair");
+    assert_eq!(parts, vec![vec![0, 1], vec![2]]);
+}
+
+#[test]
+fn partition_outside_the_normal_bandwidth_range_falls_back_exactly() {
+    // h² underflows below the normal range: the support radius no longer
+    // certifies exact zeros, and the dense partition runs instead.
+    let h = 1e-160;
+    let pts = Matrix::from_fn(6, 1, |i, _| {
+        (i / 2) as f64 * 3e-160 + (i % 2) as f64 * 5e-161
+    });
+    for kernel in Kernel::all() {
+        let graph = KernelGraph::fit(pts.clone(), kernel, h).unwrap();
+        assert_partition_matches_dense(&graph, &format!("{kernel} tiny h"));
+    }
+}
+
+#[test]
+fn graph_partition_rejects_a_foreign_index() {
+    let pts = Matrix::from_fn(5, 2, |i, j| (i + j) as f64);
+    let graph = KernelGraph::fit(pts.clone(), Kernel::Epanechnikov, 1.5).unwrap();
+    let fewer = BruteForce::build(&Matrix::from_fn(4, 2, |i, j| (i + j) as f64)).unwrap();
+    assert!(graph.component_partition(&fewer).is_err());
+    let moved = BruteForce::build(&Matrix::from_fn(5, 2, |i, j| (i + j) as f64 + 0.5)).unwrap();
+    assert!(graph.component_partition(&moved).is_err());
+    let wider = BruteForce::build(&Matrix::zeros(5, 3)).unwrap();
+    assert!(graph.component_partition(&wider).is_err());
 }

@@ -63,10 +63,12 @@ pub enum QueryPath {
         /// clamped to the fitted graph size).
         k: usize,
     },
-    /// Restrict the sums of Eq. 6 to the fitted nodes within distance
-    /// `bandwidth` of the query. For compactly supported kernels
-    /// (everything except Gaussian) every omitted weight is *exactly*
-    /// zero, so this path agrees with [`QueryPath::Dense`] up to
+    /// Restrict the sums of Eq. 6 to the fitted nodes within the
+    /// kernel's support radius of the query
+    /// ([`gssl_graph::Kernel::support_radius`]: `bandwidth·(1 + 1e-9)`).
+    /// For compactly supported kernels (everything except Gaussian)
+    /// every omitted weight is *exactly* zero, so this path agrees with
+    /// [`QueryPath::Dense`] up to
     /// floating-point summation order — while touching only the nodes
     /// inside the support ball. Rejected by [`EngineConfig::validate`]
     /// for the Gaussian kernel, whose support is the whole space.
@@ -205,7 +207,7 @@ impl EngineConfig {
                 return Err(Error::InvalidConfig {
                     message: format!(
                         "QueryPath::WithinSupport requires a compactly supported kernel \
-                         (support radius = bandwidth); {:?} has unbounded support — \
+                         (support radius ≈ bandwidth); {:?} has unbounded support — \
                          use QueryPath::Dense or QueryPath::KNearest instead",
                         self.kernel
                     ),

@@ -1350,6 +1350,26 @@ mod tests {
     }
 
     #[test]
+    fn within_support_keeps_boxcar_weight_one_ulp_past_the_bandwidth() {
+        // d² = 1 + 2⁻⁵² lies one ulp beyond h² = 1, yet √d²/h rounds to
+        // exactly 1, where the boxcar weight is still 1. A ball of radius
+        // h would drop the only nonzero weight.
+        let points = Matrix::from_rows(&[&[1.0, 2f64.powi(-26)]]).unwrap();
+        let dense_cfg = EngineConfig::new(Kernel::Boxcar, 1.0).workers(1);
+        let dense = ServingEngine::fit(&points, &[1.0], dense_cfg.clone()).unwrap();
+        let indexed = ServingEngine::fit(
+            &points,
+            &[1.0],
+            dense_cfg.query_path(QueryPath::WithinSupport),
+        )
+        .unwrap();
+        let query = [QueryPoint::new(vec![0.0, 0.0])];
+        let want = dense.predict_batch(&query).unwrap();
+        assert_eq!(want[0].score, 1.0);
+        assert_eq!(indexed.predict_batch(&query).unwrap(), want);
+    }
+
+    #[test]
     fn k_nearest_with_full_k_matches_dense_to_1e10() {
         // With k = n the truncation keeps every node, so even the
         // Gaussian kernel (unbounded support) must agree with the dense

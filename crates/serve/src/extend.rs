@@ -141,11 +141,14 @@ impl QueryPlane<'_> {
             }
             QueryPath::WithinSupport => {
                 let index = self.query_index_handle()?;
-                // Compact kernels vanish beyond `t = dist/bandwidth = 1`
-                // and `within_radius` is inclusive, so the ball holds
-                // every node with a non-zero weight (boxcar is non-zero
-                // AT t = 1) — the truncation drops exact zeros only.
-                let neighbors = index.within_radius(&query.coords, self.config.bandwidth)?;
+                // The ball of radius `bandwidth` is not enough: `√d²/h`
+                // rounds to exactly 1 for some `d²` just above `h²`,
+                // where the boxcar weight is still 1. The support radius
+                // adds a relative slack past that rounding, so the ball
+                // holds every node with a nonzero weight and the
+                // truncation drops exact zeros only.
+                let radius = self.config.kernel.support_radius(self.config.bandwidth);
+                let neighbors = index.within_radius(&query.coords, radius)?;
                 self.extend_over_neighbors(query_index, &neighbors)?
             }
         };

@@ -12,9 +12,17 @@
 //! refitted and snapshotted independently while the assembled
 //! predictions stay bit-identical to the monolithic engine (see the
 //! module docs of [`crate::sharded`] for the proof obligations).
+//!
+//! A plan comes from one of two edge sources with one grouping routine:
+//! [`ShardPlan::from_graph`] finds the components of a [`KernelGraph`]
+//! through a spatial index, in `O(N·k)` time and `O(N)` memory, and is
+//! what [`crate::ShardedEngine`] fits from; [`ShardPlan::new`] reads a
+//! dense `N × N` weight matrix and stays as the reference the graph
+//! route is tested against.
 
 use crate::error::{Error, Result};
-use gssl_graph::component_partition;
+use gssl_graph::{component_partition, KernelGraph};
+use gssl_index::SpatialIndex;
 use gssl_linalg::Matrix;
 
 /// One connected component of the fitted graph, in canonical order.
@@ -113,33 +121,72 @@ impl ShardPlan {
     /// complexity: O(n^2)
     /// deterministic
     pub fn new(weights: &Matrix, n_labeled: usize) -> Result<Self> {
-        if n_labeled > weights.rows() {
-            return Err(Error::InvalidConfig {
-                message: format!(
-                    "n_labeled {n_labeled} exceeds the {} fitted nodes",
-                    weights.rows()
-                ),
-            });
-        }
+        check_labeled(n_labeled, weights.rows())?;
         let partition = component_partition(weights, 0.0)?;
-        let mut node_to_shard = vec![0usize; weights.rows()];
+        Ok(Self::from_partition(partition, weights.rows(), n_labeled))
+    }
+
+    /// Decomposes a kernel graph into its connected components through
+    /// `index`, a spatial index over the graph's points, without building
+    /// the `N × N` weight matrix: the same plan [`ShardPlan::new`] makes
+    /// from `graph.weights()`, via
+    /// [`KernelGraph::component_partition`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] when `n_labeled` exceeds the node
+    /// count, and [`Error::Graph`] when `index` does not hold the graph's
+    /// points.
+    /// complexity: O(n * k * d)
+    /// deterministic
+    pub fn from_graph(graph: &KernelGraph, index: &SpatialIndex, n_labeled: usize) -> Result<Self> {
+        check_labeled(n_labeled, graph.len())?;
+        let partition = graph.component_partition(index)?;
+        Ok(Self::from_partition(partition, graph.len(), n_labeled))
+    }
+
+    /// Assembles the plan from a canonical partition of `n_nodes`
+    /// vertices (components ordered by smallest member, members
+    /// ascending).
+    fn from_partition(partition: Vec<Vec<usize>>, n_nodes: usize, n_labeled: usize) -> Self {
+        let mut node_to_shard = vec![0usize; n_nodes];
         let mut shards = Vec::with_capacity(partition.len());
         for (shard_index, members) in partition.into_iter().enumerate() {
             for &node in &members {
                 node_to_shard[node] = shard_index;
             }
-            // `component_partition` pushes vertices in ascending order, so
-            // the labeled members (globals < n_labeled) form a prefix.
+            // Members ascend, so the labeled ones (globals < n_labeled)
+            // form a prefix.
             let labeled = members.iter().take_while(|&&m| m < n_labeled).count();
             shards.push(Shard {
                 members,
                 n_labeled: labeled,
             });
         }
-        Ok(ShardPlan {
+        ShardPlan {
             shards,
             node_to_shard,
-        })
+        }
+    }
+
+    /// Fails like the monolithic engine's anchoring check when a shard
+    /// holds no labeled node: the hard system of such a component is
+    /// singular. The error names the first stranded unlabeled node — the
+    /// smallest member of the first unanchored shard, since shards are in
+    /// smallest-member order — as an index into the unlabeled block.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Core`] carrying [`gssl::Error::UnanchoredUnlabeled`].
+    pub(crate) fn require_anchored(&self, n_labeled: usize) -> Result<()> {
+        for shard in &self.shards {
+            if let (0, Some(&first)) = (shard.n_labeled, shard.members.first()) {
+                return Err(Error::Core(gssl::Error::UnanchoredUnlabeled {
+                    unlabeled_index: first.saturating_sub(n_labeled),
+                }));
+            }
+        }
+        Ok(())
     }
 
     /// Rehydrates a plan from snapshot state: the shards as recorded at
@@ -188,6 +235,16 @@ impl ShardPlan {
     pub fn shard_of(&self, node: usize) -> Option<usize> {
         self.node_to_shard.get(node).copied()
     }
+}
+
+/// Rejects a labeled-first boundary beyond the node count.
+fn check_labeled(n_labeled: usize, n_nodes: usize) -> Result<()> {
+    if n_labeled > n_nodes {
+        return Err(Error::InvalidConfig {
+            message: format!("n_labeled {n_labeled} exceeds the {n_nodes} fitted nodes"),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -20,6 +20,25 @@
 //! have a *global* stopping criterion, so they agree only to solver
 //! tolerance).
 //!
+//! # Fitting without the global matrix
+//!
+//! [`ShardedEngine::fit`] never builds the `N × N` kernel matrix. The
+//! plan comes from the graph itself
+//! ([`ShardPlan::from_graph`]): one spatial index is built per fit, every
+//! node runs a radius query at the kernel's support radius, and a pair is
+//! an edge iff its kernel weight is `> 0.0` — the dense assembly's own
+//! test on the same distance bits, so the plan equals
+//! `ShardPlan::new(&graph.weights()?, n)` exactly. The same index then
+//! serves the index-backed query paths. Anchoring is read off the plan: a
+//! shard with no labeled member fails the fit with the monolithic
+//! engine's [`gssl::Error::UnanchoredUnlabeled`], before any shard is
+//! fitted. No check is lost: [`KernelGraph::fit`] validates coordinates
+//! and bandwidth, and each shard's fit still validates and
+//! anchor-checks its own weight block, which holds every nonzero weight
+//! of its members. Fit cost is `O(N·k)` for the plan (`k` = nodes per
+//! support ball) plus `O(s³)` per shard of `s` nodes, and memory is
+//! `O(N + Σ s²)`.
+//!
 //! # Epoch protocol
 //!
 //! Readers never block on writers. The fitted state lives in an
@@ -39,7 +58,6 @@ use crate::extend::QueryPlane;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::shard::ShardPlan;
 use crate::types::{Prediction, QueryPoint};
-use gssl::Problem;
 use gssl_graph::KernelGraph;
 use gssl_index::{NeighborSearch, SpatialIndex};
 use gssl_linalg::Matrix;
@@ -115,9 +133,10 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// As [`ServingEngine::fit`] — in particular [`Error::Core`] when a
-    /// component has no labeled anchor, detected globally *before* any
-    /// shard is fitted.
+    /// As [`ServingEngine::fit`] — in particular [`Error::Core`] with the
+    /// monolithic engine's [`gssl::Error::UnanchoredUnlabeled`] when a
+    /// component has no labeled anchor, read off the shard plan *before*
+    /// any shard is fitted.
     /// deterministic
     pub fn fit(points: &Matrix, labels: &[f64], config: EngineConfig) -> Result<Self> {
         if let Some(i) = labels.iter().position(|y| !y.is_finite()) {
@@ -187,20 +206,17 @@ impl ShardedEngine {
 
         let executor = Executor::with_workers(config.workers);
         let graph = KernelGraph::fit(points.clone(), config.kernel, config.bandwidth)?;
-        let index = if config.query_path == QueryPath::Dense {
-            None
-        } else {
-            Some(SpatialIndex::build(points)?)
-        };
-        let weights = graph.weights_with(&executor)?;
-        // Global anchoring check first, so an unanchored component fails
-        // with the same Error::Core the monolithic engine reports instead
-        // of a confusing per-shard "no labels" error.
-        let anchor_labels: Vec<f64> = (0..n).map(|i| initial_targets.get(i, 0)).collect();
-        let problem = Problem::new(weights.clone(), anchor_labels)?;
-        problem.require_anchored(0.0)?;
+        // One index serves both the plan and the index-backed query paths.
+        // The plan's components come from support-radius queries, so no
+        // N × N weight matrix is ever built; anchoring is read off the
+        // plan before any shard is fitted, with the monolithic engine's
+        // error. Each shard's fit still validates its own weight block —
+        // which holds every nonzero weight of its members.
+        let index = SpatialIndex::build(points)?;
+        let plan = ShardPlan::from_graph(&graph, &index, n)?;
+        plan.require_anchored(n)?;
+        let index = (config.query_path != QueryPath::Dense).then_some(index);
 
-        let plan = ShardPlan::new(&weights, n)?;
         // One task per shard: component sizes are wildly uneven, so
         // width-1 claims keep a large component from queueing small ones
         // behind it. Per-shard engines are sequential (the parallelism is
@@ -664,11 +680,27 @@ mod tests {
     #[test]
     fn unanchored_component_fails_like_monolithic() {
         // Third cluster (nodes 2, 5, 8) has no labeled node when only two
-        // labels are supplied — globally detected anchoring failure.
+        // labels are supplied: the plan's anchoring check names node 2,
+        // unlabeled index 0, exactly as the monolithic engine does.
+        let want = Error::Core(gssl::Error::UnanchoredUnlabeled { unlabeled_index: 0 });
         let err = ShardedEngine::fit(&clustered_points(), &[0.0, 1.0], compact_config());
-        assert!(matches!(err, Err(Error::Core(_))));
+        assert_eq!(err.err(), Some(want.clone()));
         let mono = ServingEngine::fit(&clustered_points(), &[0.0, 1.0], compact_config());
-        assert!(matches!(mono, Err(Error::Core(_))));
+        assert_eq!(mono.err(), Some(want));
+        // Cluster 0 first (nodes 0, 1, 2), then clusters 1 and 2
+        // interleaved: node 3 is the first stranded node whatever prefix
+        // of cluster 0 is labeled, so its unlabeled index is 3 − n.
+        let coords = [0.0, 0.4, 0.7, 10.0, 20.0, 10.3, 19.6, 10.7, 20.3];
+        let points = Matrix::from_fn(coords.len(), 1, |i, _| coords[i]);
+        for (labels, index) in [(&[0.0][..], 2), (&[0.0, 1.0], 1), (&[0.0, 1.0, 0.0], 0)] {
+            let want = Error::Core(gssl::Error::UnanchoredUnlabeled {
+                unlabeled_index: index,
+            });
+            let sharded = ShardedEngine::fit(&points, labels, compact_config()).err();
+            let mono = ServingEngine::fit(&points, labels, compact_config()).err();
+            assert_eq!(sharded, Some(want.clone()), "{} labels", labels.len());
+            assert_eq!(mono, Some(want), "{} labels", labels.len());
+        }
     }
 
     #[test]

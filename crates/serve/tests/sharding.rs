@@ -11,7 +11,7 @@ use gssl_graph::Kernel;
 use gssl_linalg::Matrix;
 use gssl_serve::{
     Admission, BatchPolicy, BatchQueue, EngineConfig, Prediction, QueryPoint, ServeCriterion,
-    ServingEngine, ShardedEngine,
+    ServingEngine, ShardPlan, ShardedEngine,
 };
 
 /// Three interleaved 1-D clusters (node `i` sits in cluster `i % 3`), so
@@ -297,4 +297,39 @@ fn single_component_graph_degenerates_to_one_shard() {
         &sharded.predict_batch(&queries).unwrap(),
         "single-component predictions",
     );
+}
+
+#[test]
+fn fitted_plan_is_the_dense_plan_for_every_kernel() {
+    // The engine plans from the graph through the spatial index; the
+    // dense `ShardPlan::new` over the full weight matrix is the
+    // reference. A narrow Gaussian underflows to exact zeros across the
+    // cluster gaps, so it splits too.
+    let points = clustered_points(24);
+    let labels = [0.0, 1.0, 0.0];
+    for kernel in Kernel::all() {
+        let h = if kernel == Kernel::Gaussian { 0.3 } else { 1.6 };
+        let config = EngineConfig::new(kernel, h).workers(1);
+        let sharded = ShardedEngine::fit(&points, &labels, config.clone()).unwrap();
+        let dense = ShardPlan::new(&sharded.graph().weights().unwrap(), labels.len()).unwrap();
+        assert_eq!(sharded.plan(), &dense, "{kernel}");
+        assert_eq!(sharded.n_shards(), 3, "{kernel}");
+        let mono = ServingEngine::fit(&points, &labels, config).unwrap();
+        assert_scores_bitwise(mono.scores(), &sharded.scores(), &format!("{kernel}"));
+    }
+}
+
+#[test]
+fn boxcar_pair_one_ulp_past_the_bandwidth_shares_a_shard() {
+    // Nodes 0 and 2 sit at squared distance 1 + 2⁻⁵² under a boxcar of
+    // h = 1: √d²/h rounds to 1, so their weight is 1 and they form one
+    // component. Node 2 is anchored only through that weight.
+    let points = Matrix::from_rows(&[&[0.0, 0.0], &[5.0, 0.0], &[1.0, 2f64.powi(-26)]]).unwrap();
+    let labels = [0.0, 1.0];
+    let config = EngineConfig::new(Kernel::Boxcar, 1.0).workers(1);
+    let sharded = ShardedEngine::fit(&points, &labels, config.clone()).unwrap();
+    assert_eq!(sharded.n_shards(), 2);
+    assert_eq!(sharded.plan().shards()[0].members(), &[0, 2]);
+    let mono = ServingEngine::fit(&points, &labels, config).unwrap();
+    assert_scores_bitwise(mono.scores(), &sharded.scores(), "boxcar ulp pair");
 }

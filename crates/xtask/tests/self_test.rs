@@ -218,8 +218,8 @@ fn deterministic_annotation_inventory_is_pinned() {
         }
     }
     assert_eq!(
-        markers, 56,
-        "the `/// deterministic` inventory drifted from the pinned 56 \
+        markers, 59,
+        "the `/// deterministic` inventory drifted from the pinned 59 \
          entry points; update tests/determinism.rs coverage alongside"
     );
 }

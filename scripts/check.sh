@@ -39,6 +39,13 @@ cargo test -q --workspace
 echo "== cargo test --features strict-checks"
 cargo test -q --features strict-checks
 
+echo "== benchmark build + tests (perfbench/, its own Cargo workspace)"
+# perfbench/ is a workspace of its own, so the builds above never compile
+# it: a library change that breaks a call the benchmark makes would pass
+# every other gate and fail only when the benchmark runs. Its tests run
+# each workload at a tiny size, traced runs included.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== serve_demo smoke run"
 cargo run --release -q -p gssl-bench --bin serve_demo >/dev/null
 

@@ -25,7 +25,8 @@ use gssl_graph::{
     Kernel, KernelGraph, Symmetrization,
 };
 use gssl_index::{
-    k_nearest_batch, self_k_nearest_batch, self_within_radius_batch, NeighborSearch, SpatialIndex,
+    k_nearest_batch, self_k_nearest_batch, self_within_radius_batch, BruteForce, CoverTree,
+    NeighborSearch, SpatialIndex,
 };
 use gssl_linalg::{
     AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, Lu, Matrix, PrecondCg,
@@ -33,6 +34,8 @@ use gssl_linalg::{
 };
 use gssl_runtime::{sim, Executor};
 use gssl_serve::{EngineConfig, QueryPoint, ServingEngine, ShardPlan, ShardedEngine};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 4];
 
@@ -455,6 +458,95 @@ fn dense_factorizations_are_bit_identical_across_worker_counts() {
     }
 }
 
+/// The textbook column-at-a-time substitution, kept here as the fixed
+/// reference the multi-column kernel must reproduce bit for bit.
+fn column_substitution(lower: &Matrix, b: &[f64]) -> Vec<f64> {
+    let n = lower.rows();
+    let mut x = vec![0.0; n];
+    for i in 0..n {
+        let mut sum = b[i];
+        for j in 0..i {
+            sum -= lower.get(i, j) * x[j];
+        }
+        x[i] = sum / lower.get(i, i);
+    }
+    for i in (0..n).rev() {
+        let mut sum = x[i];
+        for j in i + 1..n {
+            sum -= lower.get(j, i) * x[j];
+        }
+        x[i] = sum / lower.get(i, i);
+    }
+    x
+}
+
+/// The hard-criterion block `D₂₂ − W₂₂` of an Epanechnikov kernel graph
+/// with the first `labeled` nodes labeled: the system a serving shard
+/// factors and inverts.
+fn hard_block(labeled: usize) -> Matrix {
+    let pts = points(40, 2);
+    let w = affinity_matrix(&pts, Kernel::Epanechnikov, 0.5).expect("affinity");
+    let n = w.rows();
+    let m = n - labeled;
+    Matrix::from_fn(m, m, |a, b| {
+        let (i, j) = (labeled + a, labeled + b);
+        if a == b {
+            (0..n).map(|k| w.get(i, k)).sum::<f64>() - w.get(i, j)
+        } else {
+            -w.get(i, j)
+        }
+    })
+}
+
+#[test]
+fn cholesky_substitution_is_bitwise_the_column_solve() {
+    let mut rng = StdRng::seed_from_u64(0xC401);
+    let mut systems = vec![hard_block(4), spd_system(23).0];
+    for n in [1, 7, 30] {
+        let b = Matrix::from_fn(n, n, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
+        let mut a = b.transpose().matmul(&b).expect("square product");
+        for i in 0..n {
+            a.set(i, i, a.get(i, i) + n as f64);
+        }
+        systems.push(a);
+    }
+    for a in &systems {
+        let n = a.rows();
+        let reference = Cholesky::factor(a).expect("spd system");
+        for workers in WORKER_COUNTS {
+            let chol = Cholesky::factor_with(a, &Executor::with_workers(workers)).expect("factor");
+            for cols in [1, 3, 9, n] {
+                let b = Matrix::from_fn(n, cols, |_, _| rng.gen::<f64>() * 4.0 - 2.0);
+                let x = chol.solve_matrix(&b).expect("solve_matrix");
+                let again = reference.solve_matrix(&b).expect("solve_matrix");
+                assert_eq!(x.as_slice(), again.as_slice(), "n={n} cols={cols}");
+                for c in 0..cols {
+                    let column = b.col(c);
+                    let single = chol.solve(&column).expect("solve");
+                    let textbook = column_substitution(chol.lower(), column.as_slice());
+                    for i in 0..n {
+                        let got = x.get(i, c).to_bits();
+                        assert_eq!(got, single[i].to_bits(), "n={n} cols={cols} ({i},{c})");
+                        assert_eq!(got, textbook[i].to_bits(), "n={n} cols={cols} ({i},{c})");
+                    }
+                }
+            }
+            let inverse = chol.inverse().expect("inverse");
+            for c in 0..n {
+                let unit = Matrix::identity(n).col(c);
+                let textbook = column_substitution(chol.lower(), unit.as_slice());
+                for i in 0..n {
+                    assert_eq!(
+                        inverse.get(i, c).to_bits(),
+                        textbook[i].to_bits(),
+                        "inverse n={n} ({i},{c}) at {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn solver_policy_backends_are_bit_identical_across_worker_counts() {
     let (a, rhs) = spd_system(26);
@@ -786,6 +878,80 @@ fn component_partition_is_deterministic_and_exhaustive() {
     }
 }
 
+/// Two-dimensional clusters on a line, node `i` in cluster `i % 4`, with
+/// gaps some kernels bridge and others do not.
+fn plane_clusters(total: usize) -> Matrix {
+    Matrix::from_fn(total, 2, |i, j| {
+        let jitter = (((i * 71 + j * 29 + 3) as f64) * 0.618_033_988_749_894_9).fract();
+        if j == 0 {
+            (i % 4) as f64 * 2.2 + jitter
+        } else {
+            jitter
+        }
+    })
+}
+
+#[test]
+fn kernel_graph_partition_is_deterministic_and_matches_dense() {
+    let pts = plane_clusters(37);
+    for kernel in Kernel::all() {
+        let h = if kernel == Kernel::Gaussian {
+            0.05
+        } else {
+            1.1
+        };
+        let graph = KernelGraph::fit(pts.clone(), kernel, h).expect("graph");
+        let brute = BruteForce::build(&pts).expect("brute force");
+        let reference = graph.component_partition(&brute).expect("partition");
+        assert!(reference.len() > 1, "{kernel}: expected a real split");
+        let cover = CoverTree::build(&pts).expect("cover tree");
+        assert_eq!(reference, graph.component_partition(&cover).expect("cover"));
+        for workers in WORKER_COUNTS {
+            let executor = Executor::with_workers(workers);
+            let dense = graph.weights_with(&executor).expect("weights");
+            assert_eq!(
+                reference,
+                component_partition(&dense, 0.0).expect("dense partition"),
+                "{kernel}: dense partition at {workers} workers"
+            );
+            let index = SpatialIndex::build(&pts).expect("index");
+            assert_eq!(
+                reference,
+                graph.component_partition(&index).expect("partition"),
+                "{kernel}: graph partition repeat {workers}"
+            );
+        }
+    }
+}
+
+#[test]
+fn shard_plan_from_graph_matches_the_dense_plan() {
+    let pts = plane_clusters(33);
+    for kernel in Kernel::all() {
+        let h = if kernel == Kernel::Gaussian {
+            0.05
+        } else {
+            1.1
+        };
+        let graph = KernelGraph::fit(pts.clone(), kernel, h).expect("graph");
+        let index = SpatialIndex::build(&pts).expect("index");
+        let reference = ShardPlan::from_graph(&graph, &index, 5).expect("plan");
+        for workers in WORKER_COUNTS {
+            let executor = Executor::with_workers(workers);
+            let dense = graph.weights_with(&executor).expect("weights");
+            assert_eq!(
+                reference,
+                ShardPlan::new(&dense, 5).expect("dense plan"),
+                "{kernel}: plans differ at {workers} workers"
+            );
+            assert_eq!(
+                reference,
+                ShardPlan::from_graph(&graph, &index, 5).expect("repeat")
+            );
+        }
+    }
+}
+
 #[test]
 fn map_tasks_is_bit_identical_across_worker_counts() {
     // Deliberately uneven per-task cost so the width-1 claim order is
@@ -1068,6 +1234,11 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         ),
         (
             "crates/graph/src/extension.rs",
+            "component_partition",
+            "kernel_graph_partition_is_deterministic_and_matches_dense",
+        ),
+        (
+            "crates/graph/src/extension.rs",
             "kernel_row",
             "out_of_sample_kernel_rows_are_deterministic",
         ),
@@ -1130,6 +1301,11 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
             "crates/linalg/src/cholesky.rs",
             "factor_with",
             "dense_factorizations_are_bit_identical_across_worker_counts",
+        ),
+        (
+            "crates/linalg/src/cholesky.rs",
+            "solve_matrix",
+            "cholesky_substitution_is_bitwise_the_column_solve",
         ),
         (
             "crates/linalg/src/lu.rs",
@@ -1217,6 +1393,11 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
             "shard_plan_is_deterministic",
         ),
         (
+            "crates/serve/src/shard.rs",
+            "from_graph",
+            "shard_plan_from_graph_matches_the_dense_plan",
+        ),
+        (
             "crates/serve/src/sharded.rs",
             "fit",
             "sharded_serving_is_bit_identical_across_worker_counts",
@@ -1302,7 +1483,7 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         stale.is_empty(),
         "coverage rows whose `/// deterministic` marker is gone: {stale:?}"
     );
-    assert_eq!(annotated.len(), 56, "inventory drifted from the pinned 56");
+    assert_eq!(annotated.len(), 59, "inventory drifted from the pinned 59");
 
     // Every covering test named above must actually exist in this file.
     let this_file = std::fs::read_to_string(root.join("tests").join("determinism.rs"))
