@@ -5,8 +5,11 @@
 //! 1-worker run), and writes `BENCH_parallel.json`.
 //!
 //! ```text
-//! cargo run --release -p gssl-bench --bin threads_scaling [-- --quiet]
+//! cargo run --release -p gssl-bench --bin threads_scaling [-- --ci] [-- --quiet]
 //! ```
+//!
+//! `--ci` runs the same stages but writes `BENCH_parallel_ci.json`
+//! instead, leaving the committed record untouched.
 //!
 //! Timing is reported as measured and never gates the exit code: on a
 //! ci host with a single hardware thread (see `host_parallelism` in the
@@ -157,7 +160,13 @@ fn predictions_equal(a: &[Prediction], b: &[Prediction]) -> bool {
 }
 
 fn main() -> ExitCode {
-    let quiet = std::env::args().any(|a| a == "--quiet");
+    let args: Vec<String> = std::env::args().collect();
+    let quiet = args.iter().any(|a| a == "--quiet");
+    let out_path = if args.iter().any(|a| a == "--ci") {
+        "BENCH_parallel_ci.json"
+    } else {
+        "BENCH_parallel.json"
+    };
 
     let assembly_pts = points(ASSEMBLY_NODES, ASSEMBLY_DIM);
     let graph = KernelGraph::fit(assembly_pts, Kernel::Gaussian, 0.8).expect("graph fit");
@@ -229,7 +238,7 @@ fn main() -> ExitCode {
         .join(",\n");
     let json =
         format!("{{\n\"host_parallelism\": {host_parallelism},\n\"stages\": [\n{body}\n]\n}}\n");
-    std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
+    std::fs::write(out_path, &json).expect("write parallel report");
 
     if !quiet {
         println!("== threads_scaling: deterministic parallelism across the stack ==");
@@ -252,7 +261,7 @@ fn main() -> ExitCode {
             }
         }
         println!(
-            "\nassembly speedup at 4 workers: {:.2}x (wrote BENCH_parallel.json)",
+            "\nassembly speedup at 4 workers: {:.2}x (wrote {out_path})",
             stages[0].speedup_at(4)
         );
         if host_parallelism < 4 {

@@ -162,20 +162,23 @@ impl Weights {
     /// Iterates the structurally nonzero `(col, value)` pairs of row `i`
     /// (dense rows skip exact zeros so both representations agree).
     ///
+    /// The iterator is a plain value over either storage: a row walk does
+    /// not allocate and pays no virtual call per entry.
+    ///
     /// # Panics
     ///
     /// Panics when `i` is out of bounds, matching the underlying matrix
     /// types.
-    pub fn row_entries(&self, i: usize) -> Box<dyn Iterator<Item = (usize, f64)> + '_> {
+    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         match self {
-            Weights::Dense(w) => Box::new(
+            Weights::Dense(w) => RowEntries::Dense(
                 w.row(i)
                     .iter()
                     .copied()
                     .enumerate()
                     .filter(|&(_, v)| v.abs() > 0.0),
             ),
-            Weights::Sparse(w) => Box::new(w.row_iter(i)),
+            Weights::Sparse(w) => RowEntries::Sparse(w.row_iter(i)),
         }
     }
 
@@ -308,6 +311,28 @@ impl Weights {
             });
         }
         Ok(())
+    }
+}
+
+/// The iterator behind [`Weights::row_entries`]: one variant per storage,
+/// so a row walk allocates nothing and dispatches without a virtual call.
+enum RowEntries<D, S> {
+    Dense(D),
+    Sparse(S),
+}
+
+impl<D, S> Iterator for RowEntries<D, S>
+where
+    D: Iterator<Item = (usize, f64)>,
+    S: Iterator<Item = (usize, f64)>,
+{
+    type Item = (usize, f64);
+
+    fn next(&mut self) -> Option<(usize, f64)> {
+        match self {
+            RowEntries::Dense(entries) => entries.next(),
+            RowEntries::Sparse(entries) => entries.next(),
+        }
     }
 }
 

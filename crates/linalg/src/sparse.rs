@@ -43,7 +43,13 @@ impl CsrMatrix {
 
     /// Builds a CSR matrix from `(row, col, value)` triplets.
     ///
-    /// Duplicate coordinates are summed; explicit zeros are dropped.
+    /// Triplets sharing a coordinate are summed in input order. A zero is
+    /// dropped only when it would open a coordinate (it is the first value
+    /// kept there), so a group whose sum is exactly `0.0` — `1.0` then
+    /// `-1.0` — stays stored and counts in [`CsrMatrix::nnz`]. Columns are
+    /// sorted within each row. Assembly is a stable counting sort in
+    /// `O(nnz + rows)`: the result is bitwise what a stable comparison sort
+    /// by `(row, col)` followed by the same in-order summation produces.
     ///
     /// # Errors
     ///
@@ -62,44 +68,78 @@ impl CsrMatrix {
                 });
             }
         }
-        let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
+        Ok(Self::from_entries(rows, cols, triplets.iter().copied()))
+    }
 
-        let mut indptr = vec![0usize; rows + 1];
-        let mut indices = Vec::with_capacity(sorted.len());
-        let mut values: Vec<f64> = Vec::with_capacity(sorted.len());
-        for (r, c, v) in sorted {
-            if let (Some(&last_c), Some(last_v)) = (indices.last(), values.last_mut()) {
-                // Merge duplicates that landed adjacent after sorting.
-                if indptr[r + 1] > 0 && last_c == c && {
-                    // The duplicate must be in the same row: check that no
-                    // later row has started since.
-                    indptr[r + 1] == indices.len()
-                } {
-                    *last_v += v;
+    /// Stable counting-sort assembly shared by [`CsrMatrix::from_triplets`]
+    /// and [`CsrMatrix::transpose`]; every coordinate must already be in
+    /// bounds. `entries` is walked twice: once to count each row, once to
+    /// scatter `(col, value)` into its row's bucket in input order.
+    ///
+    /// A bucket is then sorted by column only when it is out of order, with
+    /// a stable sort, so equal coordinates keep their input order: the
+    /// sequence the merge loop sees is exactly that of a stable sort of the
+    /// whole input by `(row, col)`, and duplicates are summed in the same
+    /// order (see DESIGN.md, "CSR construction").
+    /// shape: (rows, cols)
+    fn from_entries<I>(rows: usize, cols: usize, entries: I) -> Self
+    where
+        I: Iterator<Item = (usize, usize, f64)> + Clone,
+    {
+        debug_assert!(entries.clone().all(|(r, c, _)| r < rows && c < cols));
+        // Row starts: per-row counts shifted by one, then prefix-summed.
+        let mut starts = vec![0usize; rows + 1];
+        for (r, _, _) in entries.clone() {
+            starts[r + 1] += 1;
+        }
+        let mut total = 0;
+        for start in &mut starts {
+            total += *start;
+            *start = total;
+        }
+        let mut next = starts.clone();
+        let mut bucket = vec![(0usize, 0.0f64); total];
+        for (r, c, v) in entries {
+            let slot = &mut next[r];
+            bucket[*slot] = (c, v);
+            *slot += 1;
+        }
+
+        let mut indptr = Vec::with_capacity(rows + 1);
+        let mut indices = Vec::with_capacity(total);
+        let mut values: Vec<f64> = Vec::with_capacity(total);
+        indptr.push(0);
+        for span in starts.windows(2) {
+            let row = &mut bucket[span[0]..span[1]];
+            if !row.is_sorted_by_key(|&(c, _)| c) {
+                row.sort_by_key(|&(c, _)| c);
+            }
+            let row_start = indices.len();
+            for &(c, v) in row.iter() {
+                // Merge a duplicate into the entry this row stored last.
+                if let (Some(&last_c), Some(last_v)) =
+                    (indices[row_start..].last(), values.last_mut())
+                {
+                    if last_c == c {
+                        *last_v += v;
+                        continue;
+                    }
+                }
+                if crate::float::is_exactly_zero(v) {
                     continue;
                 }
+                indices.push(c);
+                values.push(v);
             }
-            if crate::float::is_exactly_zero(v) {
-                continue;
-            }
-            indices.push(c);
-            values.push(v);
-            indptr[r + 1] = indices.len();
+            indptr.push(indices.len());
         }
-        // Make indptr cumulative (carry forward rows with no entries).
-        for r in 1..=rows {
-            if indptr[r] < indptr[r - 1] {
-                indptr[r] = indptr[r - 1];
-            }
-        }
-        Ok(CsrMatrix {
+        CsrMatrix {
             rows,
             cols,
             indptr,
             indices,
             values,
-        })
+        }
     }
 
     /// Converts a dense matrix to CSR, dropping entries with
@@ -247,17 +287,28 @@ impl CsrMatrix {
     }
 
     /// Returns the transpose (also in CSR form).
+    ///
+    /// Stored zeros are dropped — each coordinate of `self` is stored once,
+    /// so its zero opens the coordinate in the transpose — which means
+    /// `m.transpose().transpose() != m` when `m` stores a zero (a duplicate
+    /// group of [`CsrMatrix::from_triplets`] that cancelled to `0.0`).
+    /// Walking `self` in row order fills each transposed row already sorted.
     /// shape: (self.cols, self.rows)
     pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for i in 0..self.rows {
-            for (j, v) in self.row_iter(i) {
-                triplets.push((j, i, v));
-            }
-        }
-        // Coordinates came from a valid matrix, so this cannot fail.
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
-            .expect("transpose produced invalid coordinates") // lint: allow(no_panic)
+        // One flat pass over the stored entries, each tagged with its row:
+        // far cheaper per entry than nesting a fresh row iterator per row.
+        let source_rows = self
+            .indptr
+            .windows(2)
+            .enumerate()
+            .flat_map(|(i, span)| std::iter::repeat_n(i, span[1] - span[0]));
+        let entries = self
+            .indices
+            .iter()
+            .zip(source_rows)
+            .zip(&self.values)
+            .map(|((&j, i), &v)| (j, i, v));
+        CsrMatrix::from_entries(self.cols, self.rows, entries)
     }
 
     /// Returns `true` when the matrix equals its transpose up to `tol`.
@@ -297,6 +348,190 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The comparison-sort `from_triplets` this crate shipped before the
+    /// counting sort, logic unchanged, as the bitwise oracle (coordinates
+    /// are assumed in bounds).
+    fn comparison_sort_reference(
+        rows: usize,
+        cols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> CsrMatrix {
+        let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();
+        sorted.sort_by_key(|&(r, c, _)| (r, c));
+
+        let mut indptr = vec![0usize; rows + 1];
+        let mut indices = Vec::with_capacity(sorted.len());
+        let mut values: Vec<f64> = Vec::with_capacity(sorted.len());
+        for (r, c, v) in sorted {
+            if let (Some(&last_c), Some(last_v)) = (indices.last(), values.last_mut()) {
+                if indptr[r + 1] > 0 && last_c == c && indptr[r + 1] == indices.len() {
+                    *last_v += v;
+                    continue;
+                }
+            }
+            if crate::float::is_exactly_zero(v) {
+                continue;
+            }
+            indices.push(c);
+            values.push(v);
+            indptr[r + 1] = indices.len();
+        }
+        for r in 1..=rows {
+            if indptr[r] < indptr[r - 1] {
+                indptr[r] = indptr[r - 1];
+            }
+        }
+        CsrMatrix {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
+    /// The triplet-based transpose, fed through the oracle.
+    fn transpose_reference(m: &CsrMatrix) -> CsrMatrix {
+        let mut triplets = Vec::new();
+        for i in 0..m.rows {
+            for (j, v) in m.row_iter(i) {
+                triplets.push((j, i, v));
+            }
+        }
+        comparison_sort_reference(m.cols, m.rows, &triplets)
+    }
+
+    /// Shape, structure and every value bit (so `-0.0 != 0.0`) agree.
+    fn assert_bitwise(got: &CsrMatrix, want: &CsrMatrix) {
+        assert_eq!((got.rows, got.cols), (want.rows, want.cols));
+        assert_eq!(got.indptr, want.indptr);
+        assert_eq!(got.indices, want.indices);
+        let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want));
+    }
+
+    /// Values whose duplicate sums depend on summation order, signed zeros
+    /// and values that cancel exactly.
+    const PALETTE: [f64; 8] = [1e16, -1e16, 1.0, -1.0, 0.0, -0.0, 0.5, 3.25];
+
+    /// `count` seeded triplets in a `rows x cols` shape, unsorted, with
+    /// many duplicate coordinates when the shape is small.
+    fn seeded_triplets(
+        rng: &mut StdRng,
+        rows: usize,
+        cols: usize,
+        count: usize,
+    ) -> Vec<(usize, usize, f64)> {
+        (0..count)
+            .map(|_| {
+                let v = if rng.gen_range(0..4usize) == 0 {
+                    rng.gen::<f64>() * 2.0 - 1.0
+                } else {
+                    PALETTE[rng.gen_range(0..PALETTE.len())]
+                };
+                (rng.gen_range(0..rows), rng.gen_range(0..cols), v)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_triplets_is_bitwise_the_comparison_sort_on_edge_cases() {
+        type Case = (usize, usize, Vec<(usize, usize, f64)>);
+        let cases: Vec<Case> = vec![
+            // Order-dependent sum: (1e16 + 1) - 1e16 is 0.0, not 1.0.
+            (1, 2, vec![(0, 1, 1e16), (0, 1, 1.0), (0, 1, -1e16)]),
+            (1, 2, vec![(0, 1, 1e16), (0, 1, -1e16), (0, 1, 1.0)]),
+            // Signed zeros: dropped when they open a coordinate, summed
+            // (and their sign kept by IEEE rules) when merged.
+            (2, 3, vec![(1, 1, -0.0), (1, 1, 0.0), (0, 2, -0.0)]),
+            (
+                2,
+                3,
+                vec![(1, 2, -2.0), (1, 2, 2.0), (1, 2, -0.0), (0, 0, -0.0)],
+            ),
+            // A duplicate group that cancels to a stored 0.0.
+            (3, 3, vec![(2, 0, 1.5), (0, 1, 4.0), (2, 0, -1.5)]),
+            // A zero followed by a nonzero duplicate.
+            (4, 5, vec![(3, 4, 0.0), (3, 4, 2.0), (3, 4, -0.0)]),
+            // Empty rows around a lone entry; rows given in reverse.
+            (5, 5, vec![(4, 0, 1.0), (2, 3, 1.0), (2, 1, 7.0)]),
+            // Degenerate shapes.
+            (0, 4, vec![]),
+            (4, 0, vec![]),
+            (0, 0, vec![]),
+            (3, 3, vec![]),
+        ];
+        for (rows, cols, triplets) in &cases {
+            let got = CsrMatrix::from_triplets(*rows, *cols, triplets).unwrap();
+            assert_bitwise(&got, &comparison_sort_reference(*rows, *cols, triplets));
+        }
+        // The cancelled group stays stored and counts in nnz.
+        let cancelled = CsrMatrix::from_triplets(3, 3, &cases[4].2).unwrap();
+        assert_eq!(cancelled.nnz(), 2);
+        assert_eq!(cancelled.get(2, 0).to_bits(), 0.0f64.to_bits());
+        // Summation follows input order.
+        let ordered = CsrMatrix::from_triplets(1, 2, &cases[0].2).unwrap();
+        assert_eq!(ordered.get(0, 1).to_bits(), 0.0f64.to_bits());
+        let reordered = CsrMatrix::from_triplets(1, 2, &cases[1].2).unwrap();
+        assert_eq!(reordered.get(0, 1), 1.0);
+    }
+
+    #[test]
+    fn from_triplets_is_bitwise_the_comparison_sort_on_seeded_inputs() {
+        let mut rng = StdRng::seed_from_u64(0xC5_0001);
+        for _ in 0..200 {
+            // Few rows and columns with up to ~300 triplets: rows run far
+            // past 20 unsorted entries, each coordinate repeated many times.
+            let rows = rng.gen_range(1..9usize);
+            let cols = rng.gen_range(1..12usize);
+            let count = rng.gen_range(0..300usize);
+            let triplets = seeded_triplets(&mut rng, rows, cols, count);
+            let got = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+            assert_bitwise(&got, &comparison_sort_reference(rows, cols, &triplets));
+        }
+        // A larger, sparser case with empty rows.
+        let triplets = seeded_triplets(&mut rng, 300, 300, 20_000);
+        let got = CsrMatrix::from_triplets(300, 300, &triplets).unwrap();
+        assert_bitwise(&got, &comparison_sort_reference(300, 300, &triplets));
+    }
+
+    #[test]
+    fn transpose_is_bitwise_the_triplet_transpose() {
+        let mut rng = StdRng::seed_from_u64(0xC5_0002);
+        let mut stored_zero_seen = false;
+        for _ in 0..200 {
+            let rows = rng.gen_range(0..10usize);
+            let cols = rng.gen_range(0..14usize);
+            let count = if rows == 0 || cols == 0 {
+                0
+            } else {
+                rng.gen_range(0..300usize)
+            };
+            let triplets = seeded_triplets(&mut rng, rows.max(1), cols.max(1), count);
+            let m = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+            stored_zero_seen |= m.values.iter().any(|&v| crate::float::is_exactly_zero(v));
+            let t = m.transpose();
+            assert_bitwise(&t, &transpose_reference(&m));
+            assert_bitwise(&t.transpose(), &transpose_reference(&t));
+        }
+        assert!(
+            stored_zero_seen,
+            "the seeded inputs must store a cancelled zero"
+        );
+    }
+
+    #[test]
+    fn transpose_drops_stored_zeros() {
+        let m = CsrMatrix::from_triplets(2, 3, &[(0, 2, 1.0), (0, 2, -1.0), (1, 0, 2.0)]).unwrap();
+        assert_eq!(m.nnz(), 2);
+        let t = m.transpose();
+        assert_eq!(t.nnz(), 1);
+        assert_eq!(t.get(0, 1), 2.0);
+        assert_ne!(t.transpose(), m);
+    }
 
     #[test]
     fn from_triplets_and_get() {

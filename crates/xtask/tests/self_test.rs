@@ -236,8 +236,8 @@ fn analyze_real_workspace_is_baseline_clean() {
     // Every committed baseline entry must still be live — the ratchet
     // reports both regressions (counts up) and staleness (counts down).
     assert_eq!(
-        report.suppressed, 108,
-        "baseline drifted from the committed 108 entries"
+        report.suppressed, 104,
+        "baseline drifted from the committed 104 entries"
     );
 }
 

@@ -54,12 +54,14 @@ echo "== policy_demo smoke run"
 # nonzero when any backend's solve residual exceeds its threshold.
 cargo run --release -q -p gssl-bench --bin policy_demo -- --json >/dev/null
 
-echo "== threads_scaling bench (writes BENCH_parallel.json)"
+echo "== threads_scaling bench (writes BENCH_parallel_ci.json)"
 # Times assembly / hard fit / soft fit / predict_batch at 1/2/4/8 workers
 # and exits nonzero if any parallel output is not bit-identical to the
 # 1-worker run. Timing is recorded, never gated: speedup depends on the
-# host's core count (see host_parallelism in the JSON).
-cargo run --release -q -p gssl-bench --bin threads_scaling -- --quiet
+# host's core count (see host_parallelism in the JSON). The committed
+# BENCH_parallel.json comes from a run without `--ci` and is not touched.
+cargo run --release -q -p gssl-bench --bin threads_scaling -- --ci --quiet
+rm -f BENCH_parallel_ci.json
 
 echo "== scale bench, ci sizes (writes BENCH_scale_ci.json)"
 # Assembles kNN graphs through the spatial index and fits the hard
