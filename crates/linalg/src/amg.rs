@@ -27,9 +27,24 @@
 //! preconditioned by one V-cycle per iteration — the standard AMG-PCG
 //! combination, which inherits CG's guaranteed convergence on SPD systems
 //! while the hierarchy removes the mesh-size dependence of the iteration
-//! count. Matvecs on the fine levels are row-sharded across the stored
-//! executor with the same fixed chunk claims as every other backend, so
-//! parallel solves are bit-identical to sequential ones.
+//! count.
+//!
+//! The solve does no work it can skip:
+//!
+//! * **Size-gated sharding.** The outer CG matvec and every level's matvec
+//!   go through `CsrMatrix::matvec_into_with`: a matrix storing at least
+//!   `PARALLEL_MIN_NNZ` entries is row-sharded across the stored executor
+//!   with the same fixed chunk claims as every other backend, and a
+//!   smaller one runs on the calling thread. Either way each row is one
+//!   kernel call, so parallel solves are bit-identical to sequential ones.
+//! * **No `A·0` sweep.** Each cycle starts from `x = 0`. When every stored
+//!   entry is finite, `A·0` is `+0.0` in every row, so the first
+//!   pre-smoothing sweep runs without its matvec (finiteness is checked at
+//!   factor time under `strict-checks`).
+//! * **Per-solve buffers.** Each solve allocates every level's scratch
+//!   vectors once and reuses them in every cycle; they live in the
+//!   preconditioner that solve builds, so concurrent `&self` solves share
+//!   nothing mutable.
 
 use crate::cg::{preconditioned_cg_with, CgOptions};
 use crate::cholesky::Cholesky;
@@ -39,8 +54,10 @@ use crate::lu::Lu;
 use crate::ops::LinearOperator;
 use crate::precond::{JacobiPrecond, Preconditioner};
 use crate::sparse::CsrMatrix;
+use crate::strict;
 use crate::vector::Vector;
 use gssl_runtime::Executor;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Options controlling hierarchy construction and the outer PCG run.
@@ -158,6 +175,8 @@ impl AmgCg {
     /// # Errors
     ///
     /// * [`Error::NotSquare`] when `a` is not square.
+    /// * [`Error::NonFiniteValue`] under `strict-checks` when a stored value
+    ///   is non-finite (the index is the stored-entry position).
     /// * [`Error::InvalidArgument`] when an option is out of range.
     /// * [`Error::NotPositiveDefinite`] when a level's diagonal has a
     ///   non-positive entry (the damped-Jacobi smoother needs `D > 0`).
@@ -169,6 +188,7 @@ impl AmgCg {
                 shape: (a.rows(), a.cols()),
             });
         }
+        strict::check_finite("amg.factor input", a.values())?;
         validate_options(&options)?;
 
         let mut grids = Vec::with_capacity(options.max_levels);
@@ -205,8 +225,10 @@ impl AmgCg {
         })
     }
 
-    /// Runs every solve's fine-level matvecs on `executor` (row-sharded,
-    /// bit-identical to the sequential backend at any worker count).
+    /// Runs every solve's matvecs on `executor`: each level storing at
+    /// least `PARALLEL_MIN_NNZ` entries is row-sharded, smaller ones stay on
+    /// the calling thread (bit-identical to the sequential backend at any
+    /// worker count).
     #[must_use]
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
@@ -262,46 +284,18 @@ impl AmgCg {
         self.grids.first().map(|g| &g.a).unwrap_or(&self.coarse_a)
     }
 
-    /// `out = A x` at level `depth`, row-sharded across the executor with
-    /// the same fixed chunk claims as every backend (bit-identical to the
-    /// sequential matvec at any worker count).
-    /// complexity: O(nnz)
-    fn matvec(&self, a: &CsrMatrix, x: &[f64], out: &mut [f64]) {
-        if self.executor.is_sequential() {
-            a.apply(x, out);
-            return;
-        }
-        let block = out
-            .len()
-            .div_ceil(self.executor.workers().saturating_mul(4))
-            .max(1);
-        let sharded = self
-            .executor
-            .for_each_chunk_mut(out, block, |start, chunk| {
-                for (local, o) in chunk.iter_mut().enumerate() {
-                    let mut sum = 0.0;
-                    for (j, v) in a.row_iter(start + local) {
-                        sum += v * x[j];
-                    }
-                    *o = sum;
-                }
-            });
-        if sharded.is_err() {
-            // Chunk width is always >= 1 and the closure is infallible, so
-            // this arm is unreachable; recompute sequentially rather than
-            // panic if it ever fires.
-            a.apply(x, out);
-        }
-    }
-
-    /// One V-cycle: `x ≈ A⁻¹ r` starting from `x = 0` at level `depth`.
+    /// One V-cycle: `x ≈ A⁻¹ r` starting from `x = 0` at level `depth`;
+    /// `buffers` holds the scratch of grid `depth` and of every coarser grid.
     ///
     /// Restriction, prolongation, and smoothing updates are elementwise
     /// sequential (only matvecs shard), so the cycle is bit-identical at
-    /// every worker count.
+    /// every worker count. Every entry of `x` is overwritten, so `x` needs
+    /// no zeroing.
     /// complexity: O(iters * nnz)
-    fn vcycle(&self, depth: usize, r: &[f64], x: &mut [f64]) {
-        if depth == self.grids.len() {
+    fn vcycle(&self, depth: usize, r: &[f64], x: &mut [f64], buffers: &mut [LevelBuffers]) {
+        let (Some(grid), Some((level, coarser))) =
+            (self.grids.get(depth), buffers.split_first_mut())
+        else {
             if self.coarse.solve_into(r, x).is_err() {
                 // Unreachable: dims match by construction and the factors
                 // were validated at build time. Fall back to the identity
@@ -309,61 +303,111 @@ impl AmgCg {
                 x.copy_from_slice(r);
             }
             return;
-        }
-        let grid = &self.grids[depth];
-        let n = grid.a.rows();
-        for xi in x.iter_mut() {
-            *xi = 0.0;
-        }
-        let mut tmp = vec![0.0; n];
-        // Pre-smooth: x ← x + ω D⁻¹ (r − A x), simultaneous update.
-        for _ in 0..self.options.smoothing_sweeps {
-            self.matvec(&grid.a, x, &mut tmp);
-            for ((xi, ri), (ti, di)) in x.iter_mut().zip(r).zip(tmp.iter().zip(&grid.inv_diag)) {
-                *xi += self.options.damping * di * (ri - ti);
-            }
-        }
+        };
+        self.presmooth(grid, r, x, &mut level.tmp);
         // Coarse-grid correction: restrict the residual (Pᵀ is "sum over
         // the aggregate"), recurse, prolong (P is "copy to every member").
-        self.matvec(&grid.a, x, &mut tmp);
-        let coarse_n = self
-            .grids
-            .get(depth + 1)
-            .map(|g| g.a.rows())
-            .unwrap_or_else(|| self.coarse.dim());
-        let mut rc = vec![0.0; coarse_n];
-        for (i, (ri, ti)) in r.iter().zip(&tmp).enumerate() {
-            rc[grid.agg[i]] += ri - ti;
+        grid.a.matvec_into_with(x, &mut level.tmp, &self.executor);
+        level.rc.fill(0.0);
+        for ((ri, ti), &aggi) in r.iter().zip(&level.tmp).zip(&grid.agg) {
+            level.rc[aggi] += ri - ti;
         }
-        let mut xc = vec![0.0; coarse_n];
-        self.vcycle(depth + 1, &rc, &mut xc);
+        self.vcycle(depth + 1, &level.rc, &mut level.xc, coarser);
         for (xi, &aggi) in x.iter_mut().zip(&grid.agg) {
-            *xi += xc[aggi];
+            *xi += level.xc[aggi];
         }
         // Post-smooth with the same sweeps, keeping the cycle symmetric.
         for _ in 0..self.options.smoothing_sweeps {
-            self.matvec(&grid.a, x, &mut tmp);
-            for ((xi, ri), (ti, di)) in x.iter_mut().zip(r).zip(tmp.iter().zip(&grid.inv_diag)) {
-                *xi += self.options.damping * di * (ri - ti);
-            }
+            self.smooth(grid, r, x, &mut level.tmp);
+        }
+    }
+
+    /// Pre-smoothing from `x = 0`: `smoothing_sweeps` damped-Jacobi sweeps,
+    /// writing every entry of `x`.
+    ///
+    /// The first sweep runs without a matvec. When every stored entry is
+    /// finite, `A·0` is `+0.0` in every row (`0.0 + v·0.0` stays `+0.0`),
+    /// so `r − A·0` is `r` and the sweep is `x_i = 0.0 + ω d_i r_i`. The
+    /// `0.0 +` turns a `−0.0` product into `+0.0`, exactly as `x_i += …`
+    /// on a zeroed `x` does, so `x` is bitwise the full sweep's.
+    /// complexity: O(iters * nnz)
+    fn presmooth(&self, grid: &Grid, r: &[f64], x: &mut [f64], tmp: &mut [f64]) {
+        let damping = self.options.damping;
+        for ((xi, ri), di) in x.iter_mut().zip(r).zip(&grid.inv_diag) {
+            *xi = 0.0 + damping * di * ri;
+        }
+        for _ in 1..self.options.smoothing_sweeps {
+            self.smooth(grid, r, x, tmp);
+        }
+    }
+
+    /// One damped-Jacobi sweep, `x ← x + ω D⁻¹ (r − A x)` with a
+    /// simultaneous update; `tmp` receives `A x`.
+    /// complexity: O(nnz)
+    fn smooth(&self, grid: &Grid, r: &[f64], x: &mut [f64], tmp: &mut [f64]) {
+        grid.a.matvec_into_with(x, tmp, &self.executor);
+        let damping = self.options.damping;
+        for ((xi, ri), (ti, di)) in x.iter_mut().zip(r).zip(tmp.iter().zip(&grid.inv_diag)) {
+            *xi += damping * di * (ri - ti);
         }
     }
 }
 
-/// The V-cycle viewed as a PCG preconditioner (`z = Vcycle(r)`).
-struct VCyclePrecond<'a>(&'a AmgCg);
+/// Scratch vectors of one grid level, allocated once per solve.
+struct LevelBuffers {
+    /// `A x` on this level.
+    tmp: Vec<f64>,
+    /// The residual restricted to the next coarser level.
+    rc: Vec<f64>,
+    /// The correction solved on the next coarser level.
+    xc: Vec<f64>,
+}
 
-impl Preconditioner for VCyclePrecond<'_> {
-    fn dim(&self) -> usize {
-        self.0.finest().rows()
-    }
+/// The V-cycle viewed as a PCG preconditioner (`z = Vcycle(r)`). Each
+/// solve builds its own, so the level buffers live for one solve and
+/// concurrent solves on one [`AmgCg`] never share them.
+struct VCyclePrecond<'a> {
+    amg: &'a AmgCg,
+    buffers: RefCell<Vec<LevelBuffers>>,
+}
 
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.0.vcycle(0, r, z);
+impl<'a> VCyclePrecond<'a> {
+    fn new(amg: &'a AmgCg) -> Self {
+        let coarser_rows = amg
+            .grids
+            .iter()
+            .skip(1)
+            .map(|g| g.a.rows())
+            .chain(std::iter::once(amg.coarse.dim()));
+        let buffers = amg
+            .grids
+            .iter()
+            .zip(coarser_rows)
+            .map(|(grid, coarse_n)| LevelBuffers {
+                tmp: vec![0.0; grid.a.rows()],
+                rc: vec![0.0; coarse_n],
+                xc: vec![0.0; coarse_n],
+            })
+            .collect();
+        VCyclePrecond {
+            amg,
+            buffers: RefCell::new(buffers),
+        }
     }
 }
 
-/// The finest operator with row-sharded matvecs, for the outer CG loop.
+impl Preconditioner for VCyclePrecond<'_> {
+    fn dim(&self) -> usize {
+        self.amg.finest().rows()
+    }
+
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.amg.vcycle(0, r, z, &mut self.buffers.borrow_mut());
+    }
+}
+
+/// The finest operator with size-gated row-sharded matvecs, for the outer
+/// CG loop.
 struct ShardedFinest<'a>(&'a AmgCg);
 
 impl LinearOperator for ShardedFinest<'_> {
@@ -372,7 +416,7 @@ impl LinearOperator for ShardedFinest<'_> {
     }
 
     fn apply(&self, x: &[f64], out: &mut [f64]) {
-        self.0.matvec(self.0.finest(), x, out);
+        self.0.finest().matvec_into_with(x, out, &self.0.executor);
     }
 }
 
@@ -383,7 +427,7 @@ impl Factorization for AmgCg {
 
     /// shape: (b.len,)
     fn solve(&self, b: &Vector) -> Result<Vector> {
-        let precond = VCyclePrecond(self);
+        let precond = VCyclePrecond::new(self);
         let op = ShardedFinest(self);
         match preconditioned_cg_with(&op, b, &precond, &self.options.cg) {
             Ok(out) => {
@@ -630,6 +674,209 @@ mod tests {
 
     fn rhs(n: usize) -> Vector {
         Vector::from_fn(n, |i| ((i as f64) * 0.37).sin() + 0.4)
+    }
+
+    /// `rhs` with every seventh entry `-0.0` and a `+0.0` three later.
+    fn signed_zero_rhs(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| match i % 7 {
+                0 => -0.0,
+                3 => 0.0,
+                _ => ((i as f64) * 0.37).sin() + 0.4,
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The sequential matvec the V-cycle ran before the row kernel.
+    fn row_iter_matvec(a: &CsrMatrix, x: &[f64], out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            let mut sum = 0.0;
+            for (j, v) in a.row_iter(i) {
+                sum += v * x[j];
+            }
+            *o = sum;
+        }
+    }
+
+    /// The pre-smoothing of the reference cycle: zero `x`, then every sweep
+    /// with its matvec, the first one included (`A·0`).
+    fn reference_presmooth(amg: &AmgCg, grid: &Grid, r: &[f64], x: &mut [f64], tmp: &mut [f64]) {
+        for xi in x.iter_mut() {
+            *xi = 0.0;
+        }
+        for _ in 0..amg.options.smoothing_sweeps {
+            row_iter_matvec(&grid.a, x, tmp);
+            for ((xi, ri), (ti, di)) in x.iter_mut().zip(r).zip(tmp.iter().zip(&grid.inv_diag)) {
+                *xi += amg.options.damping * di * (ri - ti);
+            }
+        }
+    }
+
+    /// The V-cycle this crate shipped before the per-solve buffers, run
+    /// sequentially: `x` zeroed, the `A·0` matvec, fresh vectors on every
+    /// level.
+    fn reference_vcycle(amg: &AmgCg, depth: usize, r: &[f64], x: &mut [f64]) {
+        if depth == amg.grids.len() {
+            if amg.coarse.solve_into(r, x).is_err() {
+                x.copy_from_slice(r);
+            }
+            return;
+        }
+        let grid = &amg.grids[depth];
+        let n = grid.a.rows();
+        let mut tmp = vec![0.0; n];
+        reference_presmooth(amg, grid, r, x, &mut tmp);
+        row_iter_matvec(&grid.a, x, &mut tmp);
+        let coarse_n = amg
+            .grids
+            .get(depth + 1)
+            .map(|g| g.a.rows())
+            .unwrap_or_else(|| amg.coarse.dim());
+        let mut rc = vec![0.0; coarse_n];
+        for (i, (ri, ti)) in r.iter().zip(&tmp).enumerate() {
+            rc[grid.agg[i]] += ri - ti;
+        }
+        let mut xc = vec![0.0; coarse_n];
+        reference_vcycle(amg, depth + 1, &rc, &mut xc);
+        for (xi, &aggi) in x.iter_mut().zip(&grid.agg) {
+            *xi += xc[aggi];
+        }
+        for _ in 0..amg.options.smoothing_sweeps {
+            row_iter_matvec(&grid.a, x, &mut tmp);
+            for ((xi, ri), (ti, di)) in x.iter_mut().zip(r).zip(tmp.iter().zip(&grid.inv_diag)) {
+                *xi += amg.options.damping * di * (ri - ti);
+            }
+        }
+    }
+
+    struct ReferencePrecond<'a>(&'a AmgCg);
+
+    impl Preconditioner for ReferencePrecond<'_> {
+        fn dim(&self) -> usize {
+            self.0.finest().rows()
+        }
+
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            reference_vcycle(self.0, 0, r, z);
+        }
+    }
+
+    struct ReferenceOp<'a>(&'a CsrMatrix);
+
+    impl LinearOperator for ReferenceOp<'_> {
+        fn dim(&self) -> usize {
+            self.0.rows()
+        }
+
+        fn apply(&self, x: &[f64], out: &mut [f64]) {
+            row_iter_matvec(self.0, x, out);
+        }
+    }
+
+    /// Grids smoothed with 1, 2 and 3 sweeps, a system at or below
+    /// `coarsest_dim` (no grids), and a diagonal one whose coarsening
+    /// stalls at once (no grids either).
+    fn oracle_systems() -> Vec<(String, CsrMatrix, AmgOptions)> {
+        let mut systems: Vec<_> = [1, 2, 3]
+            .into_iter()
+            .map(|sweeps| {
+                (
+                    format!("grid 20x20, {sweeps} sweeps"),
+                    grid_laplacian(20),
+                    AmgOptions {
+                        smoothing_sweeps: sweeps,
+                        ..AmgOptions::default()
+                    },
+                )
+            })
+            .collect();
+        systems.push((
+            "coarse only".to_owned(),
+            grid_laplacian(4),
+            AmgOptions::default(),
+        ));
+        let diagonal = (0..80).map(|i| (i, i, 2.0 + i as f64)).collect::<Vec<_>>();
+        systems.push((
+            "stalled".to_owned(),
+            CsrMatrix::from_triplets(80, 80, &diagonal).unwrap(),
+            AmgOptions::default(),
+        ));
+        systems
+    }
+
+    #[test]
+    fn presmoothing_is_bitwise_the_zeroed_sweeps() {
+        for (name, a, options) in oracle_systems() {
+            let sweeps = options.smoothing_sweeps;
+            let amg = AmgCg::factor_sparse(&a, options).unwrap();
+            for (depth, grid) in amg.grids.iter().enumerate() {
+                let n = grid.a.rows();
+                let r = signed_zero_rhs(n);
+                let mut tmp = vec![0.0; n];
+                let mut want = vec![f64::NAN; n];
+                reference_presmooth(&amg, grid, &r, &mut want, &mut tmp);
+                let mut got = vec![f64::NAN; n];
+                amg.presmooth(grid, &r, &mut got, &mut tmp);
+                assert_eq!(bits(&got), bits(&want), "{name}, level {depth}");
+                if sweeps == 1 {
+                    // A `-0.0` residual entry smooths to `+0.0`, not `-0.0`.
+                    assert!(r
+                        .iter()
+                        .zip(&got)
+                        .any(|(ri, xi)| ri.is_sign_negative() && xi.to_bits() == 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vcycle_is_bitwise_the_reference_cycle() {
+        for (name, a, options) in oracle_systems() {
+            let amg = AmgCg::factor_sparse(&a, options).unwrap();
+            let n = a.rows();
+            // One preconditioner runs every cycle, so its buffers carry
+            // over from one cycle to the next as they do within a solve.
+            let precond = VCyclePrecond::new(&amg);
+            for r in [
+                signed_zero_rhs(n),
+                rhs(n).as_slice().to_vec(),
+                vec![-0.0; n],
+            ] {
+                let mut want = vec![0.0; n];
+                reference_vcycle(&amg, 0, &r, &mut want);
+                let mut got = vec![f64::NAN; n];
+                precond.apply(&r, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn solves_are_bitwise_the_reference_solves() {
+        for (name, a, options) in oracle_systems() {
+            let amg = AmgCg::factor_sparse(&a, options).unwrap();
+            let n = a.rows();
+            for b in [rhs(n), Vector::from(signed_zero_rhs(n))] {
+                let want = preconditioned_cg_with(
+                    &ReferenceOp(&a),
+                    &b,
+                    &ReferencePrecond(&amg),
+                    &amg.options.cg,
+                )
+                .unwrap();
+                let got = amg.solve(&b).unwrap();
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.solution.as_slice()),
+                    "{name}"
+                );
+                assert_eq!(amg.last_iterations(), Some(want.iterations), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -340,7 +340,9 @@ impl LinearOperator for CgSystem {
 /// Each output element is one row's dot product, computed by exactly one
 /// worker with the same operations as the sequential
 /// `LinearOperator::apply` — so CG sees bit-identical iterates regardless
-/// of worker count.
+/// of worker count. A sparse system goes through the size-gated
+/// `CsrMatrix::matvec_into_with`, so a small one stays on the calling
+/// thread.
 struct ShardedCgSystem<'a> {
     system: &'a CgSystem,
     executor: &'a Executor,
@@ -352,25 +354,19 @@ impl LinearOperator for ShardedCgSystem<'_> {
     }
 
     fn apply(&self, x: &[f64], out: &mut [f64]) {
-        let rows = out.len();
-        let block = rows
+        let a = match self.system {
+            CgSystem::Dense(a) => a,
+            CgSystem::Sparse(a) => return a.matvec_into_with(x, out, self.executor),
+        };
+        let block = out
+            .len()
             .div_ceil(self.executor.workers().saturating_mul(4))
             .max(1);
         let sharded = self
             .executor
             .for_each_chunk_mut(out, block, |start, chunk| {
                 for (local, o) in chunk.iter_mut().enumerate() {
-                    let i = start + local;
-                    *o = match self.system {
-                        CgSystem::Dense(a) => dot_slices(a.row(i), x),
-                        CgSystem::Sparse(a) => {
-                            let mut sum = 0.0;
-                            for (j, v) in a.row_iter(i) {
-                                sum += v * x[j];
-                            }
-                            sum
-                        }
-                    };
+                    *o = dot_slices(a.row(start + local), x);
                 }
             });
         if sharded.is_err() {
@@ -488,6 +484,8 @@ impl PrecondCg {
     /// # Errors
     ///
     /// * [`Error::NotSquare`] when `a` is not square.
+    /// * [`Error::NonFiniteValue`] under `strict-checks` when a stored value
+    ///   is non-finite (the index is the stored-entry position).
     /// * [`Error::NotPositiveDefinite`] when the preconditioner cannot be
     ///   built (non-positive diagonal, indefinite block, IC(0) breakdown).
     /// deterministic
@@ -501,6 +499,7 @@ impl PrecondCg {
                 shape: (a.rows(), a.cols()),
             });
         }
+        strict::check_finite("precond_cg.factor input", a.values())?;
         let precond = Precond::build(a, &kind)?;
         Ok(PrecondCg {
             system: CgSystem::Sparse(a.clone()),

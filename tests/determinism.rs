@@ -596,12 +596,87 @@ fn solver_policy_backends_are_bit_identical_across_worker_counts() {
     }
 }
 
+/// Stored entries from which a CSR matvec shards rows across workers
+/// (`PARALLEL_MIN_NNZ` in `crates/linalg/src/sparse.rs`); below it the
+/// rows run on the calling thread.
+const SHARDING_GATE_NNZ: usize = 1 << 19;
+
+/// The 5-point stencil on a `side × side` grid (diagonal 6, `-1` to in-grid
+/// neighbors: the Dirichlet Laplacian shifted by `2 I`, so its condition
+/// number stays below 5 and a preconditioned solve takes about ten
+/// iterations at any size) and a fixed right-hand side. Side 325 stores
+/// 526 825 entries, above the sharding gate.
+fn grid_system(side: usize) -> (CsrMatrix, Vector) {
+    let n = side * side;
+    let mut triplets = Vec::with_capacity(5 * n);
+    for r in 0..side {
+        for c in 0..side {
+            let i = r * side + c;
+            triplets.push((i, i, 6.0));
+            if r > 0 {
+                triplets.push((i, i - side, -1.0));
+            }
+            if r + 1 < side {
+                triplets.push((i, i + side, -1.0));
+            }
+            if c > 0 {
+                triplets.push((i, i - 1, -1.0));
+            }
+            if c + 1 < side {
+                triplets.push((i, i + 1, -1.0));
+            }
+        }
+    }
+    let a = CsrMatrix::from_triplets(n, n, &triplets).expect("grid triplets");
+    let rhs = Vector::from_fn(n, |i| (((i * 37 + 5) as f64) * 0.01).sin());
+    (a, rhs)
+}
+
+/// CG options for the above-gate grid: a loose tolerance stops its solves
+/// after a few iterations, each running the sharded matvecs, which keeps
+/// the case to a few seconds in a debug build.
+fn loose_cg() -> CgOptions {
+    CgOptions {
+        tolerance: 1e-4,
+        ..CgOptions::default()
+    }
+}
+
+/// Solves `sparse x = rhs` with the PCG backend of `kind` sequentially and
+/// at 1/2/4/8 workers, and asserts every solve is bitwise the first.
+fn assert_pcg_bit_identical(
+    sparse: &CsrMatrix,
+    rhs: &Vector,
+    kind: PrecondKind,
+    options: CgOptions,
+) {
+    let reference = PrecondCg::factor_sparse_with(sparse, kind.clone(), options.clone())
+        .expect("sequential factor")
+        .solve(rhs)
+        .expect("sequential solve");
+    for workers in [1, 2, 4, 8] {
+        let parallel = PrecondCg::factor_sparse_with(sparse, kind.clone(), options.clone())
+            .expect("parallel factor")
+            .with_executor(Executor::with_workers(workers))
+            .solve(rhs)
+            .expect("parallel solve");
+        assert_eq!(
+            reference.as_slice(),
+            parallel.as_slice(),
+            "{kind:?} PCG solve of {} rows diverged at {workers} workers",
+            sparse.rows()
+        );
+    }
+}
+
 #[test]
 fn preconditioned_cg_backends_are_bit_identical_across_worker_counts() {
     // Every preconditioner family behind PrecondCg shards only the CG
-    // matvecs; the preconditioner application stays sequential. The solve
-    // must therefore be byte-for-byte the sequential result at any worker
-    // count, and two independent factorizations must agree bitwise.
+    // matvecs, and only once the matrix stores SHARDING_GATE_NNZ entries;
+    // the preconditioner application stays sequential. The solve must
+    // therefore be byte-for-byte the sequential result at any worker
+    // count, and two independent factorizations must agree bitwise. The
+    // small system runs below the gate, the grid above it.
     let (a, rhs) = spd_system(48);
     let sparse = CsrMatrix::from_dense(&a, 0.0);
     for kind in [
@@ -609,55 +684,58 @@ fn preconditioned_cg_backends_are_bit_identical_across_worker_counts() {
         PrecondKind::BlockJacobi { block_dim: 8 },
         PrecondKind::Ic0,
     ] {
-        let reference = PrecondCg::factor_sparse_with(&sparse, kind.clone(), CgOptions::default())
-            .expect("sequential factor")
-            .solve(&rhs)
-            .expect("sequential solve");
-        for workers in [1, 2, 4, 8] {
-            let parallel =
-                PrecondCg::factor_sparse_with(&sparse, kind.clone(), CgOptions::default())
-                    .expect("parallel factor")
-                    .with_executor(Executor::with_workers(workers))
-                    .solve(&rhs)
-                    .expect("parallel solve");
-            assert_eq!(
-                reference.as_slice(),
-                parallel.as_slice(),
-                "{kind:?} PCG solve diverged at {workers} workers"
-            );
-        }
+        assert_pcg_bit_identical(&sparse, &rhs, kind, CgOptions::default());
     }
+    // IC(0) alone keeps the above-gate case short in a debug build.
+    let (grid, grid_rhs) = grid_system(325);
+    assert!(grid.nnz() >= SHARDING_GATE_NNZ);
+    assert_pcg_bit_identical(&grid, &grid_rhs, PrecondKind::Ic0, loose_cg());
 }
 
 #[test]
 fn amg_hierarchy_and_solves_are_bit_identical_across_worker_counts() {
     // Coarsening (heavy-edge matching + Galerkin products) is a pure
     // sequential function of the matrix, so two independent hierarchies
-    // must be identical; the V-cycle shards only the finest-level matvecs,
-    // so solves must match the sequential run bitwise at any worker count.
+    // must be identical. A solve shards the outer CG matvec and each
+    // level's matvec only when that matrix stores SHARDING_GATE_NNZ
+    // entries, and everything else in the V-cycle is sequential, so
+    // solves must match the sequential run bitwise at any worker count.
+    // The small system stays below the gate on every level; the grid's
+    // finest level sits above it and its coarser levels below.
     let (a, rhs) = spd_system(96);
-    let sparse = CsrMatrix::from_dense(&a, 0.0);
-    let reference = AmgCg::factor_sparse(&sparse, AmgOptions::default()).expect("factor");
-    let twin = AmgCg::factor_sparse(&sparse, AmgOptions::default()).expect("refactor");
-    assert_eq!(reference.levels(), twin.levels());
-    assert_eq!(reference.coarse_dim(), twin.coarse_dim());
-    let sequential = reference.solve(&rhs).expect("sequential solve");
-    assert_eq!(
-        sequential.as_slice(),
-        twin.solve(&rhs).expect("twin solve").as_slice(),
-        "independent AMG hierarchies solved differently"
-    );
-    for workers in [1, 2, 4, 8] {
-        let parallel = AmgCg::factor_sparse(&sparse, AmgOptions::default())
-            .expect("parallel factor")
-            .with_executor(Executor::with_workers(workers))
-            .solve(&rhs)
-            .expect("parallel solve");
+    let (grid, grid_rhs) = grid_system(325);
+    assert!(grid.nnz() >= SHARDING_GATE_NNZ);
+    let grid_options = AmgOptions {
+        cg: loose_cg(),
+        ..AmgOptions::default()
+    };
+    for (sparse, rhs, options) in [
+        (CsrMatrix::from_dense(&a, 0.0), rhs, AmgOptions::default()),
+        (grid, grid_rhs, grid_options),
+    ] {
+        let reference = AmgCg::factor_sparse(&sparse, options.clone()).expect("factor");
+        let twin = AmgCg::factor_sparse(&sparse, options.clone()).expect("refactor");
+        assert_eq!(reference.levels(), twin.levels());
+        assert_eq!(reference.coarse_dim(), twin.coarse_dim());
+        let sequential = reference.solve(&rhs).expect("sequential solve");
         assert_eq!(
             sequential.as_slice(),
-            parallel.as_slice(),
-            "AMG solve diverged at {workers} workers"
+            twin.solve(&rhs).expect("twin solve").as_slice(),
+            "independent AMG hierarchies solved differently"
         );
+        for workers in [1, 2, 4, 8] {
+            let parallel = AmgCg::factor_sparse(&sparse, options.clone())
+                .expect("parallel factor")
+                .with_executor(Executor::with_workers(workers))
+                .solve(&rhs)
+                .expect("parallel solve");
+            assert_eq!(
+                sequential.as_slice(),
+                parallel.as_slice(),
+                "AMG solve of {} rows diverged at {workers} workers",
+                sparse.rows()
+            );
+        }
     }
 }
 
@@ -1328,6 +1406,11 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
             "amg_hierarchy_and_solves_are_bit_identical_across_worker_counts",
         ),
         (
+            "crates/linalg/src/sparse.rs",
+            "matvec_into_with",
+            "amg_hierarchy_and_solves_are_bit_identical_across_worker_counts",
+        ),
+        (
             "crates/linalg/src/factor.rs",
             "factor_sparse_with",
             "preconditioned_cg_backends_are_bit_identical_across_worker_counts",
@@ -1483,7 +1566,7 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         stale.is_empty(),
         "coverage rows whose `/// deterministic` marker is gone: {stale:?}"
     );
-    assert_eq!(annotated.len(), 59, "inventory drifted from the pinned 59");
+    assert_eq!(annotated.len(), 60, "inventory drifted from the pinned 60");
 
     // Every covering test named above must actually exist in this file.
     let this_file = std::fs::read_to_string(root.join("tests").join("determinism.rs"))

@@ -56,6 +56,59 @@ fn linalg_solvers_reject_non_finite_rhs() {
     );
 }
 
+/// A 100-node path Laplacian, anchored by `+0.01` on the diagonal, whose
+/// edge between nodes 40 and 41 is NaN in both directions. Rows 0 and 99
+/// store 2 entries and the rest 3, so the first NaN, `(40, 41)`, is stored
+/// entry `2 + 39 * 3 + 2 = 121`.
+fn path_laplacian_with_nan_edge() -> gssl_linalg::CsrMatrix {
+    let n: usize = 100;
+    let mut triplets = Vec::new();
+    for i in 0..n {
+        let mut degree = 0.0;
+        for j in [i.wrapping_sub(1), i + 1] {
+            if j < n {
+                let w = if i.min(j) == 40 { f64::NAN } else { 1.0 };
+                triplets.push((i, j, -w));
+                degree += 1.0;
+            }
+        }
+        triplets.push((i, i, degree + 0.01));
+    }
+    gssl_linalg::CsrMatrix::from_triplets(n, n, &triplets).expect("in-bounds triplets")
+}
+
+fn assert_non_finite_at(err: gssl_linalg::Error, want_context: &str) {
+    match err {
+        gssl_linalg::Error::NonFiniteValue { context, index } => {
+            assert_eq!(context, want_context);
+            assert_eq!(index, 121, "stored-entry index of the first NaN");
+        }
+        other => panic!("expected NonFiniteValue, got {other:?}"),
+    }
+}
+
+#[test]
+fn sparse_pcg_factor_rejects_a_non_finite_stored_entry() {
+    use gssl_linalg::{CgOptions, PrecondCg, PrecondKind};
+    let a = path_laplacian_with_nan_edge();
+    for kind in [
+        PrecondKind::Jacobi,
+        PrecondKind::BlockJacobi { block_dim: 8 },
+        PrecondKind::Ic0,
+    ] {
+        let err = PrecondCg::factor_sparse_with(&a, kind, CgOptions::default()).unwrap_err();
+        assert_non_finite_at(err, "precond_cg.factor input");
+    }
+}
+
+#[test]
+fn amg_factor_rejects_a_non_finite_stored_entry() {
+    use gssl_linalg::{AmgCg, AmgOptions};
+    let err =
+        AmgCg::factor_sparse(&path_laplacian_with_nan_edge(), AmgOptions::default()).unwrap_err();
+    assert_non_finite_at(err, "amg.factor input");
+}
+
 #[test]
 fn solvers_produce_finite_scores_with_checks_active() {
     let problem = Problem::new(symmetric_with(0.2), vec![1.0, 0.0]).expect("valid problem");
