@@ -8,7 +8,10 @@
 use crate::bandwidth::squared_distance;
 use crate::error::{Error, Result};
 use crate::kernel::Kernel;
-use gssl_index::{self_k_nearest_batch, BruteForce, Neighbor, NeighborSearch, SpatialIndex};
+use gssl_index::{
+    self_k_nearest_batch, self_within_radius_batch, BruteForce, NeighborRows, NeighborSearch,
+    SpatialIndex,
+};
 use gssl_linalg::{CsrMatrix, Matrix};
 
 /// How to symmetrize a directed kNN relation.
@@ -33,6 +36,24 @@ fn check_knn_args(n: usize, k: usize, bandwidth: f64) -> Result<()> {
     if k == 0 || k >= n {
         return Err(Error::InvalidArgument {
             message: format!("k must satisfy 1 <= k < n (= {n}), got {k}"),
+        });
+    }
+    if !(bandwidth > 0.0) {
+        return Err(Error::InvalidBandwidth { value: bandwidth });
+    }
+    Ok(())
+}
+
+/// Shared argument validation for the ε-graph builders.
+fn check_epsilon_args(n: usize, epsilon: f64, bandwidth: f64) -> Result<()> {
+    if n == 0 {
+        return Err(Error::EmptyInput {
+            required: "at least one point",
+        });
+    }
+    if !(epsilon > 0.0) {
+        return Err(Error::InvalidArgument {
+            message: format!("epsilon must be positive, got {epsilon}"),
         });
     }
     if !(bandwidth > 0.0) {
@@ -84,7 +105,8 @@ pub fn knn_graph(
 /// at scale is gone even at one worker. Bit-identity to [`knn_graph`]
 /// holds because the trees are exact and canonicalize ties by index (see
 /// the `gssl-index` crate docs for the full argument), and the batched
-/// queries reassemble in input order at any worker count.
+/// queries write each row back at its vertex id, whatever order the
+/// index runs them in and at any worker count.
 ///
 /// # Errors
 ///
@@ -115,19 +137,19 @@ pub fn knn_graph_with(
 /// call, in the same argument order, as the historical recomputation, so
 /// edge weights are bitwise unchanged.
 fn symmetrize_knn(
-    neighbors: &[Vec<Neighbor>],
+    neighbors: &NeighborRows,
     kernel: Kernel,
     bandwidth: f64,
     symmetrization: Symmetrization,
 ) -> Result<CsrMatrix> {
     let n = neighbors.len();
     // Neighbor ids come from a search over these same n points, so every
-    // stored index is a valid list position.
-    debug_assert!(neighbors.iter().flatten().all(|nb| nb.index < n));
-    let lists_mention = |j: usize, i: usize| neighbors[j].iter().any(|nb| nb.index == i);
+    // stored index is a valid row.
+    debug_assert!(neighbors.rows().flatten().all(|nb| nb.index < n));
+    let lists_mention = |j: usize, i: usize| neighbors.row(j).iter().any(|nb| nb.index == i);
     // Every directed edge yields at most one symmetric pair.
-    let mut triplets = Vec::with_capacity(2 * neighbors.iter().map(Vec::len).sum::<usize>());
-    for (i, nbrs) in neighbors.iter().enumerate() {
+    let mut triplets = Vec::with_capacity(2 * neighbors.neighbor_count());
+    for (i, nbrs) in neighbors.rows().enumerate() {
         for nb in nbrs {
             let j = nb.index;
             let keep = match symmetrization {
@@ -167,19 +189,7 @@ pub fn epsilon_graph(
     bandwidth: f64,
 ) -> Result<CsrMatrix> {
     let n = points.rows();
-    if n == 0 {
-        return Err(Error::EmptyInput {
-            required: "at least one point",
-        });
-    }
-    if !(epsilon > 0.0) {
-        return Err(Error::InvalidArgument {
-            message: format!("epsilon must be positive, got {epsilon}"),
-        });
-    }
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
+    check_epsilon_args(n, epsilon, bandwidth)?;
     let eps2 = epsilon * epsilon;
     let mut triplets = Vec::new();
     for i in 0..n {
@@ -218,25 +228,13 @@ pub fn epsilon_graph_with(
     executor: &gssl_runtime::Executor,
 ) -> Result<CsrMatrix> {
     let n = points.rows();
-    if n == 0 {
-        return Err(Error::EmptyInput {
-            required: "at least one point",
-        });
-    }
-    if !(epsilon > 0.0) {
-        return Err(Error::InvalidArgument {
-            message: format!("epsilon must be positive, got {epsilon}"),
-        });
-    }
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
+    check_epsilon_args(n, epsilon, bandwidth)?;
     let index = SpatialIndex::build(points)?;
-    let balls = gssl_index::self_within_radius_batch(&index, epsilon, executor)?;
+    let balls = self_within_radius_batch(&index, epsilon, executor)?;
     // Each undirected pair appears in both endpoint balls and is emitted
     // once as two triplets, so the ball populations bound the total.
-    let mut triplets = Vec::with_capacity(balls.iter().map(Vec::len).sum::<usize>());
-    for (i, ball) in balls.iter().enumerate() {
+    let mut triplets = Vec::with_capacity(balls.neighbor_count());
+    for (i, ball) in balls.rows().enumerate() {
         for nb in ball {
             // Each undirected pair appears in both balls; emit once.
             if nb.index > i {

@@ -92,6 +92,14 @@ impl NeighborSearch for SpatialIndex {
             SpatialIndex::Cover(t) => t.within_radius(query, radius),
         }
     }
+
+    /// complexity: O(n)
+    fn query_order(&self) -> Vec<usize> {
+        match self {
+            SpatialIndex::Kd(t) => t.query_order(),
+            SpatialIndex::Cover(t) => t.query_order(),
+        }
+    }
 }
 
 #[cfg(test)]

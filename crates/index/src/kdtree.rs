@@ -171,6 +171,21 @@ impl KdTree {
         }
     }
 
+    /// Appends the ids of the subtree at `node`, leaf by leaf, left to
+    /// right.
+    ///
+    /// complexity: O(n)
+    fn push_leaf_ids(&self, node: usize, order: &mut Vec<usize>) {
+        debug_assert!(node < self.nodes.len(), "child ids index self.nodes");
+        match &self.nodes[node] {
+            Node::Leaf { ids } => order.extend_from_slice(ids),
+            Node::Split { left, right, .. } => {
+                self.push_leaf_ids(*left, order);
+                self.push_leaf_ids(*right, order);
+            }
+        }
+    }
+
     /// hot
     /// complexity: O(n * d)
     fn search_radius(&self, node: usize, query: &[f64], r2: f64, hits: &mut Vec<Neighbor>) {
@@ -306,6 +321,17 @@ impl NeighborSearch for KdTree {
         hits.sort_by(Neighbor::key_cmp);
         Ok(hits)
     }
+
+    /// Leaf by leaf, left to right (each leaf's ids ascending): a query
+    /// then starts where the previous one ended, in the same or the
+    /// adjacent cell.
+    ///
+    /// complexity: O(n)
+    fn query_order(&self) -> Vec<usize> {
+        let mut order = Vec::with_capacity(self.len());
+        self.push_leaf_ids(self.root, &mut order);
+        order
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +421,36 @@ mod tests {
             out.iter().map(|n| n.index).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
+    }
+
+    #[test]
+    fn query_order_walks_every_leaf_after_inserts() {
+        let pts = cloud(64, 2);
+        let mut tree = KdTree::build(&pts).unwrap();
+        for i in 0..128 {
+            let p = [((i * 53 + 7) as f64 * 0.37).fract(), 0.5];
+            tree.insert(&p).unwrap();
+        }
+        let order = tree.query_order();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (0..192).collect::<Vec<_>>(),
+            "a permutation of every id"
+        );
+        assert_ne!(order, sorted, "leaf order is not the id order");
+        let rows =
+            crate::self_k_nearest_batch(&tree, 5, &gssl_runtime::Executor::Sequential).unwrap();
+        for i in 0..tree.len() {
+            assert_eq!(
+                rows.row(i),
+                tree.k_nearest_excluding(tree.point(i), 5, Some(i))
+                    .unwrap()
+                    .as_slice(),
+                "row {i}"
+            );
+        }
     }
 
     #[test]

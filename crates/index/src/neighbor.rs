@@ -196,6 +196,20 @@ pub trait NeighborSearch: Sized {
     /// * [`Error::InvalidArgument`] when `radius` is negative or non-finite.
     /// deterministic
     fn within_radius(&self, query: &[f64], radius: f64) -> Result<Vec<Neighbor>>;
+
+    /// The order in which the self-join batches ([`self_k_nearest_batch`],
+    /// [`self_within_radius_batch`]) run their queries: a permutation of
+    /// `0..len()`. An order that visits nearby points one after another
+    /// lets each query walk the tree paths and point rows its predecessor
+    /// just warmed. It changes only when a query runs, never its result,
+    /// so batch output does not depend on it. The default is the
+    /// identity.
+    ///
+    /// complexity: O(n)
+    /// deterministic
+    fn query_order(&self) -> Vec<usize> {
+        (0..self.len()).collect()
+    }
 }
 
 /// Validates the shared `k_nearest` preconditions; returns the number of
@@ -228,6 +242,61 @@ pub(crate) fn check_radius(radius: f64) -> Result<()> {
     Ok(())
 }
 
+/// The neighbor lists of a query batch in one flat buffer: row `i` holds
+/// query `i`'s neighbors in canonical `(dist2, index)` order, and rows lie
+/// back to back in ascending `i` (a CSR layout of one offsets table and
+/// one [`Neighbor`] buffer, however many queries the batch ran).
+#[derive(Debug, Clone, PartialEq)]
+pub struct NeighborRows {
+    /// `offsets[i]..offsets[i + 1]` is row `i` of `neighbors`.
+    offsets: Vec<usize>,
+    neighbors: Vec<Neighbor>,
+}
+
+impl NeighborRows {
+    /// Number of rows (queries in the batch).
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the batch ran no queries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The neighbors of query `i`, in canonical order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= self.len()`.
+    ///
+    /// hot
+    /// complexity: O(1)
+    pub fn row(&self, i: usize) -> &[Neighbor] {
+        debug_assert!(i < self.len(), "row {i} of {} rows", self.len());
+        &self.neighbors[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The rows in query order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Neighbor]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|span| &self.neighbors[span[0]..span[1]])
+    }
+
+    /// Total number of neighbors over all rows.
+    pub fn neighbor_count(&self) -> usize {
+        self.neighbors.len()
+    }
+}
+
+/// The rows of one claimed block in one flat buffer: the row of the
+/// block's `j`-th query is `neighbors[spans[j].0..spans[j].1]`.
+struct RowBlock {
+    neighbors: Vec<Neighbor>,
+    spans: Vec<(usize, usize)>,
+}
+
 /// Chunk width used by the batched helpers: ~4 chunks per worker bounds
 /// the tail-latency imbalance while keeping per-chunk overhead small.
 fn batch_block(len: usize, executor: &Executor) -> usize {
@@ -235,10 +304,91 @@ fn batch_block(len: usize, executor: &Executor) -> usize {
         .max(1)
 }
 
+/// Inverts `order`: `position[id]` is where `id` runs.
+///
+/// # Errors
+///
+/// [`Error::InvalidArgument`] when `order` is not a permutation of
+/// `0..order.len()`.
+fn run_positions(order: &[usize]) -> Result<Vec<usize>> {
+    let mut position = vec![usize::MAX; order.len()];
+    for (run, &id) in order.iter().enumerate() {
+        match position.get_mut(id) {
+            Some(slot) if *slot == usize::MAX => *slot = run,
+            _ => return Err(not_a_permutation(order.len(), run, id)),
+        }
+    }
+    Ok(position)
+}
+
+/// The error for an order whose position `run` holds `id`, either out of
+/// range or seen before.
+fn not_a_permutation(len: usize, run: usize, id: usize) -> Error {
+    Error::InvalidArgument {
+        message: format!(
+            "query order is not a permutation of 0..{len} (id {id} at position {run})"
+        ),
+    }
+}
+
+/// Runs `query(id)` for every id of `order`, a permutation of
+/// `0..order.len()`, and returns the rows indexed by id.
+///
+/// Workers claim fixed blocks of `order`, one block per claim, and each
+/// block writes its rows into one flat buffer. The rows are then copied
+/// out in ascending id order, so the table depends only on what `query`
+/// returns for each id: the order decides *when* a query runs, never its
+/// arithmetic or where its row lands. `row_hint` is the expected row
+/// length (exact for kNN), used to size each block's buffer once.
+///
+/// # Errors
+///
+/// [`Error::InvalidArgument`] when `order` is not a permutation; else the
+/// first error of the lowest failing block, in run order.
+///
+/// hot
+/// complexity: O(q * n * d)
+fn batch_rows<F>(
+    order: &[usize],
+    row_hint: usize,
+    executor: &Executor,
+    query: F,
+) -> Result<NeighborRows>
+where
+    F: Fn(usize) -> Result<Vec<Neighbor>> + Sync,
+{
+    let position = run_positions(order)?;
+    let width = batch_block(order.len(), executor);
+    let blocks: Vec<&[usize]> = order.chunks(width).collect();
+    let runs = executor.map_tasks(&blocks, |_, ids| -> Result<RowBlock> {
+        let mut neighbors = Vec::with_capacity(ids.len().saturating_mul(row_hint));
+        let mut spans = Vec::with_capacity(ids.len());
+        for &id in ids.iter() {
+            let start = neighbors.len();
+            neighbors.extend_from_slice(&query(id)?);
+            spans.push((start, neighbors.len()));
+        }
+        Ok(RowBlock { neighbors, spans })
+    })?;
+    // Write back by id: row `id` is the row its query produced at run
+    // position `position[id]`, in block `run / width` at slot `run % width`.
+    let mut offsets = Vec::with_capacity(order.len() + 1);
+    let mut neighbors = Vec::with_capacity(runs.iter().map(|b| b.neighbors.len()).sum());
+    offsets.push(0);
+    for &run in &position {
+        let block = &runs[run / width];
+        let (start, end) = block.spans[run % width];
+        neighbors.extend_from_slice(&block.neighbors[start..end]);
+        offsets.push(neighbors.len());
+    }
+    Ok(NeighborRows { offsets, neighbors })
+}
+
 /// `k_nearest` for every row of `queries`, executed in fixed chunks on
 /// `executor`. Each query is answered by a pure function of the frozen
-/// index and its own row, and chunk results are reassembled in input
-/// order, so the output is **bit-identical at every worker count**.
+/// index and its own row, so the table (row `i` answers query row `i`)
+/// is **bit-identical at every worker count**. Queries run in input
+/// order: out-of-sample rows carry no index-supplied order.
 ///
 /// # Errors
 ///
@@ -253,32 +403,30 @@ pub fn k_nearest_batch<I: NeighborSearch + Sync>(
     queries: &Matrix,
     k: usize,
     executor: &Executor,
-) -> Result<Vec<Vec<Neighbor>>> {
+) -> Result<NeighborRows> {
     if queries.cols() != index.dim() {
         return Err(Error::DimensionMismatch {
             expected: index.dim(),
             actual: queries.cols(),
         });
     }
-    let n = queries.rows();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    executor.map_chunks(n, batch_block(n, executor), |range| {
-        range
-            .map(|qi| index.k_nearest(queries.row(qi), k))
-            .collect::<Result<Vec<_>>>()
+    let order: Vec<usize> = (0..queries.rows()).collect();
+    batch_rows(&order, k, executor, |qi| {
+        index.k_nearest(queries.row(qi), k)
     })
 }
 
 /// The self-join kNN: for every stored point `i`, its `k` nearest *other*
 /// stored points — the exact neighbor lists kNN graph assembly consumes.
-/// Deterministic across worker counts for the same reason as
-/// [`k_nearest_batch`].
+/// Queries run in [`NeighborSearch::query_order`] and land at their ids,
+/// so the table is bit-identical at every worker count and under any
+/// query order.
 ///
 /// # Errors
 ///
-/// Same as [`NeighborSearch::k_nearest_excluding`].
+/// Same as [`NeighborSearch::k_nearest_excluding`], plus
+/// [`Error::InvalidArgument`] when the index's query order is not a
+/// permutation.
 ///
 /// hot
 /// complexity: O(n^2 * d)
@@ -287,25 +435,22 @@ pub fn self_k_nearest_batch<I: NeighborSearch + Sync>(
     index: &I,
     k: usize,
     executor: &Executor,
-) -> Result<Vec<Vec<Neighbor>>> {
-    let n = index.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    executor.map_chunks(n, batch_block(n, executor), |range| {
-        range
-            .map(|i| index.k_nearest_excluding(index.point(i), k, Some(i)))
-            .collect::<Result<Vec<_>>>()
+) -> Result<NeighborRows> {
+    batch_rows(&index.query_order(), k, executor, |i| {
+        index.k_nearest_excluding(index.point(i), k, Some(i))
     })
 }
 
 /// The self-join range query: for every stored point `i`, all *other*
 /// stored points within `radius` — the neighbor lists ε-graph assembly
-/// consumes. Deterministic across worker counts.
+/// consumes. Runs in [`NeighborSearch::query_order`] like
+/// [`self_k_nearest_batch`], and is deterministic for the same reason.
 ///
 /// # Errors
 ///
-/// Same as [`NeighborSearch::within_radius`].
+/// Same as [`NeighborSearch::within_radius`], plus
+/// [`Error::InvalidArgument`] when the index's query order is not a
+/// permutation.
 ///
 /// hot
 /// complexity: O(n^2 * d)
@@ -314,19 +459,11 @@ pub fn self_within_radius_batch<I: NeighborSearch + Sync>(
     index: &I,
     radius: f64,
     executor: &Executor,
-) -> Result<Vec<Vec<Neighbor>>> {
-    let n = index.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    executor.map_chunks(n, batch_block(n, executor), |range| {
-        range
-            .map(|i| {
-                let mut list = index.within_radius(index.point(i), radius)?;
-                list.retain(|nb| nb.index != i);
-                Ok(list)
-            })
-            .collect::<Result<Vec<_>>>()
+) -> Result<NeighborRows> {
+    batch_rows(&index.query_order(), 0, executor, |i| {
+        let mut list = index.within_radius(index.point(i), radius)?;
+        list.retain(|nb| nb.index != i);
+        Ok(list)
     })
 }
 
@@ -398,5 +535,97 @@ mod tests {
         assert!(check_radius(f64::INFINITY).is_err());
         assert!(check_radius(0.0).is_ok());
         assert!(check_radius(2.5).is_ok());
+    }
+
+    #[test]
+    fn run_positions_inverts_permutations_and_rejects_the_rest() {
+        assert_eq!(run_positions(&[2, 0, 1]).unwrap(), vec![1, 2, 0]);
+        assert!(run_positions(&[]).unwrap().is_empty());
+        for bad in [&[0, 0, 1][..], &[0, 3, 1][..]] {
+            assert!(matches!(
+                run_positions(bad),
+                Err(Error::InvalidArgument { .. })
+            ));
+        }
+    }
+
+    /// A brute-force index that runs its self-join batches in `order`.
+    struct Ordered {
+        inner: crate::BruteForce,
+        order: Vec<usize>,
+    }
+
+    impl NeighborSearch for Ordered {
+        fn build(points: &Matrix) -> Result<Self> {
+            let inner = crate::BruteForce::build(points)?;
+            let order = (0..inner.len()).collect();
+            Ok(Ordered { inner, order })
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn point(&self, i: usize) -> &[f64] {
+            self.inner.point(i)
+        }
+        fn insert(&mut self, point: &[f64]) -> Result<usize> {
+            self.inner.insert(point)
+        }
+        fn k_nearest_excluding(
+            &self,
+            query: &[f64],
+            k: usize,
+            exclude: Option<usize>,
+        ) -> Result<Vec<Neighbor>> {
+            self.inner.k_nearest_excluding(query, k, exclude)
+        }
+        fn within_radius(&self, query: &[f64], radius: f64) -> Result<Vec<Neighbor>> {
+            self.inner.within_radius(query, radius)
+        }
+        fn query_order(&self) -> Vec<usize> {
+            self.order.clone()
+        }
+    }
+
+    #[test]
+    fn self_batches_do_not_depend_on_the_query_order() {
+        let pts = Matrix::from_fn(57, 2, |i, j| ((i * 7 + j * 3) as f64 * 0.37).fract());
+        let mut index = Ordered::build(&pts).unwrap();
+        let seq = Executor::Sequential;
+        let knn = self_k_nearest_batch(&index, 4, &seq).unwrap();
+        let balls = self_within_radius_batch(&index, 0.3, &seq).unwrap();
+        assert_eq!(knn.len(), 57);
+        assert_eq!(knn.neighbor_count(), 57 * 4);
+        for order in [
+            (0..57).rev().collect(),
+            (0..57).map(|i| i * 23 % 57).collect(),
+        ] {
+            index.order = order;
+            for workers in [1, 2, 3] {
+                let executor = Executor::with_workers(workers);
+                assert_eq!(self_k_nearest_batch(&index, 4, &executor).unwrap(), knn);
+                assert_eq!(
+                    self_within_radius_batch(&index, 0.3, &executor).unwrap(),
+                    balls
+                );
+            }
+        }
+        index.order = vec![0; 57];
+        assert!(matches!(
+            self_k_nearest_batch(&index, 4, &seq),
+            Err(Error::InvalidArgument { .. })
+        ));
+    }
+
+    #[test]
+    fn an_empty_batch_is_an_empty_table() {
+        let index =
+            crate::BruteForce::build(&Matrix::from_fn(3, 2, |i, j| (i + j) as f64)).unwrap();
+        let rows = k_nearest_batch(&index, &Matrix::zeros(0, 2), 1, &Executor::Sequential).unwrap();
+        assert!(rows.is_empty());
+        assert_eq!(rows.rows().len(), 0);
+        assert_eq!(rows.neighbor_count(), 0);
     }
 }

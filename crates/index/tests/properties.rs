@@ -175,18 +175,30 @@ fn batched_queries_are_bit_identical_across_worker_counts() {
         let knn_ref = k_nearest_batch(&idx, &queries, k, &seq).expect("seq batch");
         let self_ref = self_k_nearest_batch(&idx, k, &seq).expect("seq self batch");
         let range_ref = self_within_radius_batch(&idx, r, &seq).expect("seq range batch");
+        assert_eq!(knn_ref.len(), queries.rows(), "seq batch rows d={d}");
+        assert_eq!(self_ref.len(), n, "seq self rows d={d}");
+        assert_eq!(range_ref.len(), n, "seq range rows d={d}");
         for workers in [2, 4] {
             let ex = Executor::with_workers(workers);
             let knn = k_nearest_batch(&idx, &queries, k, &ex).expect("par batch");
             let selfs = self_k_nearest_batch(&idx, k, &ex).expect("par self batch");
             let ranges = self_within_radius_batch(&idx, r, &ex).expect("par range batch");
-            for (a, b) in knn_ref.iter().zip(&knn) {
+            // Row counts first: zipping alone would pass a batch that
+            // dropped rows.
+            assert_eq!(knn.len(), knn_ref.len(), "batch rows d={d} w={workers}");
+            assert_eq!(selfs.len(), self_ref.len(), "self rows d={d} w={workers}");
+            assert_eq!(
+                ranges.len(),
+                range_ref.len(),
+                "range rows d={d} w={workers}"
+            );
+            for (a, b) in knn_ref.rows().zip(knn.rows()) {
                 assert_same(a, b, &format!("batch d={d} w={workers}"));
             }
-            for (a, b) in self_ref.iter().zip(&selfs) {
+            for (a, b) in self_ref.rows().zip(selfs.rows()) {
                 assert_same(a, b, &format!("self batch d={d} w={workers}"));
             }
-            for (a, b) in range_ref.iter().zip(&ranges) {
+            for (a, b) in range_ref.rows().zip(ranges.rows()) {
                 assert_same(a, b, &format!("range batch d={d} w={workers}"));
             }
         }

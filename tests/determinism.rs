@@ -25,8 +25,8 @@ use gssl_graph::{
     Kernel, KernelGraph, Symmetrization,
 };
 use gssl_index::{
-    k_nearest_batch, self_k_nearest_batch, self_within_radius_batch, BruteForce, CoverTree,
-    NeighborSearch, SpatialIndex,
+    k_nearest_batch, self_k_nearest_batch, self_within_radius_batch, BruteForce, CoverTree, KdTree,
+    Neighbor, NeighborRows, NeighborSearch, SpatialIndex,
 };
 use gssl_linalg::{
     AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, Lu, Matrix, PrecondCg,
@@ -103,7 +103,7 @@ fn spatial_index_build_and_batched_queries_are_bit_identical() {
     // Two independent builds of the same cloud must be the same tree
     // (construction is deterministic, no RNG, no address-dependent
     // ordering), and batched queries against it must not depend on the
-    // worker count — the chunks reassemble in input order.
+    // worker count — every row lands at its query's index.
     let pts = points(90, 3);
     let queries = points(33, 3);
     let index = SpatialIndex::build(&pts).expect("index build");
@@ -112,10 +112,20 @@ fn spatial_index_build_and_batched_queries_are_bit_identical() {
         k_nearest_batch(&index, &queries, 5, &Executor::Sequential).expect("sequential batch");
     let twin =
         k_nearest_batch(&rebuilt, &queries, 5, &Executor::Sequential).expect("rebuilt batch");
+    assert_eq!(
+        reference.len(),
+        queries.rows(),
+        "sequential batch row count"
+    );
     for workers in [1, 2, 4, 8] {
         let executor = Executor::with_workers(workers);
         let parallel = k_nearest_batch(&index, &queries, 5, &executor).expect("parallel batch");
-        for (pair, (r, p)) in reference.iter().zip(&parallel).enumerate() {
+        assert_eq!(
+            parallel.len(),
+            reference.len(),
+            "row count at {workers} workers"
+        );
+        for (pair, (r, p)) in reference.rows().zip(parallel.rows()).enumerate() {
             assert_eq!(r.len(), p.len(), "query {pair} at {workers} workers");
             for (a, b) in r.iter().zip(p) {
                 assert_eq!(a.index, b.index, "query {pair} at {workers} workers");
@@ -127,9 +137,7 @@ fn spatial_index_build_and_batched_queries_are_bit_identical() {
             }
         }
     }
-    for (r, t) in reference.iter().zip(&twin) {
-        assert_eq!(r, t, "independent builds answered differently");
-    }
+    assert_eq!(reference, twin, "independent builds answered differently");
 }
 
 #[test]
@@ -360,18 +368,20 @@ fn single_query_search_is_deterministic_and_matches_self_batches() {
         .k_nearest_excluding(query, 6, Some(5))
         .expect("k_nearest_excluding");
     assert!(excluded.iter().all(|nb| nb.index != 5));
-    // The self-join batches reassemble those per-point queries in input
-    // order at every worker count.
+    // The self-join batches write those per-point queries back at their
+    // ids at every worker count.
     let knn_ref =
         self_k_nearest_batch(&index, 5, &Executor::Sequential).expect("sequential self-knn");
     let radius_ref = self_within_radius_batch(&index, 0.8, &Executor::Sequential)
         .expect("sequential self-radius");
-    for (i, neighbors) in knn_ref.iter().enumerate() {
+    assert_eq!(knn_ref.len(), index.len(), "self-knn row count");
+    for (i, neighbors) in knn_ref.rows().enumerate() {
         let single = index
             .k_nearest_excluding(index.point(i), 5, Some(i))
             .expect("single query");
         assert_eq!(
-            neighbors, &single,
+            neighbors,
+            single.as_slice(),
             "batched row {i} disagrees with the single query"
         );
     }
@@ -389,6 +399,138 @@ fn single_query_search_is_deterministic_and_matches_self_batches() {
             "self-radius batch diverged at {workers} workers"
         );
     }
+}
+
+/// `n` seeded points in `[-2, 2]³`; every other point snaps to a grid of
+/// spacing 0.5, so duplicates (distance-0 ties), equidistant neighbors
+/// and neighbors exactly on a 0.5 radius are common.
+fn tied_cloud(n: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Matrix::from_fn(n, 3, |i, _| {
+        let x: f64 = rng.gen_range(-2.0..2.0);
+        if i % 2 == 0 {
+            (x * 2.0).round() / 2.0
+        } else {
+            x
+        }
+    })
+}
+
+/// Asserts a batch table is bitwise the one-query-at-a-time loop: the
+/// same row count, and per row the same ids and `dist2` bits.
+fn assert_rows_are_the_loop(rows: &NeighborRows, expect: &[Vec<Neighbor>], what: &str) {
+    assert_eq!(rows.len(), expect.len(), "{what}: row count");
+    for (i, want) in expect.iter().enumerate() {
+        let got = rows.row(i);
+        assert_eq!(got.len(), want.len(), "{what}: row {i} length");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.index, w.index, "{what}: row {i} ids");
+            assert_eq!(
+                g.dist2.to_bits(),
+                w.dist2.to_bits(),
+                "{what}: row {i} dist2 bits"
+            );
+        }
+    }
+}
+
+/// Pins all three batch helpers on `index` against a sequential loop of
+/// single queries, at every worker count. `reordered` says whether the
+/// index's query order must differ from the identity.
+fn check_batches_against_single_queries<I: NeighborSearch + Sync>(
+    index: &I,
+    queries: &Matrix,
+    reordered: bool,
+    name: &str,
+) {
+    let (k, radius) = (7, 0.5);
+    let n = index.len();
+    let order = index.query_order();
+    let identity: Vec<usize> = (0..n).collect();
+    let mut sorted = order.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, identity, "{name}: query order is not a permutation");
+    assert_eq!(order != identity, reordered, "{name}: query order");
+
+    let knn: Vec<Vec<Neighbor>> = (0..n)
+        .map(|i| {
+            index
+                .k_nearest_excluding(index.point(i), k, Some(i))
+                .expect("single self query")
+        })
+        .collect();
+    let balls: Vec<Vec<Neighbor>> = (0..n)
+        .map(|i| {
+            let mut ball = index
+                .within_radius(index.point(i), radius)
+                .expect("single radius query");
+            ball.retain(|nb| nb.index != i);
+            ball
+        })
+        .collect();
+    let outside: Vec<Vec<Neighbor>> = (0..queries.rows())
+        .map(|q| index.k_nearest(queries.row(q), k).expect("single query"))
+        .collect();
+    let on_radius = (radius * radius).to_bits();
+    assert!(
+        balls.iter().flatten().any(|nb| nb.dist2 == 0.0)
+            && balls
+                .iter()
+                .flatten()
+                .any(|nb| nb.dist2.to_bits() == on_radius),
+        "{name}: the cloud must hold duplicates and neighbors on the radius"
+    );
+    for workers in [1, 2, 3, 4, 8] {
+        let executor = Executor::with_workers(workers);
+        assert_rows_are_the_loop(
+            &self_k_nearest_batch(index, k, &executor).expect("self kNN batch"),
+            &knn,
+            &format!("{name} self_k_nearest_batch at {workers} workers"),
+        );
+        assert_rows_are_the_loop(
+            &self_within_radius_batch(index, radius, &executor).expect("radius batch"),
+            &balls,
+            &format!("{name} self_within_radius_batch at {workers} workers"),
+        );
+        assert_rows_are_the_loop(
+            &k_nearest_batch(index, queries, k, &executor).expect("kNN batch"),
+            &outside,
+            &format!("{name} k_nearest_batch at {workers} workers"),
+        );
+    }
+}
+
+#[test]
+fn batch_helpers_are_bitwise_the_single_query_loop() {
+    // Enough points for many KD leaves and several claimed blocks per
+    // worker, so a row written back at its run position instead of its
+    // id cannot pass.
+    let pts = tied_cloud(2_000, 0x0BA7C4);
+    let queries = tied_cloud(300, 0x0B5E12);
+    check_batches_against_single_queries(
+        &BruteForce::build(&pts).expect("brute build"),
+        &queries,
+        false,
+        "BruteForce",
+    );
+    check_batches_against_single_queries(
+        &KdTree::build(&pts).expect("kd build"),
+        &queries,
+        true,
+        "KdTree",
+    );
+    check_batches_against_single_queries(
+        &CoverTree::build(&pts).expect("cover build"),
+        &queries,
+        false,
+        "CoverTree",
+    );
+    check_batches_against_single_queries(
+        &SpatialIndex::build(&pts).expect("index build"),
+        &queries,
+        true,
+        "SpatialIndex",
+    );
 }
 
 #[test]
@@ -1347,6 +1489,11 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         ),
         (
             "crates/index/src/neighbor.rs",
+            "query_order",
+            "batch_helpers_are_bitwise_the_single_query_loop",
+        ),
+        (
+            "crates/index/src/neighbor.rs",
             "k_nearest_batch",
             "spatial_index_build_and_batched_queries_are_bit_identical",
         ),
@@ -1566,7 +1713,7 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         stale.is_empty(),
         "coverage rows whose `/// deterministic` marker is gone: {stale:?}"
     );
-    assert_eq!(annotated.len(), 60, "inventory drifted from the pinned 60");
+    assert_eq!(annotated.len(), 61, "inventory drifted from the pinned 61");
 
     // Every covering test named above must actually exist in this file.
     let this_file = std::fs::read_to_string(root.join("tests").join("determinism.rs"))
