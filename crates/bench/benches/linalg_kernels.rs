@@ -2,7 +2,7 @@
 //! products at the sizes the criteria actually use.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gssl_linalg::{conjugate_gradient, CgOptions, Cholesky, CsrMatrix, Lu, Matrix, Vector};
+use gssl_linalg::{CgOptions, Cholesky, CsrMatrix, Factorization, Lu, Matrix, PrecondCg, Vector};
 
 /// A well-conditioned SPD matrix shaped like a hard-criterion system.
 fn spd_system(n: usize) -> Matrix {
@@ -45,8 +45,9 @@ fn bench_solves(c: &mut Criterion) {
     group.bench_function("cholesky_backsolve", |b| {
         b.iter(|| chol.solve(&rhs).expect("solve"));
     });
-    group.bench_function("conjugate_gradient", |b| {
-        b.iter(|| conjugate_gradient(&a, &rhs, &CgOptions::default()).expect("cg"));
+    let cg = PrecondCg::factor_dense(&a, CgOptions::default()).expect("positive diagonal");
+    group.bench_function("jacobi_pcg", |b| {
+        b.iter(|| cg.solve(&rhs).expect("cg"));
     });
     group.finish();
 }

@@ -456,6 +456,43 @@ mod tests {
     }
 
     #[test]
+    fn cg_on_a_csr_path_graph_interpolates_linearly() {
+        // A path graph labeled 0 and 1 at its two ends: the harmonic
+        // solution is the linear interpolation, and CG on the CSR system
+        // reaches it. Labels come first, so the path runs
+        // 0 - 2 - 3 - ... - 11 - 1.
+        let total = 12;
+        let path: Vec<usize> = std::iter::once(0)
+            .chain(2..total)
+            .chain(std::iter::once(1))
+            .collect();
+        let mut triplets = Vec::new();
+        for pair in path.windows(2) {
+            triplets.push((pair[0], pair[1], 1.0));
+            triplets.push((pair[1], pair[0], 1.0));
+        }
+        let w = gssl_linalg::CsrMatrix::from_triplets(total, total, &triplets).unwrap();
+        let p = Problem::new(w, vec![0.0, 1.0]).unwrap();
+        let scores = HardCriterion::new()
+            .solver(HardSolver::ConjugateGradient(CgOptions {
+                tolerance: 1e-13,
+                ..CgOptions::default()
+            }))
+            .fit(&p)
+            .unwrap();
+        // Vertex path[k] scores k / (total - 1).
+        let f = scores.all();
+        for (k, &v) in path.iter().enumerate() {
+            let expected = k as f64 / (total - 1) as f64;
+            assert!(
+                (f[v] - expected).abs() < 1e-8,
+                "path vertex {v}: {} vs {expected}",
+                f[v]
+            );
+        }
+    }
+
+    #[test]
     fn trait_object_usage() {
         let model: Box<dyn TransductiveModel> = Box::new(HardCriterion::new());
         assert!(model.name().contains("hard"));

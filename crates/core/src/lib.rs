@@ -25,8 +25,7 @@
 //!   (tiny-element bound, Neumann truncation, coupling gap).
 //! * Extensions: [`OneVsRest`] multiclass, [`cmn`] class-mass
 //!   normalization, [`LocalGlobalConsistency`] (the paper's ref \[12\]),
-//!   [`PLaplacian`] (ref \[19\]), [`SelfTraining`] (ref \[3\]) and
-//!   [`CoTraining`] (ref \[4\]) baselines, and the unified [`Weights`]
+//!   [`PLaplacian`] (ref \[19\]), and the unified [`Weights`]
 //!   representation that lets every criterion run on dense or CSR
 //!   kNN/ε graphs through one [`Problem`] type.
 //!
@@ -54,7 +53,6 @@
 
 /// Class-mass normalization of transductive scores (Zhu et al. 2003).
 pub mod cmn;
-mod co_training;
 mod error;
 mod hard;
 mod llgc;
@@ -65,15 +63,12 @@ mod nadaraya_watson;
 mod plaplacian;
 mod problem;
 mod propagation;
-mod self_training;
 mod soft;
-mod sparse_problem;
 /// Diagnostics for the paper's consistency theory (Neumann tails, spectral gaps).
 pub mod theory;
 mod traits;
 mod weights;
 
-pub use co_training::CoTraining;
 pub use error::{Error, Result};
 pub use hard::{HardCriterion, HardSolver};
 pub use llgc::LocalGlobalConsistency;
@@ -84,9 +79,6 @@ pub use nadaraya_watson::{kernel_regression, NadarayaWatson};
 pub use plaplacian::PLaplacian;
 pub use problem::{Problem, Scores};
 pub use propagation::{LabelPropagation, SweepKind};
-pub use self_training::SelfTraining;
 pub use soft::SoftCriterion;
-#[allow(deprecated)]
-pub use sparse_problem::SparseProblem;
 pub use traits::TransductiveModel;
 pub use weights::Weights;

@@ -139,8 +139,8 @@ impl Problem {
     /// # Errors
     ///
     /// Returns [`Error::InvalidProblem`] when the problem holds a sparse
-    /// graph — dense-only algorithms (LLGC, p-Laplacian, self-training,
-    /// the theory diagnostics) require an explicitly densified problem.
+    /// graph — dense-only algorithms (LLGC, p-Laplacian, the theory
+    /// diagnostics) require an explicitly densified problem.
     /// shape: (total, total)
     pub fn dense_weights(&self) -> Result<&Matrix> {
         self.weights
@@ -483,6 +483,9 @@ mod tests {
         assert!(Problem::new(chain_csr(), vec![1.0; 4]).is_err());
         let sparse_asym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]).unwrap();
         assert!(Problem::new(sparse_asym, vec![1.0]).is_err());
+        let sparse_negative =
+            CsrMatrix::from_triplets(2, 2, &[(0, 1, -1.0), (1, 0, -1.0)]).unwrap();
+        assert!(Problem::new(sparse_negative, vec![1.0]).is_err());
     }
 
     #[test]

@@ -937,7 +937,8 @@ mod tests {
         let amg = AmgCg::factor_sparse(&a, AmgOptions::default()).unwrap();
         amg.solve(&b).unwrap();
         let amg_iters = amg.last_iterations().unwrap();
-        let plain = crate::cg::conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let unit = JacobiPrecond::from_diagonal(std::iter::repeat_n(1.0, a.rows())).unwrap();
+        let plain = preconditioned_cg_with(&a, &b, &unit, &CgOptions::default()).unwrap();
         assert!(
             amg_iters < plain.iterations,
             "AMG took {amg_iters} iterations vs plain CG's {}",

@@ -1,4 +1,5 @@
-//! Conjugate-gradient solver for symmetric positive-definite systems.
+//! The preconditioned conjugate-gradient kernel behind [`crate::PrecondCg`]
+//! and [`crate::AmgCg`].
 //!
 //! Used as the matrix-free backend for the hard criterion: `D₂₂ − W₂₂` is
 //! SPD whenever every unlabeled vertex is connected (possibly through other
@@ -14,7 +15,7 @@ use crate::vector::{dot_slices, Vector};
 /// Options controlling a conjugate-gradient run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgOptions {
-    /// Maximum number of iterations (0 means `2 * dim`).
+    /// Maximum number of iterations (0 means `max(2 * dim, 50)`).
     pub max_iterations: usize,
     /// Convergence threshold on the *relative* residual `‖r‖/‖b‖`.
     pub tolerance: f64,
@@ -40,159 +41,15 @@ pub struct CgOutcome {
     pub residual_norm: f64,
 }
 
-/// Solves `A x = b` by the conjugate-gradient method.
-///
-/// `A` must be symmetric positive definite; this is *not* checked (CG simply
-/// fails to converge otherwise).
-///
-/// # Errors
-///
-/// * [`Error::DimensionMismatch`] when `b.len() != op.dim()`.
-/// * [`Error::InvalidArgument`] when the tolerance is not positive.
-/// * [`Error::NotConverged`] when the iteration budget is exhausted.
-/// * [`Error::NonFiniteValue`] under `strict-checks` when the right-hand
-///   side or the computed solution is non-finite.
-///
-/// ```
-/// use gssl_linalg::{conjugate_gradient, CgOptions, Matrix, Vector};
-/// # fn main() -> Result<(), gssl_linalg::Error> {
-/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-/// let b = Vector::from(vec![1.0, 2.0]);
-/// let out = conjugate_gradient(&a, &b, &CgOptions::default())?;
-/// assert!(a.matvec(&out.solution)?.approx_eq(&b, 1e-8));
-/// # Ok(())
-/// # }
-/// ```
-/// hot
-/// complexity: O(iters * n)
-pub fn conjugate_gradient(
-    op: &(impl LinearOperator + ?Sized),
-    b: &Vector,
-    options: &CgOptions,
-) -> Result<CgOutcome> {
-    let n = op.dim();
-    if b.len() != n {
-        return Err(Error::DimensionMismatch {
-            operation: "conjugate_gradient",
-            left: (n, n),
-            right: (b.len(), 1),
-        });
-    }
-    if !(options.tolerance > 0.0) {
-        return Err(Error::InvalidArgument {
-            message: format!("tolerance must be positive, got {}", options.tolerance),
-        });
-    }
-    strict::check_finite("conjugate_gradient rhs", b.as_slice())?;
-    let max_iterations = if options.max_iterations == 0 {
-        (2 * n).max(50)
-    } else {
-        options.max_iterations
-    };
-
-    let b_norm = b.norm_l2();
-    if is_exactly_zero(b_norm) {
-        return Ok(CgOutcome {
-            solution: Vector::zeros(n),
-            iterations: 0,
-            residual_norm: 0.0,
-        });
-    }
-    let threshold = options.tolerance * b_norm;
-
-    let mut x = vec![0.0; n];
-    let mut r = b.as_slice().to_vec();
-    let mut p = r.clone();
-    let mut ap = vec![0.0; n];
-    let mut rs_old = dot_slices(&r, &r);
-
-    for k in 0..max_iterations {
-        if rs_old.sqrt() <= threshold {
-            strict::check_finite("conjugate_gradient output", &x)?;
-            return Ok(CgOutcome {
-                solution: Vector::from(x),
-                iterations: k,
-                residual_norm: rs_old.sqrt(),
-            });
-        }
-        op.apply(&p, &mut ap);
-        let p_ap = dot_slices(&p, &ap);
-        if p_ap <= 0.0 || !p_ap.is_finite() {
-            // Direction of non-positive curvature: A is not SPD (or we hit
-            // numerical breakdown). Report as non-convergence.
-            return Err(Error::NotConverged {
-                iterations: k,
-                residual: rs_old.sqrt(),
-            });
-        }
-        let alpha = rs_old / p_ap;
-        for ((xi, pi), (ri, api)) in x.iter_mut().zip(&p).zip(r.iter_mut().zip(&ap)) {
-            *xi += alpha * pi;
-            *ri -= alpha * api;
-        }
-        let rs_new = dot_slices(&r, &r);
-        let beta = rs_new / rs_old;
-        for (pi, ri) in p.iter_mut().zip(&r) {
-            *pi = ri + beta * *pi;
-        }
-        rs_old = rs_new;
-    }
-
-    if rs_old.sqrt() <= threshold {
-        strict::check_finite("conjugate_gradient output", &x)?;
-        Ok(CgOutcome {
-            solution: Vector::from(x),
-            iterations: max_iterations,
-            residual_norm: rs_old.sqrt(),
-        })
-    } else {
-        Err(Error::NotConverged {
-            iterations: max_iterations,
-            residual: rs_old.sqrt(),
-        })
-    }
-}
-
-/// Solves `A x = b` by the preconditioned conjugate-gradient method with a
-/// diagonal (Jacobi) preconditioner `M⁻¹ = diag(inv_diag)`.
-///
-/// `A` must be symmetric positive definite and `inv_diag` must hold the
-/// elementwise inverse of a positive approximation of `diag(A)`; neither is
-/// checked here (the [`crate::JacobiCg`] backend validates the diagonal at
-/// factor time). Convergence is measured on the *true* residual
-/// `‖b − A x‖₂ / ‖b‖₂`, the same criterion as [`conjugate_gradient`].
-///
-/// # Errors
-///
-/// * [`Error::DimensionMismatch`] when `b.len() != op.dim()` or
-///   `inv_diag.len() != op.dim()`.
-/// * [`Error::InvalidArgument`] when the tolerance is not positive.
-/// * [`Error::NotConverged`] when the iteration budget is exhausted or a
-///   direction of non-positive curvature is met.
-/// * [`Error::NonFiniteValue`] under `strict-checks` when the right-hand
-///   side or the computed solution is non-finite.
-/// hot
-/// complexity: O(iters * n)
-pub fn preconditioned_conjugate_gradient(
-    op: &(impl LinearOperator + ?Sized),
-    b: &Vector,
-    inv_diag: &[f64],
-    options: &CgOptions,
-) -> Result<CgOutcome> {
-    // A bare inverse diagonal *is* the Jacobi preconditioner; the general
-    // driver applies it with the identical elementwise multiply, so this
-    // wrapper is bit-for-bit the historical Jacobi-PCG.
-    preconditioned_cg_with(op, b, inv_diag, options)
-}
-
 /// Solves `A x = b` by the preconditioned conjugate-gradient method with an
 /// arbitrary SPD [`Preconditioner`] `M⁻¹`.
 ///
 /// `A` must be symmetric positive definite and the preconditioner must be
 /// SPD; neither is checked here (the [`crate::PrecondCg`] backend validates
 /// at factor time, and breakdown is reported as non-convergence).
-/// Convergence is measured on the *true* residual `‖b − A x‖₂ / ‖b‖₂`, the
-/// same criterion as [`conjugate_gradient`].
+/// Convergence is measured on the *true* residual `‖b − A x‖₂ / ‖b‖₂`.
+/// With a Jacobi preconditioner of unit diagonal, `z = r` bit for bit and
+/// the iteration is plain CG.
 ///
 /// # Errors
 ///
@@ -205,7 +62,7 @@ pub fn preconditioned_conjugate_gradient(
 ///   side or the computed solution is non-finite.
 /// hot
 /// complexity: O(iters * nnz)
-pub fn preconditioned_cg_with(
+pub(crate) fn preconditioned_cg_with(
     op: &(impl LinearOperator + ?Sized),
     b: &Vector,
     precond: &(impl Preconditioner + ?Sized),
@@ -311,12 +168,26 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::ops::ShiftedOperator;
+    use crate::precond::JacobiPrecond;
+
+    /// The identity preconditioner: plain, unpreconditioned CG.
+    fn unit(n: usize) -> JacobiPrecond {
+        JacobiPrecond::from_diagonal(std::iter::repeat_n(1.0, n)).unwrap()
+    }
+
+    fn cg(
+        op: &(impl LinearOperator + ?Sized),
+        b: &Vector,
+        options: &CgOptions,
+    ) -> Result<CgOutcome> {
+        preconditioned_cg_with(op, b, &unit(op.dim()), options)
+    }
 
     #[test]
     fn solves_small_spd_system() {
         let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
         let b = Vector::from(vec![1.0, 2.0]);
-        let out = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let out = cg(&a, &b, &CgOptions::default()).unwrap();
         let exact = crate::lu::solve(&a, &b).unwrap();
         assert!(out.solution.approx_eq(&exact, 1e-8));
         assert!(out.iterations <= 2 + 1); // CG converges in <= n steps exactly
@@ -325,7 +196,7 @@ mod tests {
     #[test]
     fn zero_rhs_returns_zero_immediately() {
         let a = Matrix::identity(3);
-        let out = conjugate_gradient(&a, &Vector::zeros(3), &CgOptions::default()).unwrap();
+        let out = cg(&a, &Vector::zeros(3), &CgOptions::default()).unwrap();
         assert_eq!(out.solution, Vector::zeros(3));
         assert_eq!(out.iterations, 0);
     }
@@ -333,7 +204,7 @@ mod tests {
     #[test]
     fn rejects_dimension_mismatch() {
         let a = Matrix::identity(2);
-        let err = conjugate_gradient(&a, &Vector::zeros(3), &CgOptions::default()).unwrap_err();
+        let err = cg(&a, &Vector::zeros(3), &CgOptions::default()).unwrap_err();
         assert!(matches!(err, Error::DimensionMismatch { .. }));
     }
 
@@ -345,7 +216,7 @@ mod tests {
             ..CgOptions::default()
         };
         assert!(matches!(
-            conjugate_gradient(&a, &Vector::ones(2), &opts),
+            cg(&a, &Vector::ones(2), &opts),
             Err(Error::InvalidArgument { .. })
         ));
     }
@@ -359,7 +230,7 @@ mod tests {
             max_iterations: 1,
             tolerance: 1e-14,
         };
-        let err = conjugate_gradient(&a, &Vector::ones(3), &opts).unwrap_err();
+        let err = cg(&a, &Vector::ones(3), &opts).unwrap_err();
         assert!(matches!(err, Error::NotConverged { iterations: 1, .. }));
     }
 
@@ -367,7 +238,7 @@ mod tests {
     fn detects_indefinite_matrix() {
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap();
         let b = Vector::from(vec![0.0, 1.0]);
-        assert!(conjugate_gradient(&a, &b, &CgOptions::default()).is_err());
+        assert!(cg(&a, &b, &CgOptions::default()).is_err());
     }
 
     #[test]
@@ -377,7 +248,7 @@ mod tests {
             Matrix::from_rows(&[&[1.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 1.0]]).unwrap();
         let shifted = ShiftedOperator::new(&l, 1.0);
         let b = Vector::from(vec![1.0, 0.0, -1.0]);
-        let out = conjugate_gradient(&shifted, &b, &CgOptions::default()).unwrap();
+        let out = cg(&shifted, &b, &CgOptions::default()).unwrap();
         let dense = &l + &Matrix::identity(3);
         let exact = crate::lu::solve(&dense, &b).unwrap();
         assert!(out.solution.approx_eq(&exact, 1e-8));
@@ -398,48 +269,19 @@ mod tests {
             }
         });
         let b = Vector::from_fn(n, |i| ((i + 1) as f64).cos());
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
-        let plain = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
-        let pcg =
-            preconditioned_conjugate_gradient(&a, &b, &inv_diag, &CgOptions::default()).unwrap();
+        let jacobi = JacobiPrecond::from_diagonal((0..n).map(|i| a.get(i, i))).unwrap();
+        let plain = cg(&a, &b, &CgOptions::default()).unwrap();
+        let pcg = preconditioned_cg_with(&a, &b, &jacobi, &CgOptions::default()).unwrap();
         assert!(pcg.solution.approx_eq(&plain.solution, 1e-7));
         assert!(pcg.iterations <= plain.iterations);
     }
 
     #[test]
-    fn preconditioned_zero_rhs_short_circuits() {
-        let a = Matrix::identity(3);
-        let out = preconditioned_conjugate_gradient(
-            &a,
-            &Vector::zeros(3),
-            &[1.0; 3],
-            &CgOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(out.solution, Vector::zeros(3));
-        assert_eq!(out.iterations, 0);
-    }
-
-    #[test]
     fn preconditioned_rejects_bad_preconditioner_len() {
         let a = Matrix::identity(3);
-        let err = preconditioned_conjugate_gradient(
-            &a,
-            &Vector::ones(3),
-            &[1.0; 2],
-            &CgOptions::default(),
-        )
-        .unwrap_err();
+        let err = preconditioned_cg_with(&a, &Vector::ones(3), &unit(2), &CgOptions::default())
+            .unwrap_err();
         assert!(matches!(err, Error::DimensionMismatch { .. }));
-    }
-
-    #[test]
-    fn preconditioned_detects_indefinite_matrix() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap();
-        let b = Vector::from(vec![0.0, 1.0]);
-        assert!(
-            preconditioned_conjugate_gradient(&a, &b, &[1.0, 1.0], &CgOptions::default()).is_err()
-        );
     }
 
     #[test]
@@ -456,7 +298,7 @@ mod tests {
             }
         });
         let b = Vector::from_fn(n, |i| (i as f64 / n as f64).sin());
-        let out = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let out = cg(&a, &b, &CgOptions::default()).unwrap();
         let exact = crate::lu::solve(&a, &b).unwrap();
         assert!(out.solution.approx_eq(&exact, 1e-7));
     }

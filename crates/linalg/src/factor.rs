@@ -413,15 +413,6 @@ impl Clone for PrecondCg {
     }
 }
 
-/// The pre-PR-9 name of [`PrecondCg`], from before preconditioners were
-/// pluggable. The alias still builds the Jacobi preconditioner it always
-/// did (that is [`PrecondCg::factor_dense`]'s / `factor_sparse`'s default).
-#[deprecated(
-    since = "0.10.0",
-    note = "renamed to PrecondCg; Jacobi is now one PrecondKind among several"
-)]
-pub type JacobiCg = PrecondCg;
-
 impl PrecondCg {
     /// Builds the iterative backend around a dense system with the
     /// historical Jacobi (diagonal) preconditioner.
@@ -1163,16 +1154,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_jacobi_cg_alias_still_resolves() {
-        let a = spd_sample(6);
-        let f = JacobiCg::factor_dense(&a, CgOptions::default()).unwrap();
-        assert_eq!(f.kind(), BackendKind::SparseCg);
-        let x = f.solve(&rhs(6)).unwrap();
-        assert!(f.residual(&x, &rhs(6)).unwrap() < 1e-8);
-    }
-
-    #[test]
     fn report_carries_iteration_diagnostics_for_iterative_backends() {
         let n = 32;
         let a = spd_sample(n);
@@ -1227,14 +1208,25 @@ mod tests {
     }
 
     #[test]
-    fn policy_picks_cholesky_for_small_symmetric() {
-        let a = spd_sample(10);
+    fn policy_picks_cholesky_for_small_or_dense_symmetric() {
+        // A 192×192 system past the dimension cutoff, yet denser than the
+        // threshold, stays direct like a small one.
+        let n = 192;
+        let dense = Matrix::from_fn(n, n, |i, j| {
+            let d = i.abs_diff(j) as f64;
+            (-0.05 * d * d).exp() + if i == j { 1.0 } else { 0.0 }
+        });
         let policy = SolverPolicy::default();
-        assert_eq!(policy.select_dense(&a), BackendKind::DenseCholesky);
-        assert!(matches!(
-            policy.factor_dense(&a).unwrap(),
-            SolverBackend::Cholesky(_)
-        ));
+        assert!(n >= policy.direct_dim_cutoff);
+        assert!(density(dense_nnz(&dense), n, n) > policy.density_threshold);
+        for a in [spd_sample(10), dense] {
+            assert_eq!(policy.select_dense(&a), BackendKind::DenseCholesky);
+            let backend = policy.factor_dense(&a).unwrap();
+            assert!(matches!(backend, SolverBackend::Cholesky(_)));
+            let b = rhs(a.rows());
+            let x = backend.solve(&b).unwrap();
+            assert!(backend.residual(&x, &b).unwrap() < 1e-8);
+        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   systems (Eq. 4 of the paper).
 //! * [`Cholesky`] — for the symmetric positive-definite systems that both
 //!   criteria produce on connected graphs (Eq. 5).
-//! * [`conjugate_gradient`] and the stationary solvers in [`stationary`] —
-//!   matrix-free backends behind the [`LinearOperator`] trait.
+//! * [`PrecondCg`] / [`AmgCg`] — conjugate gradient preconditioned by
+//!   Jacobi, block-Jacobi, IC(0) or an AMG V-cycle — and the stationary
+//!   solvers in [`stationary`]: matrix-free backends behind the
+//!   [`LinearOperator`] trait.
 //! * [`CsrMatrix`] — compressed sparse rows for kNN / ε-threshold graphs.
 //! * [`Factorization`] / [`SolverPolicy`] — the unified backend layer:
 //!   factor once (Cholesky, LU, or Jacobi-preconditioned CG), solve many,
@@ -61,15 +63,10 @@ mod vector;
 
 pub use amg::{AmgCg, AmgOptions};
 pub use blocks::BlockPartition;
-pub use cg::{
-    conjugate_gradient, preconditioned_cg_with, preconditioned_conjugate_gradient, CgOptions,
-    CgOutcome,
-};
+pub use cg::{CgOptions, CgOutcome};
 pub use cholesky::{is_positive_definite, Cholesky};
 pub use eigen::{symmetric_eigen, EigenOptions, SymmetricEigen};
 pub use error::{Error, Result};
-#[allow(deprecated)]
-pub use factor::JacobiCg;
 pub use factor::{
     BackendKind, CgSystem, FactorReport, Factorization, PrecondCg, SolverBackend, SolverPolicy,
     SparseStrategy,

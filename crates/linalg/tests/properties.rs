@@ -7,8 +7,8 @@
 
 use gssl_linalg::stationary::{gauss_seidel, jacobi, IterationOptions};
 use gssl_linalg::{
-    conjugate_gradient, symmetric_eigen, BlockPartition, CgOptions, Cholesky, CsrMatrix,
-    EigenOptions, Lu, Matrix, Vector,
+    symmetric_eigen, BlockPartition, CgOptions, Cholesky, CsrMatrix, EigenOptions, Factorization,
+    Lu, Matrix, PrecondCg, Vector,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,9 +153,10 @@ fn all_direct_and_iterative_solvers_agree() {
         let b = vector(DIM, rng);
         let lu = Lu::factor(&a).unwrap().solve(&b).unwrap();
         let chol = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
-        let cg = conjugate_gradient(&a, &b, &CgOptions::default())
+        let cg = PrecondCg::factor_dense(&a, CgOptions::default())
             .unwrap()
-            .solution;
+            .solve(&b)
+            .unwrap();
         let iter_opts = IterationOptions {
             max_iterations: 20_000,
             tolerance: 1e-12,

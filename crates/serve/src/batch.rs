@@ -15,8 +15,8 @@
 //!
 //! The queue is deliberately clock-free: every operation takes the
 //! current time as an explicit `now` parameter (any monotone `f64`
-//! timebase — the traffic bench drives it with virtual Poisson arrival
-//! times, a server would pass monotonic seconds). That keeps the policy
+//! timebase — the tests drive it with virtual Poisson arrival times, a
+//! server would pass monotonic seconds). That keeps the policy
 //! logic deterministic and testable to exact equality, and keeps this
 //! module off the workspace's nondeterminism lint.
 
@@ -193,15 +193,15 @@ impl BatchQueue {
     }
 
     /// Whether a batch would be released at time `now`: the size bound is
-    /// met, or the oldest waiting query has aged past `max_delay`.
+    /// met, or `now` has reached [`BatchQueue::next_deadline`].
     pub fn ready(&self, now: f64) -> bool {
         if self.pending.len() >= self.policy.max_batch {
             return true;
         }
-        match self.pending.front() {
-            Some(oldest) => now - oldest.arrived_at >= self.policy.max_delay,
-            None => false,
-        }
+        // Compared against the deadline itself, not the age
+        // `now - arrived_at`, whose rounding can fall short of `max_delay`
+        // at the deadline instant.
+        self.next_deadline().is_some_and(|deadline| now >= deadline)
     }
 
     /// The earliest future time at which the deadline bound alone would
@@ -322,6 +322,15 @@ mod tests {
         assert_eq!(batch.tickets, vec![0, 1]);
         assert!(queue.is_empty());
         assert_eq!(queue.next_deadline(), None);
+
+        // 0.7 + 0.1 rounds down to 0.7999999999999999, where the age
+        // `now - 0.7` is still short of 0.1: ready at the deadline anyway.
+        let mut queue = BatchQueue::new(BatchPolicy::new(8, 0.1, 16)).unwrap();
+        queue.offer(q(3.0), 0.7);
+        let deadline = queue.next_deadline().expect("one query queued");
+        assert!(!queue.ready(f64::from_bits(deadline.to_bits() - 1)));
+        let batch = queue.pop_ready(deadline).expect("ready at its deadline");
+        assert_eq!(batch.tickets, vec![0]);
     }
 
     #[test]
@@ -369,5 +378,129 @@ mod tests {
         queue.offer(q(1.0), 2.0);
         assert!(queue.ready(2.0));
         assert_eq!(queue.pop_ready(2.0).unwrap().tickets, vec![0]);
+    }
+
+    /// One server in virtual time: each batch takes it `service` time
+    /// units, and it takes no batch while busy.
+    struct Server {
+        service: f64,
+        free_at: f64,
+        batches: Vec<CoalescedBatch>,
+    }
+
+    impl Server {
+        /// Takes every batch the queue releases from `now` until `until`
+        /// (`until` itself only when `inclusive`): as soon as the server
+        /// is free if the queue is ready then, else at the deadline.
+        fn take_until(&mut self, queue: &mut BatchQueue, now: f64, until: f64, inclusive: bool) {
+            loop {
+                let free = self.free_at.max(now);
+                let at = if queue.ready(free) {
+                    free
+                } else if let Some(deadline) = queue.next_deadline() {
+                    deadline
+                } else {
+                    return;
+                };
+                if at > until || (!inclusive && at >= until) {
+                    return;
+                }
+                let batch = queue.pop_ready(at).expect("ready at its release time");
+                self.free_at = at + self.service;
+                self.batches.push(batch);
+            }
+        }
+
+        /// Flushes what is still queued once arrivals stop at `end`.
+        fn drain(&mut self, queue: &mut BatchQueue, end: f64) {
+            let mut now = self.free_at.max(end);
+            while let Some(batch) = queue.flush(now) {
+                self.batches.push(batch);
+                now += self.service;
+            }
+            self.free_at = now;
+        }
+    }
+
+    #[test]
+    fn seeded_poisson_traffic_is_conserved_while_shedding() {
+        use rand::dist::PoissonProcess;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // 1 000 arrivals per time unit. Each server below handles fewer,
+        // so the queue fills and sheds, except in the last case.
+        let rate = 1_000.0;
+        let horizon = 0.5;
+        let cases = [
+            (BatchPolicy::new(8, 0.004, 16), 0.012, true),
+            (BatchPolicy::new(4, 0.002, 6), 0.006, true),
+            (BatchPolicy::new(1, 0.0, 1), 0.002, true),
+            (BatchPolicy::new(16, 0.01, 64), 0.03, true),
+            (BatchPolicy::new(8, 0.004, 16), 0.001, false),
+        ];
+        for (policy, service, sheds) in cases {
+            for seed in [1, 7, 42, 7919] {
+                let context = format!("{policy:?}, service {service}, seed {seed}");
+                let mut rng = StdRng::seed_from_u64(seed);
+                let arrivals = PoissonProcess::new(rate).arrivals_until(&mut rng, horizon);
+                let mut queue = BatchQueue::new(policy.clone()).unwrap();
+                let mut server = Server {
+                    service,
+                    free_at: 0.0,
+                    batches: Vec::new(),
+                };
+                // The arrival index behind each ticket, in ticket order.
+                let mut admitted: Vec<usize> = Vec::new();
+                let mut rejected = 0u64;
+                let mut previous = 0.0;
+                for (k, &t) in arrivals.iter().enumerate() {
+                    // Deadline releases before the arrival, then the
+                    // arrival, then size releases at its instant.
+                    server.take_until(&mut queue, previous, t, false);
+                    match queue.offer(q(k as f64), t) {
+                        Admission::Admitted { ticket } => {
+                            assert_eq!(ticket, admitted.len() as u64, "{context}");
+                            admitted.push(k);
+                        }
+                        Admission::Rejected { queue_depth } => {
+                            assert_eq!(queue_depth, policy.capacity, "{context}");
+                            rejected += 1;
+                        }
+                    }
+                    server.take_until(&mut queue, t, t, true);
+                    previous = t;
+                }
+                server.drain(&mut queue, horizon);
+
+                assert_eq!(
+                    admitted.len() as u64 + rejected,
+                    arrivals.len() as u64,
+                    "{context}"
+                );
+                assert_eq!(queue.admitted(), admitted.len() as u64, "{context}");
+                assert_eq!(queue.rejected(), rejected, "{context}");
+                assert_eq!(rejected > 0, sheds, "{context}: {rejected} rejected");
+                assert!(queue.is_empty(), "{context}");
+                // Every admitted ticket is released once, in ticket order.
+                let released: Vec<u64> = server
+                    .batches
+                    .iter()
+                    .flat_map(|batch| batch.tickets.iter().copied())
+                    .collect();
+                assert_eq!(released, (0..admitted.len() as u64).collect::<Vec<_>>());
+                for batch in &server.batches {
+                    assert!(!batch.tickets.is_empty(), "{context}");
+                    assert!(batch.tickets.len() <= policy.max_batch, "{context}");
+                    let members = batch.queries.iter().zip(&batch.arrivals);
+                    for (&ticket, (query, &arrival)) in batch.tickets.iter().zip(members) {
+                        let k = admitted[ticket as usize];
+                        assert_eq!(query.coords()[0].to_bits(), (k as f64).to_bits());
+                        assert_eq!(arrival.to_bits(), arrivals[k].to_bits());
+                        assert!(batch.released_at >= arrival, "{context}");
+                    }
+                }
+            }
+        }
     }
 }

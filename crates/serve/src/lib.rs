@@ -77,12 +77,6 @@ pub mod snapshot;
 /// Query/prediction value types shared by every engine flavor.
 pub mod types;
 
-/// Deterministic interleaving harness for the execution layer's
-/// chunk-claim protocol, re-exported from [`gssl_runtime`] (where it now
-/// lives) so existing `gssl_serve::sim` callers keep compiling.
-#[cfg(feature = "strict-checks")]
-pub use gssl_runtime::sim;
-
 pub use batch::{Admission, BatchPolicy, BatchQueue, CoalescedBatch};
 pub use config::{EngineConfig, EngineSolver, QueryPath, ServeCriterion};
 pub use engine::ServingEngine;
@@ -93,11 +87,3 @@ pub use shard::{Shard, ShardPlan};
 pub use sharded::ShardedEngine;
 pub use snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use types::{Prediction, QueryPoint};
-
-/// Scoped thread pool, re-exported from [`gssl_runtime`] (where it now
-/// lives).
-#[deprecated(
-    since = "0.2.0",
-    note = "use gssl_runtime::ThreadPool (or gssl_serve::Executor) directly"
-)]
-pub type ThreadPool = gssl_runtime::ThreadPool;

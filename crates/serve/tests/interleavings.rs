@@ -1,7 +1,7 @@
 //! Exhaustive bounded-schedule verification of the thread pool's
-//! chunk-claim protocol (strict-checks only).
+//! chunk-claim protocol.
 //!
-//! The `gssl_serve::sim` harness executes the production claim code
+//! The `gssl_runtime::sim` harness executes the production claim code
 //! (`pool::claim` at the production `pool::chunk_size` width) under every
 //! possible interleaving of claim and publish steps for a bounded batch,
 //! checking that chunk claims stay disjoint, cover the batch exactly, and
@@ -10,9 +10,7 @@
 //! cursor's `fetch_add` total order alone is enough, no stronger memory
 //! ordering required.
 
-#![cfg(feature = "strict-checks")]
-
-use gssl_serve::sim::enumerate_schedules;
+use gssl_runtime::sim::enumerate_schedules;
 
 #[test]
 fn every_interleaving_is_disjoint_exhaustive_and_terminating() {

@@ -33,6 +33,11 @@ cargo run -q -p gssl-xtask -- analyze --json || {
 echo "== cargo build --release"
 cargo build --release
 
+echo "== cargo check --all-targets"
+# `cargo test` never compiles bench targets, so the Criterion benches
+# (and every other target) are type-checked here.
+cargo check --workspace --all-targets --offline
+
 echo "== cargo test"
 cargo test -q --workspace
 
@@ -45,23 +50,6 @@ echo "== benchmark build + tests (perfbench/, its own Cargo workspace)"
 # every other gate and fail only when the benchmark runs. Its tests run
 # each workload at a tiny size, traced runs included.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-
-echo "== serve_demo smoke run"
-cargo run --release -q -p gssl-bench --bin serve_demo >/dev/null
-
-echo "== policy_demo smoke run"
-# Exercises the SolverPolicy selector end to end; the binary exits
-# nonzero when any backend's solve residual exceeds its threshold.
-cargo run --release -q -p gssl-bench --bin policy_demo -- --json >/dev/null
-
-echo "== threads_scaling bench (writes BENCH_parallel_ci.json)"
-# Times assembly / hard fit / soft fit / predict_batch at 1/2/4/8 workers
-# and exits nonzero if any parallel output is not bit-identical to the
-# 1-worker run. Timing is recorded, never gated: speedup depends on the
-# host's core count (see host_parallelism in the JSON). The committed
-# BENCH_parallel.json comes from a run without `--ci` and is not touched.
-cargo run --release -q -p gssl-bench --bin threads_scaling -- --ci --quiet
-rm -f BENCH_parallel_ci.json
 
 echo "== scale bench, ci sizes (writes BENCH_scale_ci.json)"
 # Assembles kNN graphs through the spatial index and fits the hard
@@ -82,16 +70,5 @@ echo "== solver crossover bench, ci sizes (writes BENCH_solver_ci.json)"
 # the full run (`--bin solver_crossover`, no flags) and is not touched.
 cargo run --release -q -p gssl-bench --bin solver_crossover -- --ci --quiet
 rm -f BENCH_solver_ci.json
-
-echo "== serve traffic bench, ci sizes (writes BENCH_serve_ci.json)"
-# Replays a seeded open-loop Poisson arrival stream through the
-# admission-controlled batch queue into the sharded engine and exits
-# nonzero if sharded predictions are not bitwise-identical to the
-# monolithic engine, any admitted query is lost or double-served, or the
-# snapshot/restore roundtrip is not bitwise — agreement properties,
-# never timing. The committed BENCH_serve.json comes from the full run
-# (`--bin serve_traffic`, no flags) and is not touched here.
-cargo run --release -q -p gssl-bench --bin serve_traffic -- --ci --quiet
-rm -f BENCH_serve_ci.json
 
 echo "All checks passed."

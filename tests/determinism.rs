@@ -38,6 +38,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 4];
+/// The grid plus 8 workers, for the pipeline stages end to end:
+/// kernel-graph weights, hard fit, soft fit and batch prediction.
+const STAGE_WORKER_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
 /// Deterministic low-discrepancy points (no RNG state to thread through).
 fn points(n: usize, d: usize) -> Matrix {
@@ -66,7 +69,7 @@ fn kernel_assembly_is_bit_identical_across_worker_counts() {
 fn kernel_graph_weights_are_bit_identical_across_worker_counts() {
     let graph = KernelGraph::fit(points(53, 4), Kernel::Epanechnikov, 0.9).expect("graph fit");
     let reference = graph.weights().expect("sequential weights");
-    for workers in WORKER_COUNTS {
+    for workers in STAGE_WORKER_COUNTS {
         let executor = Executor::with_workers(workers);
         let parallel = graph.weights_with(&executor).expect("parallel weights");
         assert_eq!(
@@ -178,7 +181,7 @@ fn fit_problem() -> Problem {
 fn hard_fit_is_bit_identical_across_worker_counts() {
     let problem = fit_problem();
     let reference = HardCriterion::new().fit(&problem).expect("sequential fit");
-    for workers in WORKER_COUNTS {
+    for workers in STAGE_WORKER_COUNTS {
         let parallel = HardCriterion::new()
             .with_executor(Executor::with_workers(workers))
             .fit(&problem)
@@ -196,7 +199,7 @@ fn soft_fit_is_bit_identical_across_worker_counts() {
     let problem = fit_problem();
     let criterion = SoftCriterion::new(0.75).expect("lambda");
     let reference = criterion.fit(&problem).expect("sequential fit");
-    for workers in WORKER_COUNTS {
+    for workers in STAGE_WORKER_COUNTS {
         let parallel = SoftCriterion::new(0.75)
             .expect("lambda")
             .policy(SolverPolicy::default().with_executor(Executor::with_workers(workers)))
@@ -251,7 +254,7 @@ fn predict_batch_is_bit_identical_across_worker_counts() {
         engine.predict_batch(&queries).expect("batch predict")
     };
     let reference = fit(1);
-    for workers in WORKER_COUNTS {
+    for workers in STAGE_WORKER_COUNTS {
         let parallel = fit(workers);
         assert_eq!(reference.len(), parallel.len());
         for (i, (r, p)) in reference.iter().zip(&parallel).enumerate() {
