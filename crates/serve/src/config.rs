@@ -75,7 +75,8 @@ pub enum QueryPath {
     WithinSupport,
 }
 
-/// Configuration for [`crate::ServingEngine::fit`].
+/// Configuration for [`crate::ShardedEngine::fit`] and
+/// [`crate::ServingEngine::fit`].
 ///
 /// ```
 /// use gssl_graph::Kernel;

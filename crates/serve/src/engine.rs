@@ -1,22 +1,17 @@
-//! The fit-once, query-many serving engine.
+//! One shard's fitted state and its rank-1 update math, plus
+//! [`ServingEngine`], the one-shard entry point of [`ShardedEngine`].
 //!
-//! `fit` pays the factorization cost of the chosen criterion once —
-//! through the [`gssl_linalg::Factorization`] backend layer, either the
-//! legacy direct route ([`EngineSolver::Direct`]: Cholesky/LU plus an
+//! A [`ShardModel`] pays the factorization cost of the chosen criterion
+//! once — through the [`gssl_linalg::Factorization`] backend layer, either
+//! the legacy direct route ([`EngineSolver::Direct`]: Cholesky/LU plus an
 //! explicit cached inverse) or a [`gssl_linalg::SolverPolicy`] route
 //! ([`EngineSolver::Auto`]) that may pick the iterative CG backend and
-//! skip the inverse entirely — and caches the assembled system. After
-//! that:
-//!
-//! * `predict_batch` answers out-of-sample queries with the paper's
-//!   Nadaraya–Watson extension (Theorem II.1 / Eq. 6) — `O(N·d)` per
-//!   query on the dense path, or `O(k)` kernel weights after a sublinear
-//!   spatial-index search under the index-backed
-//!   [`QueryPath`](crate::QueryPath)s — never touching a factorization;
-//! * `observe_label` folds a newly revealed label into the cached inverse
-//!   with an exact rank-1 (Sherman–Morrison family) update in `O(m²)`
-//!   instead of refactoring in `O(m³)`, guarded by a residual check and a
-//!   periodic full-refactor fallback.
+//! skip the inverse entirely — and caches the assembled system. A label
+//! fold then repairs the cached inverse with an exact rank-1
+//! (Sherman–Morrison family) update in `O(m²)` instead of refactoring in
+//! `O(m³)`, guarded by a residual check and a periodic full-refactor
+//! fallback. Queries never touch a shard: the owning engine answers them
+//! over its global score plane.
 //!
 //! # Rank-1 update identities
 //!
@@ -51,20 +46,19 @@
 //! and right-hand side *exactly*, the guard's fallback re-factors the
 //! cached system in place instead of reassembling it from the graph.
 
-use crate::config::{EngineConfig, EngineSolver, QueryPath, ServeCriterion};
+use crate::config::{EngineConfig, EngineSolver, ServeCriterion};
 use crate::error::{Error, Result};
-use crate::extend::QueryPlane;
-use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::types::{Prediction, QueryPoint};
+use crate::metrics::ServeMetrics;
+use crate::sharded::ShardedEngine;
 use gssl::Problem;
 use gssl_graph::{laplacian, KernelGraph, LaplacianKind};
-use gssl_index::{NeighborSearch, SpatialIndex};
-use gssl_linalg::{strict, Cholesky, Factorization, Lu, Matrix, SolverBackend};
+use gssl_linalg::{strict, Cholesky, Factorization, Lu, Matrix, SolverBackend, Vector};
 use gssl_runtime::Executor;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Fit-once, query-many serving engine for graph-based semi-supervised
-/// prediction.
+/// The monolithic serving engine: a [`ShardedEngine`] fitted on one
+/// shard that holds every node, with no component search. It is the
+/// reference the sharding tests hold the component plan to, bit for bit.
+/// The type has no values; both constructors return the engine itself.
 ///
 /// ```
 /// use gssl_graph::Kernel;
@@ -74,11 +68,12 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// // Four 1-D points; the first two labeled 0 and 1.
 /// let points = Matrix::from_rows(&[&[0.0], &[1.0], &[0.2], &[0.8]])
 ///     .map_err(gssl_serve::Error::Linalg)?;
-/// let mut engine = ServingEngine::fit(
+/// let engine = ServingEngine::fit(
 ///     &points,
 ///     &[0.0, 1.0],
 ///     EngineConfig::new(Kernel::Gaussian, 0.5),
 /// )?;
+/// assert_eq!(engine.n_shards(), 1);
 /// let out = engine.predict_batch(&[QueryPoint::new(vec![0.1])])?;
 /// assert_eq!(out[0].class, 0);
 /// // A streamed label folds in without refactoring.
@@ -88,143 +83,120 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct ServingEngine {
-    config: EngineConfig,
-    graph: KernelGraph,
-    weights: Matrix,
-    degrees: gssl_linalg::Vector,
-    multiclass: bool,
-    class_count: usize,
-    /// Per-node observed-label mask.
-    labeled: Vec<bool>,
-    /// Observed targets, `N × k` (rows of unlabeled nodes are zero).
-    targets: Matrix,
-    /// Global indices of the still-unlabeled nodes, in cached-system order.
-    unlabeled: Vec<usize>,
-    /// The cached criterion system (hard: `m × m`; soft: `N × N`). The
-    /// rank-1 update paths maintain it *exactly* (deletion / diagonal
-    /// bump), so a guarded refactor can re-factor it without reassembly.
-    system: Matrix,
-    /// Explicit inverse of `system`, maintained by rank-1 updates.
-    /// `None` when the configured solver route selected an iterative
-    /// backend (no factor to invert) or the system is empty.
-    inverse: Option<Matrix>,
-    /// Right-hand side matching `system`, one column per class.
-    rhs: Matrix,
-    /// Current fitted scores for all `N` nodes, one column per class.
-    scores: Matrix,
-    /// Spatial index over the fitted points, built once at fit time for
-    /// the index-backed query paths. `None` under [`QueryPath::Dense`].
-    index: Option<SpatialIndex>,
-    executor: Executor,
-    updates_since_refactor: usize,
-    metrics: Mutex<ServeMetrics>,
-}
+pub enum ServingEngine {}
 
 impl ServingEngine {
-    /// Fits a binary engine: `points` are all `N` coordinates (labeled
-    /// first), `labels` the first `n` observations under the `{0, 1}`
-    /// convention (any finite reals are accepted; only the `class` field
-    /// of predictions assumes the convention).
-    ///
-    /// Costs one factorization: `O(m³)` for the hard criterion's
-    /// `m × m` unlabeled block, `O(N³)` for the soft criterion's full
-    /// system.
+    /// [`ShardedEngine::fit`] on the one-shard plan: the same arguments,
+    /// errors and labeled-first convention. The single shard factors on
+    /// the engine's executor: `O(m³)` for the hard criterion's `m × m`
+    /// unlabeled block, `O(N³)` for the soft criterion's full system.
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidConfig`] for out-of-domain configuration;
-    /// * [`Error::InvalidLabel`] when no labels (or more labels than
-    ///   points) are supplied;
-    /// * [`Error::NonFiniteValue`] for NaN/infinite labels or coordinates;
-    /// * [`Error::Core`] when a graph component has no labeled anchor
-    ///   (the criterion system would be singular).
+    /// As [`ShardedEngine::fit`].
     /// deterministic
-    pub fn fit(points: &Matrix, labels: &[f64], config: EngineConfig) -> Result<Self> {
-        if let Some(i) = labels.iter().position(|y| !y.is_finite()) {
-            return Err(Error::NonFiniteValue {
-                context: "serve.fit labels",
-                index: i,
-            });
-        }
-        let targets = Matrix::from_fn(labels.len(), 1, |i, _| labels[i]);
-        Self::fit_internal(points, targets, false, 2, config)
+    pub fn fit(points: &Matrix, labels: &[f64], config: EngineConfig) -> Result<ShardedEngine> {
+        ShardedEngine::fit_labels(points, labels, config, true)
     }
 
-    /// Fits a multiclass engine via one-vs-rest: class labels become
-    /// one-hot target rows and every class column shares the single cached
-    /// factorization (the system depends only on the graph, not on the
-    /// targets).
+    /// [`ShardedEngine::fit_multiclass`] on the one-shard plan.
     ///
     /// # Errors
     ///
-    /// As [`ServingEngine::fit`], plus [`Error::InvalidLabel`] when
-    /// `class_count < 2` or a class label is out of range.
+    /// As [`ShardedEngine::fit_multiclass`].
     /// deterministic
     pub fn fit_multiclass(
         points: &Matrix,
         class_labels: &[usize],
         class_count: usize,
         config: EngineConfig,
-    ) -> Result<Self> {
-        if class_count < 2 {
-            return Err(Error::InvalidLabel {
-                message: format!("class_count must be at least 2, got {class_count}"),
-            });
+    ) -> Result<ShardedEngine> {
+        ShardedEngine::fit_classes(points, class_labels, class_count, config, true)
+    }
+}
+
+/// What a shard's solver steps read from the owning engine — its
+/// configuration and the executor the shard factors on — and the metrics
+/// they record. The engine merges `metrics` into its own record once the
+/// step has succeeded.
+#[derive(Debug)]
+pub(crate) struct ShardStep<'a> {
+    config: &'a EngineConfig,
+    executor: &'a Executor,
+    /// Factorizations, rank-1 updates, guarded refactors and the latest
+    /// factor report of this step.
+    pub(crate) metrics: ServeMetrics,
+}
+
+impl<'a> ShardStep<'a> {
+    pub(crate) fn new(config: &'a EngineConfig, executor: &'a Executor) -> Self {
+        ShardStep {
+            config,
+            executor,
+            metrics: ServeMetrics::default(),
         }
-        if let Some(&bad) = class_labels.iter().find(|&&c| c >= class_count) {
-            return Err(Error::InvalidLabel {
-                message: format!("class label {bad} out of range for {class_count} classes"),
-            });
-        }
-        let targets = Matrix::from_fn(class_labels.len(), class_count, |i, j| {
-            if class_labels[i] == j {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        Self::fit_internal(points, targets, true, class_count, config)
+    }
+}
+
+/// One shard's fitted state. Indices are shard-local (`0..s` over the
+/// shard's members); the configuration, kernel graph, index, executor
+/// and metrics belong to the owning [`ShardedEngine`].
+#[derive(Debug, Clone)]
+pub(crate) struct ShardModel {
+    /// Dense `s × s` kernel weights among the members.
+    pub(crate) weights: Matrix,
+    /// Row sums of `weights` (every nonzero weight of a member lies
+    /// inside its shard, so these are the full-graph degrees).
+    pub(crate) degrees: Vector,
+    /// Per-node observed-label mask.
+    pub(crate) labeled: Vec<bool>,
+    /// Observed targets, `s × k` (rows of unlabeled nodes are zero).
+    pub(crate) targets: Matrix,
+    /// Local indices of the still-unlabeled nodes, in cached-system order.
+    pub(crate) unlabeled: Vec<usize>,
+    /// The cached criterion system (hard: `m × m`; soft: `s × s`). The
+    /// rank-1 update paths maintain it *exactly* (deletion / diagonal
+    /// bump), so a guarded refactor can re-factor it without reassembly.
+    pub(crate) system: Matrix,
+    /// Explicit inverse of `system`, maintained by rank-1 updates.
+    /// `None` when the configured solver route selected an iterative
+    /// backend (no factor to invert) or the system is empty.
+    pub(crate) inverse: Option<Matrix>,
+    /// Right-hand side matching `system`, one column per class.
+    pub(crate) rhs: Matrix,
+    /// Current fitted scores for all `s` nodes, one column per class.
+    pub(crate) scores: Matrix,
+    /// Rank-1 updates folded since the last full refactorization.
+    pub(crate) updates_since_refactor: usize,
+}
+
+impl ShardModel {
+    /// The dense kernel weights among `points`, assembled on `executor`
+    /// (bit-identical at any worker count).
+    pub(crate) fn weights(
+        points: Matrix,
+        config: &EngineConfig,
+        executor: &Executor,
+    ) -> Result<Matrix> {
+        let graph = KernelGraph::fit(points, config.kernel, config.bandwidth)?;
+        Ok(graph.weights_with(executor)?)
     }
 
-    pub(crate) fn fit_internal(
-        points: &Matrix,
+    /// Fits one shard: `points` are its members' coordinates, labeled
+    /// first, and `initial_targets` the target rows of the labeled ones.
+    /// Costs one factorization.
+    pub(crate) fn fit(
+        points: Matrix,
         initial_targets: Matrix,
-        multiclass: bool,
-        class_count: usize,
-        config: EngineConfig,
+        step: &mut ShardStep<'_>,
     ) -> Result<Self> {
-        config.validate()?;
         let n = initial_targets.rows();
         let total = points.rows();
-        if n == 0 {
-            return Err(Error::InvalidLabel {
-                message: "at least one labeled point is required".to_owned(),
-            });
-        }
-        if n > total {
-            return Err(Error::InvalidLabel {
-                message: format!("{n} labels supplied for {total} points"),
-            });
-        }
-
-        // One executor drives the whole pipeline: kernel-matrix assembly
-        // here, the Auto solver policy's factorization, and predict_batch
-        // sharding. `workers == 0` means host parallelism, `1` sequential.
-        let executor = Executor::with_workers(config.workers);
-        let graph = KernelGraph::fit(points.clone(), config.kernel, config.bandwidth)?;
-        // The index-backed query paths pay the O(n log n) tree build once
-        // here; the dense path skips it entirely.
-        let index = if config.query_path == QueryPath::Dense {
-            None
-        } else {
-            Some(SpatialIndex::build(points)?)
-        };
-        let weights = graph.weights_with(&executor)?;
+        let weights = Self::weights(points, step.config, step.executor)?;
         // Reuse the core crate's problem validation (symmetry, finiteness)
         // and its anchoring check: every component must contain a labeled
         // vertex or the criterion system is singular. Labeling only ever
-        // grows the labeled set, so the check holds for the engine's whole
+        // grows the labeled set, so the check holds for the shard's whole
         // lifetime.
         let anchor_labels: Vec<f64> = (0..n).map(|i| initial_targets.get(i, 0)).collect();
         let problem = Problem::new(weights.clone(), anchor_labels)?;
@@ -238,13 +210,9 @@ impl ServingEngine {
                 targets.set(i, c, initial_targets.get(i, c));
             }
         }
-        let mut engine = ServingEngine {
-            config,
-            graph,
+        let mut model = ShardModel {
             weights,
             degrees,
-            multiclass,
-            class_count,
             labeled: (0..total).map(|i| i < n).collect(),
             targets,
             unlabeled: (n..total).collect(),
@@ -252,145 +220,94 @@ impl ServingEngine {
             inverse: None,
             rhs: Matrix::zeros(0, k),
             scores: Matrix::zeros(total, k),
-            index,
-            executor,
             updates_since_refactor: 0,
-            metrics: Mutex::new(ServeMetrics::default()),
         };
-        engine.rebuild()?;
-        engine.lock_metrics().record_factorization();
-        Ok(engine)
+        model.rebuild(step)?;
+        step.metrics.record_factorization();
+        Ok(model)
     }
 
-    // ------------------------------------------------------------------
-    // Query path
-    // ------------------------------------------------------------------
-
-    /// Scores a batch of out-of-sample queries, sharded across the
-    /// engine's thread pool.
-    ///
-    /// Under [`QueryPath::Dense`] each query costs `O(N·d)` for its kernel
-    /// row plus `O(N·k)` for the weighted average of Eq. 6; the
-    /// index-backed paths replace both with a sublinear tree search and
-    /// `O(k)` neighbor weights. No factorization, no solve either way.
-    /// Latency and throughput are recorded in [`ServingEngine::metrics`].
+    /// Rejects state read from a snapshot that a fold or query could not
+    /// run on: shapes that disagree with the member count `s` (the rows
+    /// of the recomputed `weights`), the criterion or the target width,
+    /// an unlabeled list that is not the ascending complement of the
+    /// label mask, a shard with no labeled anchor, a missing or stray
+    /// inverse, or a counter that cannot advance.
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidQuery`] on a dimension mismatch;
-    /// * [`Error::NonFiniteValue`] for NaN/infinite coordinates (always
-    ///   checked, with `index` flattened as `query · dim + coordinate`);
-    /// * [`Error::ZeroKernelMass`] when a query sees zero total kernel
-    ///   weight (possible for compactly supported kernels such as boxcar,
-    ///   and for [`QueryPath::KNearest`] when all `k` kept weights vanish).
-    /// hot
-    /// complexity: O(b * n * c)
-    /// deterministic
-    pub fn predict_batch(&self, queries: &[QueryPoint]) -> Result<Vec<Prediction>> {
-        let outcome = self.query_plane().predict_batch(&self.executor, queries)?;
-        self.lock_metrics()
-            .record_batch(&outcome.latencies, outcome.batch_seconds);
-        Ok(outcome.predictions)
+    /// [`Error::Snapshot`] naming the first inconsistency.
+    pub(crate) fn check(&self, criterion: ServeCriterion, width: usize) -> Result<()> {
+        let s = self.weights.rows();
+        let dim = match criterion {
+            ServeCriterion::Hard => self.unlabeled.len(),
+            ServeCriterion::Soft { .. } => s,
+        };
+        let shape = |m: &Matrix| (m.rows(), m.cols());
+        let complement = (self.labeled.iter().enumerate()).filter_map(|(i, &l)| (!l).then_some(i));
+        let checks = [
+            (self.labeled.len() == s, "label mask"),
+            (shape(&self.targets) == (s, width), "targets"),
+            (shape(&self.scores) == (s, width), "scores"),
+            (
+                self.unlabeled.iter().copied().eq(complement),
+                "unlabeled list",
+            ),
+            (self.labeled.contains(&true), "anchor"),
+            (shape(&self.system) == (dim, dim), "system"),
+            (
+                self.inverse.as_ref().map(shape) == (dim > 0).then_some((dim, dim)),
+                "inverse",
+            ),
+            (shape(&self.rhs) == (dim, width), "right-hand side"),
+            (self.updates_since_refactor < usize::MAX, "update counter"),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, what)) => Err(Error::Snapshot {
+                message: format!("shard of {s} members has an inconsistent {what}"),
+            }),
+            None => Ok(()),
+        }
     }
 
-    /// The Eq. 6 query plane over this engine's fitted state. The sharded
-    /// engine borrows the same type over its *globally* reassembled
-    /// scores, so both engines answer queries through identical code.
-    pub(crate) fn query_plane(&self) -> QueryPlane<'_> {
-        QueryPlane {
-            graph: &self.graph,
-            index: self.index.as_ref(),
-            scores: &self.scores,
-            config: &self.config,
-            multiclass: self.multiclass,
-        }
+    /// Number of nodes whose label has been observed.
+    pub(crate) fn n_labeled(&self) -> usize {
+        self.labeled.iter().filter(|&&b| b).count()
     }
 
     // ------------------------------------------------------------------
     // Incremental labeling
     // ------------------------------------------------------------------
 
-    /// Folds a newly observed binary label into the fitted state with an
-    /// exact rank-1 update of the cached inverse — `O(m²)` (hard) or
-    /// `O(N²·k)` (soft) instead of a cubic refit.
+    /// Folds a newly observed target row into the still-unlabeled local
+    /// `node` with an exact rank-1 update of the cached inverse — `O(m²)`
+    /// (hard) or `O(s²·k)` (soft) instead of a cubic refit.
     ///
     /// After the update, the residual guard `‖A f − b‖∞` and the periodic
     /// `refactor_every` counter decide whether a full refactorization is
-    /// performed; both events are visible in [`ServingEngine::metrics`].
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::InvalidLabel`] on a multiclass engine (use
-    ///   [`ServingEngine::observe_class_label`]);
-    /// * [`Error::UnknownNode`] / [`Error::AlreadyLabeled`] for bad node
-    ///   indices;
-    /// * [`Error::NonFiniteValue`] for a NaN/infinite label.
-    pub fn observe_label(&mut self, node: usize, y: f64) -> Result<()> {
-        if self.multiclass {
-            return Err(Error::InvalidLabel {
-                message: "engine was fitted for multiclass labels; use observe_class_label"
-                    .to_owned(),
-            });
-        }
-        self.observe_target(node, vec![y])
-    }
-
-    /// Multiclass counterpart of [`ServingEngine::observe_label`]: the
-    /// class index becomes a one-hot target row and all one-vs-rest
-    /// columns are updated through the same rank-1 identity.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServingEngine::observe_label`], plus [`Error::InvalidLabel`]
-    /// for an out-of-range class.
-    pub fn observe_class_label(&mut self, node: usize, class: usize) -> Result<()> {
-        if !self.multiclass {
-            return Err(Error::InvalidLabel {
-                message: "engine was fitted for binary labels; use observe_label".to_owned(),
-            });
-        }
-        if class >= self.class_count {
-            return Err(Error::InvalidLabel {
-                message: format!(
-                    "class {class} out of range for {} classes",
-                    self.class_count
-                ),
-            });
-        }
-        let mut target = vec![0.0; self.targets.cols()];
-        target[class] = 1.0;
-        self.observe_target(node, target)
-    }
-
-    fn observe_target(&mut self, node: usize, target: Vec<f64>) -> Result<()> {
-        if node >= self.n_nodes() {
-            return Err(Error::UnknownNode { node });
-        }
-        if self.labeled[node] {
-            return Err(Error::AlreadyLabeled { node });
-        }
-        if let Some(pos) = target.iter().position(|t| !t.is_finite()) {
-            return Err(Error::NonFiniteValue {
-                context: "serve.observe_label target",
-                index: pos,
-            });
-        }
-
-        match self.config.criterion {
-            ServeCriterion::Hard => self.rank1_hard(node, &target)?,
-            ServeCriterion::Soft { .. } => self.rank1_soft(node, &target)?,
+    /// performed; both events are recorded in `step.metrics`.
+    pub(crate) fn observe(
+        &mut self,
+        node: usize,
+        target: &[f64],
+        step: &mut ShardStep<'_>,
+    ) -> Result<()> {
+        let config = step.config;
+        match config.criterion {
+            ServeCriterion::Hard => self.rank1_hard(node, target, step)?,
+            ServeCriterion::Soft { .. } => self.rank1_soft(node, target, step)?,
         }
         self.updates_since_refactor += 1;
-        self.lock_metrics().record_rank1_update();
+        step.metrics.record_rank1_update();
 
-        let periodic = self.config.refactor_every > 0
-            && self.updates_since_refactor >= self.config.refactor_every;
-        if periodic || self.current_residual()? > self.config.residual_tolerance {
+        let periodic =
+            config.refactor_every > 0 && self.updates_since_refactor >= config.refactor_every;
+        if periodic || self.residual(config.criterion)? > config.residual_tolerance {
             // Only the factorization has drifted: the rank-1 bookkeeping
             // above kept `system` and `rhs` exact, so skip reassembly and
             // go straight to factoring the cached system.
-            self.refactor_cached()?;
-            self.lock_metrics().record_guarded_refactor();
+            self.refactor_cached(step)?;
+            step.metrics.record_guarded_refactor();
         }
         strict::check_finite_matrix("serve.observe_label scores", &self.scores)?;
         Ok(())
@@ -398,7 +315,7 @@ impl ServingEngine {
 
     /// Hard-criterion update: delete the labeled node from the cached
     /// `m × m` system via the inverse block-deletion identity.
-    fn rank1_hard(&mut self, node: usize, target: &[f64]) -> Result<()> {
+    fn rank1_hard(&mut self, node: usize, target: &[f64], step: &mut ShardStep<'_>) -> Result<()> {
         let j = self
             .unlabeled
             .iter()
@@ -451,8 +368,8 @@ impl ServingEngine {
             self.unlabeled.remove(j);
             self.system = new_system;
             self.rhs = new_rhs;
-            self.refactor_cached()?;
-            self.lock_metrics().record_factorization();
+            self.refactor_cached(step)?;
+            step.metrics.record_factorization();
             return Ok(());
         };
 
@@ -462,8 +379,8 @@ impl ServingEngine {
             // its inverse, but fall back to a guarded refit rather than
             // dividing by (near-)zero.
             self.unlabeled.remove(j);
-            self.rebuild()?;
-            self.lock_metrics().record_guarded_refactor();
+            self.rebuild(step)?;
+            step.metrics.record_guarded_refactor();
             return Ok(());
         }
 
@@ -491,10 +408,10 @@ impl ServingEngine {
 
     /// Soft-criterion update: `V` gains `e_node e_nodeᵀ`, a textbook
     /// Sherman–Morrison rank-1 perturbation of the full system.
-    fn rank1_soft(&mut self, node: usize, target: &[f64]) -> Result<()> {
-        let total = self.n_nodes();
-        // Defense in depth: the public observe path validates `node`, but
-        // this update writes raw rows, so re-check the bound locally.
+    fn rank1_soft(&mut self, node: usize, target: &[f64], step: &mut ShardStep<'_>) -> Result<()> {
+        let total = self.labeled.len();
+        // Defense in depth: the engine validates `node`, but this update
+        // writes raw rows, so re-check the bound locally.
         if node >= total || target.len() != self.targets.cols() {
             return Err(Error::Internal {
                 message: format!(
@@ -524,8 +441,8 @@ impl ServingEngine {
         let Some(inverse) = &self.inverse else {
             // Iterative backend: no explicit inverse — re-solve the
             // exactly-updated cached system directly.
-            self.refactor_cached()?;
-            self.lock_metrics().record_factorization();
+            self.refactor_cached(step)?;
+            step.metrics.record_factorization();
             return Ok(());
         };
 
@@ -533,8 +450,8 @@ impl ServingEngine {
         if !(denom.abs() > f64::MIN_POSITIVE) {
             // Defensive: for the SPD system V + λL the denominator is
             // strictly greater than 1; never divide by (near-)zero.
-            self.rebuild()?;
-            self.lock_metrics().record_guarded_refactor();
+            self.rebuild(step)?;
+            step.metrics.record_guarded_refactor();
             return Ok(());
         }
 
@@ -559,49 +476,44 @@ impl ServingEngine {
 
     /// Rebuilds and refactors the cached system from scratch for the
     /// current labeled set, discarding accumulated rank-1 drift. Counted
-    /// as a factorization in [`ServingEngine::metrics`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Linalg`] when the rebuilt system cannot be
-    /// factored.
-    pub fn refit(&mut self) -> Result<()> {
-        self.rebuild()?;
-        self.lock_metrics().record_factorization();
+    /// as a factorization.
+    pub(crate) fn refit(&mut self, step: &mut ShardStep<'_>) -> Result<()> {
+        self.rebuild(step)?;
+        step.metrics.record_factorization();
         Ok(())
     }
 
     /// Factors a criterion system through the configured solver route, on
-    /// the engine's executor (factors are bit-identical at any worker
+    /// the step's executor (factors are bit-identical at any worker
     /// count, so this never perturbs served scores).
-    fn factor_system(&self, system: &Matrix) -> Result<SolverBackend> {
-        match (&self.config.solver, self.config.criterion) {
+    fn factor_system(system: &Matrix, step: &ShardStep<'_>) -> Result<SolverBackend> {
+        match (&step.config.solver, step.config.criterion) {
             // Legacy direct route: Cholesky for the SPD hard block, LU for
             // the soft full system, byte-for-byte the historical behavior.
             (EngineSolver::Direct, ServeCriterion::Hard) => Ok(SolverBackend::Cholesky(
-                Cholesky::factor_with(system, &self.executor)?,
+                Cholesky::factor_with(system, step.executor)?,
             )),
             (EngineSolver::Direct, ServeCriterion::Soft { .. }) => {
-                Ok(SolverBackend::Lu(Lu::factor_with(system, &self.executor)?))
+                Ok(SolverBackend::Lu(Lu::factor_with(system, step.executor)?))
             }
             // Both criterion systems are SPD (the hard block by anchored
             // diagonal dominance, V + λL by construction), so the policy's
             // SPD route applies to either.
             (EngineSolver::Auto(policy), _) => Ok(policy
                 .clone()
-                .with_executor(self.executor.clone())
+                .with_executor(step.executor.clone())
                 .factor_spd(system)?),
         }
     }
 
     /// Full rebuild: reassemble the criterion system and right-hand side
-    /// from the graph for the current labeled set, then factor and solve.
-    fn rebuild(&mut self) -> Result<()> {
-        match self.config.criterion {
+    /// from the weights for the current labeled set, then factor and solve.
+    fn rebuild(&mut self, step: &mut ShardStep<'_>) -> Result<()> {
+        match step.config.criterion {
             ServeCriterion::Hard => self.assemble_hard(),
             ServeCriterion::Soft { lambda } => self.assemble_soft(lambda)?,
         }
-        self.refactor_cached()
+        self.refactor_cached(step)
     }
 
     /// Factors the *already assembled* cached system and re-solves the
@@ -609,19 +521,19 @@ impl ServingEngine {
     /// the explicit inverse. This is the guarded-fallback path: rank-1
     /// bookkeeping keeps `system`/`rhs` exact, so when only the
     /// factorization has drifted there is nothing to reassemble.
-    fn refactor_cached(&mut self) -> Result<()> {
+    fn refactor_cached(&mut self, step: &mut ShardStep<'_>) -> Result<()> {
         let k = self.targets.cols();
-        match self.config.criterion {
+        match step.config.criterion {
             ServeCriterion::Hard => {
                 let m = self.unlabeled.len();
                 if m == 0 {
                     self.inverse = None;
                 } else {
-                    let backend = self.factor_system(&self.system)?;
+                    let backend = Self::factor_system(&self.system, step)?;
                     let solution = backend.solve_matrix(&self.rhs)?;
                     // After the solve so iterative backends report their
                     // iteration count and final residual.
-                    self.lock_metrics().record_factor_report(backend.report());
+                    step.metrics.record_factor_report(backend.report());
                     self.inverse = if backend.kind().is_iterative() {
                         None
                     } else {
@@ -635,9 +547,9 @@ impl ServingEngine {
                 }
             }
             ServeCriterion::Soft { .. } => {
-                let backend = self.factor_system(&self.system)?;
+                let backend = Self::factor_system(&self.system, step)?;
                 self.scores = backend.solve_matrix(&self.rhs)?;
-                self.lock_metrics().record_factor_report(backend.report());
+                step.metrics.record_factor_report(backend.report());
                 self.inverse = if backend.kind().is_iterative() {
                     None
                 } else {
@@ -655,7 +567,7 @@ impl ServingEngine {
     fn assemble_hard(&mut self) {
         let k = self.targets.cols();
         let m = self.unlabeled.len();
-        let total = self.n_nodes();
+        let total = self.labeled.len();
 
         for i in 0..total {
             if self.labeled[i] {
@@ -693,7 +605,7 @@ impl ServingEngine {
     /// right-hand side into the cache (no factorization).
     fn assemble_soft(&mut self, lambda: f64) -> Result<()> {
         let k = self.targets.cols();
-        let total = self.n_nodes();
+        let total = self.labeled.len();
 
         let l = laplacian(&self.weights, LaplacianKind::Unnormalized)?;
         let mut system = l.map(|x| lambda * x);
@@ -715,17 +627,8 @@ impl ServingEngine {
     /// quantity the post-update guard compares against
     /// `residual_tolerance`. Zero (up to factorization accuracy) right
     /// after a refit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Linalg`] on a dimension mismatch (an internal
-    /// invariant violation).
-    pub fn residual(&self) -> Result<f64> {
-        self.current_residual()
-    }
-
-    fn current_residual(&self) -> Result<f64> {
-        match self.config.criterion {
+    pub(crate) fn residual(&self, criterion: ServeCriterion) -> Result<f64> {
+        match criterion {
             ServeCriterion::Hard => {
                 let m = self.unlabeled.len();
                 if m == 0 {
@@ -740,224 +643,13 @@ impl ServingEngine {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Accessors
-    // ------------------------------------------------------------------
-
-    /// Number of nodes in the fitted graph.
-    pub fn n_nodes(&self) -> usize {
-        self.labeled.len()
-    }
-
-    /// Input dimension the engine was fitted on.
-    pub fn dim(&self) -> usize {
-        self.graph.dim()
-    }
-
-    /// Number of nodes whose label has been observed.
-    pub fn n_labeled(&self) -> usize {
-        self.labeled.iter().filter(|&&b| b).count()
-    }
-
-    /// Number of still-unlabeled nodes.
-    pub fn n_unlabeled(&self) -> usize {
-        self.unlabeled.len()
-    }
-
-    /// Number of classes (2 for a binary engine).
-    pub fn class_count(&self) -> usize {
-        self.class_count
-    }
-
-    /// Whether the engine was fitted with one-vs-rest multiclass targets.
-    pub fn is_multiclass(&self) -> bool {
-        self.multiclass
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Worker count of the engine's executor (1 when sequential).
-    pub fn workers(&self) -> usize {
-        self.executor.workers()
-    }
-
-    /// The shared executor driving assembly, factorization and batch
-    /// prediction.
-    pub fn executor(&self) -> &Executor {
-        &self.executor
-    }
-
-    /// The fitted kernel graph (points, kernel, bandwidth).
-    pub fn graph(&self) -> &KernelGraph {
-        &self.graph
-    }
-
-    /// Current fitted scores for all nodes (`N × k`, one column per
-    /// class; a binary engine has a single column).
-    pub fn scores(&self) -> &Matrix {
-        &self.scores
-    }
-
-    /// Convenience: the binary score of one fitted node.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidLabel`] on a multiclass engine,
-    /// [`Error::UnknownNode`] for an out-of-range index.
-    pub fn score(&self, node: usize) -> Result<f64> {
-        if self.multiclass {
-            return Err(Error::InvalidLabel {
-                message: "score() is binary-only; use scores() for multiclass".to_owned(),
-            });
-        }
-        if node >= self.n_nodes() {
-            return Err(Error::UnknownNode { node });
-        }
-        Ok(self.scores.get(node, 0))
-    }
-
-    /// Snapshot of the engine's latency/throughput counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.lock_metrics().snapshot()
-    }
-
-    fn lock_metrics(&self) -> MutexGuard<'_, ServeMetrics> {
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    // ------------------------------------------------------------------
-    // Snapshot plumbing (crate-internal)
-    // ------------------------------------------------------------------
-
-    /// Per-node observed-label mask (all `N` nodes).
-    pub(crate) fn labeled_mask(&self) -> &[bool] {
-        &self.labeled
-    }
-
-    /// Observed targets, `N × k` (unlabeled rows are zero).
-    pub(crate) fn targets_matrix(&self) -> &Matrix {
-        &self.targets
-    }
-
-    /// Global indices of the still-unlabeled nodes, in cached-system order.
-    pub(crate) fn unlabeled_indices(&self) -> &[usize] {
-        &self.unlabeled
-    }
-
-    /// The cached criterion system.
-    pub(crate) fn system_matrix(&self) -> &Matrix {
-        &self.system
-    }
-
-    /// The cached explicit inverse, when the backend keeps one.
-    pub(crate) fn inverse_matrix(&self) -> Option<&Matrix> {
-        self.inverse.as_ref()
-    }
-
-    /// The cached right-hand side.
-    pub(crate) fn rhs_matrix(&self) -> &Matrix {
-        &self.rhs
-    }
-
-    /// Rank-1 updates folded since the last full refactorization.
-    pub(crate) fn updates_since_refactor(&self) -> usize {
-        self.updates_since_refactor
-    }
-
-    /// Rehydrates an engine from snapshot state **without factoring**:
-    /// the kernel graph, weight matrix and degree vector are recomputed
-    /// from the points (cheap `O(n²·d)` assembly), while the expensive
-    /// cached factorization artifacts (`system`, `inverse`, `rhs`,
-    /// `scores`) are restored verbatim. This is the cold-start path that
-    /// makes snapshot restore beat a refit.
-    ///
-    /// The caller (the snapshot codec) is trusted to pass shapes that are
-    /// mutually consistent; the strict sanitizer still guards the scores.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_snapshot_parts(
-        points: &Matrix,
-        config: EngineConfig,
-        multiclass: bool,
-        class_count: usize,
-        labeled: Vec<bool>,
-        targets: Matrix,
-        unlabeled: Vec<usize>,
-        system: Matrix,
-        inverse: Option<Matrix>,
-        rhs: Matrix,
-        scores: Matrix,
-        updates_since_refactor: usize,
-    ) -> Result<Self> {
-        config.validate()?;
-        let executor = Executor::with_workers(config.workers);
-        let graph = KernelGraph::fit(points.clone(), config.kernel, config.bandwidth)?;
-        let index = if config.query_path == QueryPath::Dense {
-            None
-        } else {
-            Some(SpatialIndex::build(points)?)
-        };
-        let weights = graph.weights_with(&executor)?;
-        // Same reduction as `Problem::degrees` on a dense weight matrix,
-        // so restored degrees are bit-identical to the fitted ones.
-        let degrees = weights.row_sums();
-        strict::check_finite_matrix("serve snapshot scores", &scores)?;
-        Ok(ServingEngine {
-            config,
-            graph,
-            weights,
-            degrees,
-            multiclass,
-            class_count,
-            labeled,
-            targets,
-            unlabeled,
-            system,
-            inverse,
-            rhs,
-            scores,
-            index,
-            executor,
-            updates_since_refactor,
-            metrics: Mutex::new(ServeMetrics::default()),
-        })
-    }
-}
-
-impl Clone for ServingEngine {
-    /// Deep-copies the fitted state (the epoch-swap path clones the
-    /// affected shard before folding a label into it). The metrics
-    /// counters are copied at their current values; the `Mutex` itself is
-    /// fresh.
-    fn clone(&self) -> Self {
-        ServingEngine {
-            config: self.config.clone(),
-            graph: self.graph.clone(),
-            weights: self.weights.clone(),
-            degrees: self.degrees.clone(),
-            multiclass: self.multiclass,
-            class_count: self.class_count,
-            labeled: self.labeled.clone(),
-            targets: self.targets.clone(),
-            unlabeled: self.unlabeled.clone(),
-            system: self.system.clone(),
-            inverse: self.inverse.clone(),
-            rhs: self.rhs.clone(),
-            scores: self.scores.clone(),
-            index: self.index.clone(),
-            executor: self.executor.clone(),
-            updates_since_refactor: self.updates_since_refactor,
-            metrics: Mutex::new(self.lock_metrics().clone()),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::QueryPath;
+    use crate::types::{Prediction, QueryPoint};
     use gssl_graph::Kernel;
 
     fn line_points(total: usize) -> Matrix {
@@ -966,31 +658,6 @@ mod tests {
 
     fn hard_config() -> EngineConfig {
         EngineConfig::new(Kernel::Gaussian, 0.8).workers(1)
-    }
-
-    #[test]
-    fn fit_validates_inputs() {
-        let points = line_points(4);
-        assert!(matches!(
-            ServingEngine::fit(&points, &[], hard_config()),
-            Err(Error::InvalidLabel { .. })
-        ));
-        assert!(matches!(
-            ServingEngine::fit(&points, &[0.0; 5], hard_config()),
-            Err(Error::InvalidLabel { .. })
-        ));
-        assert!(matches!(
-            ServingEngine::fit(&points, &[f64::NAN], hard_config()),
-            Err(Error::NonFiniteValue { .. })
-        ));
-        assert!(matches!(
-            ServingEngine::fit_multiclass(&points, &[0, 1], 1, hard_config()),
-            Err(Error::InvalidLabel { .. })
-        ));
-        assert!(matches!(
-            ServingEngine::fit_multiclass(&points, &[0, 7], 3, hard_config()),
-            Err(Error::InvalidLabel { .. })
-        ));
     }
 
     #[test]
@@ -1071,40 +738,8 @@ mod tests {
     }
 
     #[test]
-    fn observe_label_bookkeeping_and_errors() {
-        let mut engine = ServingEngine::fit(&line_points(5), &[0.0, 1.0], hard_config()).unwrap();
-        assert_eq!(engine.n_labeled(), 2);
-        assert_eq!(engine.n_unlabeled(), 3);
-        assert!(matches!(
-            engine.observe_label(99, 1.0),
-            Err(Error::UnknownNode { node: 99 })
-        ));
-        assert!(matches!(
-            engine.observe_label(0, 1.0),
-            Err(Error::AlreadyLabeled { node: 0 })
-        ));
-        assert!(matches!(
-            engine.observe_label(3, f64::INFINITY),
-            Err(Error::NonFiniteValue { .. })
-        ));
-        assert!(matches!(
-            engine.observe_class_label(3, 0),
-            Err(Error::InvalidLabel { .. })
-        ));
-        engine.observe_label(3, 1.0).unwrap();
-        assert_eq!(engine.n_labeled(), 3);
-        assert_eq!(engine.n_unlabeled(), 2);
-        assert_eq!(engine.score(3).unwrap(), 1.0);
-        assert!(matches!(
-            engine.observe_label(3, 0.0),
-            Err(Error::AlreadyLabeled { node: 3 })
-        ));
-        assert_eq!(engine.metrics().rank1_updates, 1);
-    }
-
-    #[test]
     fn labeling_every_node_empties_the_system() {
-        let mut engine = ServingEngine::fit(&line_points(4), &[0.0, 1.0], hard_config()).unwrap();
+        let engine = ServingEngine::fit(&line_points(4), &[0.0, 1.0], hard_config()).unwrap();
         engine.observe_label(2, 1.0).unwrap();
         engine.observe_label(3, 0.0).unwrap();
         assert_eq!(engine.n_unlabeled(), 0);
@@ -1123,7 +758,7 @@ mod tests {
     #[test]
     fn periodic_refactor_fallback_triggers() {
         let config = hard_config().refactor_every(1);
-        let mut engine = ServingEngine::fit(&line_points(6), &[0.0, 1.0], config).unwrap();
+        let engine = ServingEngine::fit(&line_points(6), &[0.0, 1.0], config).unwrap();
         engine.observe_label(2, 1.0).unwrap();
         engine.observe_label(4, 0.0).unwrap();
         let m = engine.metrics();
@@ -1134,7 +769,7 @@ mod tests {
 
     #[test]
     fn explicit_refit_is_counted_and_idempotent() {
-        let mut engine = ServingEngine::fit(&line_points(5), &[0.0, 1.0], hard_config()).unwrap();
+        let engine = ServingEngine::fit(&line_points(5), &[0.0, 1.0], hard_config()).unwrap();
         let before = engine.scores().clone();
         engine.refit().unwrap();
         assert!(engine.scores().approx_eq(&before, 1e-12));
@@ -1158,7 +793,7 @@ mod tests {
             ..gssl_linalg::SolverPolicy::default()
         };
         let config = hard_config().solver(EngineSolver::Auto(policy));
-        let mut engine = ServingEngine::fit(&line_points(6), &[0.0, 1.0], config).unwrap();
+        let engine = ServingEngine::fit(&line_points(6), &[0.0, 1.0], config).unwrap();
         let report = engine.metrics().last_factor.expect("fit factors once");
         assert!(report.backend.is_iterative());
         assert!(report.iterations.unwrap() >= 1);
@@ -1170,44 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn multiclass_predictions_argmax_one_hot_targets() {
-        // Three well-separated 1-D clusters, one labeled point each.
-        let coords: Vec<f64> = vec![0.0, 10.0, 20.0, 0.3, 10.3, 19.7];
-        let points = Matrix::from_fn(6, 1, |i, _| coords[i]);
-        let config = EngineConfig::new(Kernel::Gaussian, 1.0).workers(1);
-        let mut engine = ServingEngine::fit_multiclass(&points, &[0, 1, 2], 3, config).unwrap();
-        assert!(engine.is_multiclass());
-        assert_eq!(engine.class_count(), 3);
-        assert!(engine.score(0).is_err());
-        let out = engine
-            .predict_batch(&[
-                QueryPoint::new(vec![0.1]),
-                QueryPoint::new(vec![10.1]),
-                QueryPoint::new(vec![19.9]),
-            ])
-            .unwrap();
-        assert_eq!(out[0].class, 0);
-        assert_eq!(out[1].class, 1);
-        assert_eq!(out[2].class, 2);
-        for p in &out {
-            assert_eq!(p.per_class.len(), 3);
-            assert!((p.score - p.per_class[p.class]).abs() < 1e-15);
-        }
-        // Streaming a class label works and clamps the one-hot row.
-        engine.observe_class_label(5, 2).unwrap();
-        assert_eq!(engine.scores().get(5, 2), 1.0);
-        assert_eq!(engine.scores().get(5, 0), 0.0);
-        assert!(matches!(
-            engine.observe_class_label(4, 9),
-            Err(Error::InvalidLabel { .. })
-        ));
-        assert!(matches!(
-            engine.observe_label(4, 1.0),
-            Err(Error::InvalidLabel { .. })
-        ));
-    }
-
-    #[test]
     fn auto_solver_matches_direct_route() {
         // Small dense Gaussian graph: the policy picks Cholesky for the
         // hard criterion, so Auto and Direct must agree to rounding.
@@ -1216,13 +813,12 @@ mod tests {
         let direct = ServingEngine::fit(&points, &labels, hard_config()).unwrap();
         let auto_cfg =
             hard_config().solver(EngineSolver::Auto(gssl_linalg::SolverPolicy::default()));
-        let mut auto = ServingEngine::fit(&points, &labels, auto_cfg).unwrap();
-        assert!(auto.scores().approx_eq(direct.scores(), 1e-10));
+        let auto = ServingEngine::fit(&points, &labels, auto_cfg).unwrap();
+        assert!(auto.scores().approx_eq(&direct.scores(), 1e-10));
 
-        let mut direct = direct;
         direct.observe_label(4, 1.0).unwrap();
         auto.observe_label(4, 1.0).unwrap();
-        assert!(auto.scores().approx_eq(direct.scores(), 1e-10));
+        assert!(auto.scores().approx_eq(&direct.scores(), 1e-10));
     }
 
     #[test]
@@ -1235,18 +831,18 @@ mod tests {
                 .criterion(ServeCriterion::Soft { lambda: 0.3 })
                 .solver(solver)
         };
-        let mut direct = ServingEngine::fit(&points, &labels, soft(EngineSolver::Direct)).unwrap();
-        let mut auto = ServingEngine::fit(
+        let direct = ServingEngine::fit(&points, &labels, soft(EngineSolver::Direct)).unwrap();
+        let auto = ServingEngine::fit(
             &points,
             &labels,
             soft(EngineSolver::Auto(gssl_linalg::SolverPolicy::default())),
         )
         .unwrap();
         // Direct uses LU, Auto routes the SPD system through Cholesky.
-        assert!(auto.scores().approx_eq(direct.scores(), 1e-8));
+        assert!(auto.scores().approx_eq(&direct.scores(), 1e-8));
         direct.observe_label(5, 0.0).unwrap();
         auto.observe_label(5, 0.0).unwrap();
-        assert!(auto.scores().approx_eq(direct.scores(), 1e-8));
+        assert!(auto.scores().approx_eq(&direct.scores(), 1e-8));
     }
 
     #[test]
@@ -1260,15 +856,14 @@ mod tests {
         let config = EngineConfig::new(Kernel::Boxcar, 0.35).workers(1);
         let direct = ServingEngine::fit(&points, &labels, config.clone()).unwrap();
         let auto_cfg = config.solver(EngineSolver::Auto(gssl_linalg::SolverPolicy::default()));
-        let mut auto = ServingEngine::fit(&points, &labels, auto_cfg).unwrap();
-        assert!(auto.scores().approx_eq(direct.scores(), 1e-6));
+        let auto = ServingEngine::fit(&points, &labels, auto_cfg).unwrap();
+        assert!(auto.scores().approx_eq(&direct.scores(), 1e-6));
 
         // Label arrival without an inverse: the exactly-maintained system
         // is re-solved and stays consistent with the direct twin.
-        let mut direct = direct;
         direct.observe_label(70, 1.0).unwrap();
         auto.observe_label(70, 1.0).unwrap();
-        assert!(auto.scores().approx_eq(direct.scores(), 1e-6));
+        assert!(auto.scores().approx_eq(&direct.scores(), 1e-6));
         assert!(auto.residual().unwrap() < 1e-6);
     }
 
@@ -1278,18 +873,18 @@ mod tests {
         // update; the fallback factors the rank-1-maintained cached
         // system without reassembly, so it must agree with an explicitly
         // refitted twin to tight tolerance.
-        let mut engine = ServingEngine::fit(
+        let engine = ServingEngine::fit(
             &line_points(7),
             &[0.0, 1.0],
             hard_config().refactor_every(1),
         )
         .unwrap();
-        let mut twin = ServingEngine::fit(&line_points(7), &[0.0, 1.0], hard_config()).unwrap();
+        let twin = ServingEngine::fit(&line_points(7), &[0.0, 1.0], hard_config()).unwrap();
         for (node, y) in [(3, 1.0), (5, 0.0)] {
             engine.observe_label(node, y).unwrap();
             twin.observe_label(node, y).unwrap();
             twin.refit().unwrap();
-            assert!(engine.scores().approx_eq(twin.scores(), 1e-10));
+            assert!(engine.scores().approx_eq(&twin.scores(), 1e-10));
         }
     }
 

@@ -1,15 +1,14 @@
-//! The out-of-sample query plane: Eq. 6 evaluation shared by every
-//! engine flavor.
+//! The out-of-sample query plane: Eq. 6 evaluation over the engine's
+//! global score matrix.
 //!
-//! Both the monolithic [`crate::ServingEngine`] and the shard-decomposed
-//! [`crate::ShardedEngine`] answer queries by borrowing a [`QueryPlane`]
-//! over `(graph, index, scores, config)` and running *this* code — one
-//! implementation, two owners. That sharing is what makes the sharded
-//! engine's predictions bitwise-identical to the monolithic engine's:
-//! the kernel row of Eq. 6 spans **all** `N` fitted nodes (it is not
-//! block-diagonal across graph components, unlike the criterion
-//! systems), so prediction must always run over the globally assembled
-//! score matrix, and it does so through the exact same loops here.
+//! [`crate::ShardedEngine`] answers queries by borrowing a [`QueryPlane`]
+//! over `(graph, index, scores, config)` and running *this* code,
+//! whatever its shard plan. That is what makes component-plan predictions
+//! bitwise-identical to the one-shard plan's: the kernel row of Eq. 6
+//! spans **all** `N` fitted nodes (it is not block-diagonal across graph
+//! components, unlike the criterion systems), so prediction always runs
+//! over the globally assembled score matrix, through the exact same loops
+//! here.
 
 use crate::config::{EngineConfig, QueryPath};
 use crate::error::{Error, Result};
@@ -38,7 +37,7 @@ pub(crate) struct QueryPlane<'a> {
 }
 
 /// A scored batch plus its latency accounting, handed back to the owning
-/// engine so each engine records its own metrics.
+/// engine, which records it in its metrics.
 pub(crate) struct BatchOutcome {
     /// One prediction per query, in input order.
     pub predictions: Vec<Prediction>,
@@ -50,7 +49,7 @@ pub(crate) struct BatchOutcome {
 
 impl QueryPlane<'_> {
     /// Scores a batch of out-of-sample queries, sharded across
-    /// `executor`; see [`crate::ServingEngine::predict_batch`] for the
+    /// `executor`; see [`crate::ShardedEngine::predict_batch`] for the
     /// user-facing contract this implements.
     /// hot
     /// complexity: O(b * n * c)

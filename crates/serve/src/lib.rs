@@ -9,14 +9,11 @@
 //!    paper shows the graph solution converges to the Nadaraya–Watson
 //!    kernel regressor, which justifies the extension (Eq. 6)
 //!    `f(x) = Σᵢ w(x, xᵢ) fᵢ / Σᵢ w(x, xᵢ)` — an `O(N·d)` weighted
-//!    average over the fitted scores, no linear solve involved. The
-//!    evaluation lives in one place ([`mod@crate::extend`]) shared by
-//!    every engine flavor.
+//!    average over the fitted scores, no linear solve involved.
 //! 2. **Streaming labels.** When a previously unlabeled vertex reveals
 //!    its label, the criterion system changes by exactly rank one, so the
 //!    cached inverse is repaired with a Sherman–Morrison-family update in
-//!    quadratic time instead of a cubic refit (details in
-//!    [`mod@crate::engine`]).
+//!    quadratic time instead of a cubic refit.
 //! 3. **Throughput.** Queries are independent reads of shared fitted
 //!    state; the engine shards batches across workers through the shared
 //!    [`Executor`] from [`gssl_runtime`] (dependency-free,
@@ -24,26 +21,23 @@
 //!    latency and sustained throughput via the [`gssl_stats`] descriptive
 //!    machinery.
 //!
-//! Two engines implement this contract:
+//! One engine implements this contract: [`ShardedEngine`]. Both
+//! criterion systems are block-diagonal across connected components of
+//! the kernel graph ([`mod@crate::shard`]), so each component is fitted
+//! as an independent task with its own cached factorization, label folds
+//! rebuild only the affected shard behind an epoch snapshot/swap
+//! ([`mod@crate::sharded`]), and the full fitted state round-trips
+//! through a versioned binary snapshot ([`mod@crate::snapshot`]) for
+//! factorization-free cold starts. [`ServingEngine`] fits the same
+//! engine on one shard that holds every node — the monolithic reference
+//! that component-plan predictions match bit for bit under the direct
+//! solver route.
 //!
-//! * [`ServingEngine`] — the monolithic reference: one criterion system,
-//!   one cached factorization.
-//! * [`ShardedEngine`] — the component-decomposed production engine:
-//!   both criterion systems are block-diagonal across connected
-//!   components of the kernel graph ([`mod@crate::shard`]), so each
-//!   component is fitted as an independent task, label folds rebuild
-//!   only the affected shard behind an epoch snapshot/swap
-//!   ([`mod@crate::sharded`]), and the full fitted state round-trips
-//!   through a versioned binary snapshot ([`mod@crate::snapshot`]) for
-//!   factorization-free cold starts. Its predictions are
-//!   bitwise-identical to the monolithic engine's under the direct
-//!   solver route.
-//!
-//! In front of either engine, [`BatchQueue`] ([`mod@crate::batch`])
+//! In front of the engine, [`BatchQueue`] ([`mod@crate::batch`])
 //! coalesces individual requests into size/deadline-bounded batches with
 //! admission control for overload shedding.
 //!
-//! [`ServingEngine::fit`] builds the kernel graph and the criterion
+//! [`ShardedEngine::fit`] builds the kernel graph and the criterion
 //! problem internally from raw points (labeled first), so callers hand
 //! over coordinates once and then only exchange queries and labels.
 //!
@@ -60,8 +54,9 @@
 pub mod batch;
 /// Engine configuration: criterion, kernel parameters, update policy.
 pub mod config;
-/// The fit-once, query-many serving engine and its rank-1 update math.
-pub mod engine;
+/// One shard's fitted state and its rank-1 update math, plus the
+/// one-shard `ServingEngine` entry point.
+pub(crate) mod engine;
 /// Error type for the serving boundary.
 pub mod error;
 /// The shared out-of-sample (Eq. 6) query plane.
@@ -70,11 +65,11 @@ pub(crate) mod extend;
 pub mod metrics;
 /// Component-based shard decomposition of the fitted graph.
 pub mod shard;
-/// The shard-decomposed engine with epoch snapshot/swap label folding.
+/// The serving engine: shard tasks, epoch snapshot/swap label folding.
 pub mod sharded;
 /// Versioned binary snapshot/restore of a fitted sharded engine.
 pub mod snapshot;
-/// Query/prediction value types shared by every engine flavor.
+/// Query/prediction value types exchanged with the engine.
 pub mod types;
 
 pub use batch::{Admission, BatchPolicy, BatchQueue, CoalescedBatch};

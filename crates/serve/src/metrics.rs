@@ -13,16 +13,16 @@ use gssl_stats::describe::{quantile, Summary};
 /// Monotone counters and latency samples accumulated by one engine.
 ///
 /// Snapshots are cheap value types; the engine hands them out through
-/// [`crate::ServingEngine::metrics`] so callers never observe a lock.
+/// [`crate::ShardedEngine::metrics`] so callers never observe a lock.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Queries answered since the engine was fitted.
     pub queries: usize,
     /// `predict_batch` calls since the engine was fitted.
     pub batches: usize,
-    /// Matrix factorizations performed (1 after `fit`; grows only when a
-    /// label update triggers the guarded full refactor — never on the
-    /// query path).
+    /// Matrix factorizations performed (one per shard after `fit`; grows
+    /// when a label fold refactors or re-solves, and on `refit` — never
+    /// on the query path).
     pub factorizations: usize,
     /// Sherman–Morrison rank-1 label updates applied to the cached
     /// factorization.
@@ -125,6 +125,20 @@ impl ServeMetrics {
         self.snapshot.queries += latencies.len();
         self.snapshot.latencies.extend_from_slice(latencies);
         self.snapshot.batch_seconds += batch_seconds;
+    }
+
+    /// Adds what a shard step did — factorizations, rank-1 updates,
+    /// guarded refactors — to these counters; the step's factor report,
+    /// if it factored, is the latest. A step answers no queries, so it
+    /// carries no latency samples.
+    pub(crate) fn merge(&mut self, step: ServeMetrics) {
+        let (mine, step) = (&mut self.snapshot, step.snapshot);
+        mine.factorizations += step.factorizations;
+        mine.rank1_updates += step.rank1_updates;
+        mine.guarded_refactors += step.guarded_refactors;
+        if step.last_factor.is_some() {
+            mine.last_factor = step.last_factor;
+        }
     }
 
     /// Value snapshot of the current counters.

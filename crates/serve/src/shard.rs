@@ -14,11 +14,12 @@
 //! module docs of [`crate::sharded`] for the proof obligations).
 //!
 //! A plan comes from one of two edge sources with one grouping routine:
-//! [`ShardPlan::from_graph`] finds the components of a [`KernelGraph`]
-//! through a spatial index, in `O(N·k)` time and `O(N)` memory, and is
-//! what [`crate::ShardedEngine`] fits from; [`ShardPlan::new`] reads a
-//! dense `N × N` weight matrix and stays as the reference the graph
-//! route is tested against.
+//! [`ShardPlan::from_graph`] finds the components of a
+//! [`KernelGraph`](gssl_graph::KernelGraph) through a spatial index, in
+//! `O(N·k)` time and `O(N)` memory, and is what [`crate::ShardedEngine`]
+//! fits from; [`ShardPlan::new`] reads a dense `N × N` weight matrix and
+//! stays as the reference the graph route is tested against. The
+//! monolithic [`crate::ServingEngine`] fits on the plan with one shard.
 
 use crate::error::{Error, Result};
 use gssl_graph::{component_partition, KernelGraph};
@@ -143,6 +144,18 @@ impl ShardPlan {
         check_labeled(n_labeled, graph.len())?;
         let partition = graph.component_partition(index)?;
         Ok(Self::from_partition(partition, graph.len(), n_labeled))
+    }
+
+    /// The plan with one shard that holds every node: the monolithic
+    /// engine's plan, which needs no component search.
+    pub(crate) fn single(n_nodes: usize, n_labeled: usize) -> Self {
+        ShardPlan {
+            shards: vec![Shard {
+                members: (0..n_nodes).collect(),
+                n_labeled,
+            }],
+            node_to_shard: vec![0; n_nodes],
+        }
     }
 
     /// Assembles the plan from a canonical partition of `n_nodes`

@@ -1,5 +1,5 @@
-//! The shard-decomposed serving engine: per-component fitting, epoch
-//! snapshot/swap label folding, global Eq. 6 querying.
+//! The serving engine: per-component fitting, epoch snapshot/swap label
+//! folding, global Eq. 6 querying.
 //!
 //! # Why sharding is exact
 //!
@@ -10,15 +10,15 @@
 //! zeros into a non-negative accumulator never changes its bits, so the
 //! full-graph degrees, the per-block right-hand sides, and the dense
 //! factorization recurrences all produce bit-identical values whether
-//! the zeros are present (monolithic, interleaved system) or absent
-//! (per-shard systems). The kernel row of the out-of-sample extension is
-//! **not** block-diagonal — a Gaussian query sees every node — so
-//! prediction runs over the globally reassembled score matrix through
-//! the same [`crate::extend::QueryPlane`] code path as the monolithic
-//! engine. Net: [`ShardedEngine`] predictions are bitwise-identical to
-//! [`ServingEngine`] under the direct solver route (iterative backends
-//! have a *global* stopping criterion, so they agree only to solver
-//! tolerance).
+//! the zeros are present (one shard holding every node, an interleaved
+//! system) or absent (one shard per component). The kernel row of the
+//! out-of-sample extension is **not** block-diagonal — a Gaussian query
+//! sees every node — so prediction runs over the globally reassembled
+//! score matrix, whatever the plan. Net: component-plan predictions are
+//! bitwise-identical to the one-shard plan's
+//! ([`ServingEngine`](crate::ServingEngine)) under the direct solver
+//! route (iterative backends stop on a per-system criterion, so they
+//! agree only to solver tolerance).
 //!
 //! # Fitting without the global matrix
 //!
@@ -30,10 +30,11 @@
 //! test on the same distance bits, so the plan equals
 //! `ShardPlan::new(&graph.weights()?, n)` exactly. The same index then
 //! serves the index-backed query paths. Anchoring is read off the plan: a
-//! shard with no labeled member fails the fit with the monolithic
-//! engine's [`gssl::Error::UnanchoredUnlabeled`], before any shard is
-//! fitted. No check is lost: [`KernelGraph::fit`] validates coordinates
-//! and bandwidth, and each shard's fit still validates and
+//! shard with no labeled member fails the fit with the one-shard plan's
+//! [`gssl::Error::UnanchoredUnlabeled`], before any shard is
+//! fitted. No check is lost:
+//! [`KernelGraph::fit`](gssl_graph::KernelGraph::fit) validates
+//! coordinates and bandwidth, and each shard's fit still validates and
 //! anchor-checks its own weight block, which holds every nonzero weight
 //! of its members. Fit cost is `O(N·k)` for the plan (`k` = nodes per
 //! support ball) plus `O(s³)` per shard of `s` nodes, and memory is
@@ -42,46 +43,44 @@
 //! # Epoch protocol
 //!
 //! Readers never block on writers. The fitted state lives in an
-//! immutable [`EpochModel`] behind `RwLock<Arc<_>>`; `predict_batch`
-//! clones the `Arc` under a brief read lock and serves the whole batch
-//! from that pinned epoch. A label fold takes the single writer mutex,
-//! deep-clones *only the affected shard's engine*, folds the rank-1
-//! update into the clone, reassembles a fresh global score matrix, and
-//! publishes a new epoch whose unaffected shards share the previous
-//! epoch's engines by `Arc`. In-flight batches keep serving the old
-//! epoch until they finish; the swap is a pointer store.
+//! immutable epoch (the shard models plus the global scores) behind
+//! `RwLock<Arc<_>>`; `predict_batch` clones the `Arc` under a brief read
+//! lock and serves the whole batch from that pinned epoch. A label fold
+//! takes the single writer mutex, deep-clones *only the affected shard*,
+//! folds the rank-1 update into the clone, reassembles a fresh global
+//! score matrix, and publishes a new epoch whose unaffected shards share
+//! the previous epoch's models by `Arc`. In-flight batches keep serving
+//! the old epoch until they finish; the swap is a pointer store.
 
-use crate::config::EngineConfig;
-use crate::engine::ServingEngine;
+use crate::config::{EngineConfig, QueryPath};
+use crate::engine::{ShardModel, ShardStep};
 use crate::error::{Error, Result};
 use crate::extend::QueryPlane;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::shard::ShardPlan;
+use crate::shard::{Shard, ShardPlan};
 use crate::types::{Prediction, QueryPoint};
 use gssl_graph::KernelGraph;
 use gssl_index::{NeighborSearch, SpatialIndex};
-use gssl_linalg::Matrix;
+use gssl_linalg::{strict, Matrix};
 use gssl_runtime::Executor;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use crate::config::QueryPath;
-
-/// One immutable published generation of the fitted state: the per-shard
-/// engines plus the globally reassembled score matrix they imply.
+/// One immutable published generation of the fitted state: the shard
+/// models plus the globally reassembled score matrix they imply.
 #[derive(Debug)]
 pub(crate) struct EpochModel {
-    /// Monotone epoch counter (1 after fit, +1 per fold).
+    /// Monotone epoch counter (1 after fit, +1 per fold or refit).
     pub(crate) id: u64,
-    /// One fitted engine per shard, in plan order. Unchanged shards are
+    /// One fitted model per shard, in plan order. Unchanged shards are
     /// shared with the previous epoch via `Arc`.
-    pub(crate) engines: Vec<Arc<ServingEngine>>,
-    /// Global `N × k` scores scattered from the shard engines.
+    pub(crate) shards: Vec<Arc<ShardModel>>,
+    /// Global `N × k` scores scattered from the shard models.
     pub(crate) scores: Matrix,
 }
 
-/// Shard-decomposed serving engine: one [`ServingEngine`] per graph
-/// component, fitted in parallel, queried through the same Eq. 6 plane
-/// as the monolithic engine, updated by epoch snapshot/swap.
+/// The serving engine: one fitted model per graph component, fitted as
+/// parallel tasks, queried through one Eq. 6 plane over the global
+/// scores, updated by epoch snapshot/swap.
 ///
 /// ```
 /// use gssl_graph::Kernel;
@@ -126,19 +125,39 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Fits a binary sharded engine; the arguments and the labeled-first
-    /// convention match [`ServingEngine::fit`]. Each graph component is
+    /// Fits a binary engine: `points` are all `N` coordinates (labeled
+    /// first), `labels` the first `n` observations under the `{0, 1}`
+    /// convention (any finite reals are accepted; only the `class` field
+    /// of predictions assumes the convention). Each graph component is
     /// fitted as its own task on the engine's executor, so independent
     /// factorizations overlap.
     ///
+    /// Costs one factorization per shard: `O(s³)` for a shard of `s`
+    /// nodes.
+    ///
     /// # Errors
     ///
-    /// As [`ServingEngine::fit`] — in particular [`Error::Core`] with the
-    /// monolithic engine's [`gssl::Error::UnanchoredUnlabeled`] when a
-    /// component has no labeled anchor, read off the shard plan *before*
-    /// any shard is fitted.
+    /// * [`Error::InvalidConfig`] for out-of-domain configuration;
+    /// * [`Error::InvalidLabel`] when no labels (or more labels than
+    ///   points) are supplied;
+    /// * [`Error::NonFiniteValue`] for NaN/infinite labels or coordinates;
+    /// * [`Error::Core`] carrying [`gssl::Error::UnanchoredUnlabeled`]
+    ///   when a component has no labeled anchor (the criterion system
+    ///   would be singular), read off the shard plan *before* any shard
+    ///   is fitted.
     /// deterministic
     pub fn fit(points: &Matrix, labels: &[f64], config: EngineConfig) -> Result<Self> {
+        Self::fit_labels(points, labels, config, false)
+    }
+
+    /// [`ShardedEngine::fit`] on the component plan, or on the one-shard
+    /// plan when `single`.
+    pub(crate) fn fit_labels(
+        points: &Matrix,
+        labels: &[f64],
+        config: EngineConfig,
+        single: bool,
+    ) -> Result<Self> {
         if let Some(i) = labels.iter().position(|y| !y.is_finite()) {
             return Err(Error::NonFiniteValue {
                 context: "serve.fit labels",
@@ -146,11 +165,13 @@ impl ShardedEngine {
             });
         }
         let targets = Matrix::from_fn(labels.len(), 1, |i, _| labels[i]);
-        Self::fit_targets(points, targets, false, 2, config)
+        Self::fit_targets(points, targets, false, 2, config, single)
     }
 
-    /// Fits a multiclass sharded engine via one-vs-rest, matching
-    /// [`ServingEngine::fit_multiclass`].
+    /// Fits a multiclass engine via one-vs-rest: class labels become
+    /// one-hot target rows and every class column shares its shard's
+    /// single cached factorization (the system depends only on the graph,
+    /// not on the targets).
     ///
     /// # Errors
     ///
@@ -162,6 +183,18 @@ impl ShardedEngine {
         class_labels: &[usize],
         class_count: usize,
         config: EngineConfig,
+    ) -> Result<Self> {
+        Self::fit_classes(points, class_labels, class_count, config, false)
+    }
+
+    /// [`ShardedEngine::fit_multiclass`] on the component plan, or on the
+    /// one-shard plan when `single`.
+    pub(crate) fn fit_classes(
+        points: &Matrix,
+        class_labels: &[usize],
+        class_count: usize,
+        config: EngineConfig,
+        single: bool,
     ) -> Result<Self> {
         if class_count < 2 {
             return Err(Error::InvalidLabel {
@@ -180,7 +213,7 @@ impl ShardedEngine {
                 0.0
             }
         });
-        Self::fit_targets(points, targets, true, class_count, config)
+        Self::fit_targets(points, targets, true, class_count, config, single)
     }
 
     fn fit_targets(
@@ -189,6 +222,7 @@ impl ShardedEngine {
         multiclass: bool,
         class_count: usize,
         config: EngineConfig,
+        single: bool,
     ) -> Result<Self> {
         config.validate()?;
         let n = initial_targets.rows();
@@ -204,44 +238,36 @@ impl ShardedEngine {
             });
         }
 
+        // One executor drives batch prediction and the fit's tasks;
+        // `workers == 0` means host parallelism, `1` sequential.
         let executor = Executor::with_workers(config.workers);
         let graph = KernelGraph::fit(points.clone(), config.kernel, config.bandwidth)?;
-        // One index serves both the plan and the index-backed query paths.
-        // The plan's components come from support-radius queries, so no
-        // N × N weight matrix is ever built; anchoring is read off the
-        // plan before any shard is fitted, with the monolithic engine's
-        // error. Each shard's fit still validates its own weight block —
-        // which holds every nonzero weight of its members.
-        let index = SpatialIndex::build(points)?;
-        let plan = ShardPlan::from_graph(&graph, &index, n)?;
-        plan.require_anchored(n)?;
-        let index = (config.query_path != QueryPath::Dense).then_some(index);
+        let index_path = config.query_path != QueryPath::Dense;
+        let (plan, index) = if single {
+            // The one-shard plan needs no component search; the
+            // index-backed query paths pay for the tree build here, the
+            // dense path skips it.
+            let index = index_path.then(|| SpatialIndex::build(points));
+            (ShardPlan::single(total, n), index.transpose()?)
+        } else {
+            // One index serves both the plan and the index-backed query
+            // paths. The plan's components come from support-radius
+            // queries, so no N × N weight matrix is ever built; anchoring
+            // is read off the plan before any shard is fitted. Each
+            // shard's fit still validates its own weight block — which
+            // holds every nonzero weight of its members.
+            let index = SpatialIndex::build(points)?;
+            let plan = ShardPlan::from_graph(&graph, &index, n)?;
+            plan.require_anchored(n)?;
+            (plan, index_path.then_some(index))
+        };
 
-        // One task per shard: component sizes are wildly uneven, so
-        // width-1 claims keep a large component from queueing small ones
-        // behind it. Per-shard engines are sequential (the parallelism is
-        // across shards) and always dense-path (they are never queried
-        // directly — the global plane owns the index).
-        let shard_config = config.clone().workers(1).query_path(QueryPath::Dense);
-        let engines = executor.map_tasks(plan.shards(), |_, shard| {
-            let shard_points = shard.extract_rows(points);
-            let shard_targets = shard.extract_labeled_rows(&initial_targets, shard.n_labeled());
-            ServingEngine::fit_internal(
-                &shard_points,
-                shard_targets,
-                multiclass,
-                class_count,
-                shard_config.clone(),
-            )
-            .map(Arc::new)
-        })?;
-
-        let k = initial_targets.cols();
-        let scores = scatter_scores(total, k, &plan, &engines)?;
-        let mut metrics = ServeMetrics::default();
-        for _ in 0..plan.n_shards() {
-            metrics.record_factorization();
-        }
+        let (shards, metrics) =
+            each_shard(&executor, &config, &plan, plan.shards(), |shard, step| {
+                let shard_targets = shard.extract_labeled_rows(&initial_targets, shard.n_labeled());
+                ShardModel::fit(shard.extract_rows(points), shard_targets, step)
+            })?;
+        let scores = scatter_scores(total, initial_targets.cols(), &plan, &shards);
         Ok(ShardedEngine {
             config,
             graph,
@@ -252,7 +278,7 @@ impl ShardedEngine {
             plan,
             current: RwLock::new(Arc::new(EpochModel {
                 id: 1,
-                engines,
+                shards,
                 scores,
             })),
             writer: Mutex::new(()),
@@ -264,17 +290,26 @@ impl ShardedEngine {
     // Query path
     // ------------------------------------------------------------------
 
-    /// Scores a batch of out-of-sample queries against the current epoch.
+    /// Scores a batch of out-of-sample queries against the current epoch,
+    /// sharded across the engine's executor.
     ///
     /// The epoch is pinned with one `Arc` clone under a brief read lock,
     /// so a concurrent label fold never tears a batch: every query in the
-    /// batch sees the same generation. The evaluation itself is the exact
-    /// [`QueryPlane`] code the monolithic engine runs, over the globally
-    /// reassembled score matrix.
+    /// batch sees the same generation. Under [`QueryPath::Dense`] each
+    /// query costs `O(N·d)` for its kernel row plus `O(N·k)` for the
+    /// weighted average of Eq. 6; the index-backed paths replace both
+    /// with a sublinear tree search and `O(k)` neighbor weights. No
+    /// factorization, no solve either way. Latency and throughput are
+    /// recorded in [`ShardedEngine::metrics`].
     ///
     /// # Errors
     ///
-    /// As [`ServingEngine::predict_batch`].
+    /// * [`Error::InvalidQuery`] on a dimension mismatch;
+    /// * [`Error::NonFiniteValue`] for NaN/infinite coordinates (always
+    ///   checked, with `index` flattened as `query · dim + coordinate`);
+    /// * [`Error::ZeroKernelMass`] when a query sees zero total kernel
+    ///   weight (possible for compactly supported kernels such as boxcar,
+    ///   and for [`QueryPath::KNearest`] when all `k` kept weights vanish).
     /// hot
     /// complexity: O(b * n * c)
     /// deterministic
@@ -298,18 +333,23 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
 
     /// Folds a newly observed binary label into the shard that owns
-    /// `node` and publishes a new epoch.
+    /// `node` with an exact rank-1 update of its cached inverse, and
+    /// publishes a new epoch.
     ///
-    /// Only the affected shard's engine is cloned and updated (its rank-1
-    /// chain, residual guard and periodic refactor all apply unchanged on
-    /// the shard-local system); every other shard is shared with the
-    /// previous epoch by reference. Readers serving the old epoch are
-    /// never blocked — the publish is a pointer swap.
+    /// Only the affected shard is cloned and updated (its rank-1 chain,
+    /// residual guard `‖A f − b‖∞` and periodic `refactor_every` refactor
+    /// all apply on the shard-local system, and every such event is
+    /// counted in [`ShardedEngine::metrics`]); every other shard is
+    /// shared with the previous epoch by reference. Readers serving the
+    /// old epoch are never blocked — the publish is a pointer swap.
     ///
     /// # Errors
     ///
-    /// As [`ServingEngine::observe_label`], with node indices reported in
-    /// global coordinates.
+    /// * [`Error::InvalidLabel`] on a multiclass engine (use
+    ///   [`ShardedEngine::observe_class_label`]);
+    /// * [`Error::UnknownNode`] / [`Error::AlreadyLabeled`] for bad node
+    ///   indices, reported in global coordinates;
+    /// * [`Error::NonFiniteValue`] for a NaN/infinite label.
     pub fn observe_label(&self, node: usize, y: f64) -> Result<()> {
         if self.multiclass {
             return Err(Error::InvalidLabel {
@@ -323,15 +363,17 @@ impl ShardedEngine {
                 index: 0,
             });
         }
-        self.fold_with(node, |engine, local| engine.observe_label(local, y))
+        self.fold_target(node, &[y])
     }
 
-    /// Multiclass counterpart of [`ShardedEngine::observe_label`].
+    /// Multiclass counterpart of [`ShardedEngine::observe_label`]: the
+    /// class index becomes a one-hot target row and all one-vs-rest
+    /// columns are updated through the same rank-1 identity.
     ///
     /// # Errors
     ///
-    /// As [`ServingEngine::observe_class_label`], with node indices
-    /// reported in global coordinates.
+    /// As [`ShardedEngine::observe_label`], plus [`Error::InvalidLabel`]
+    /// for an out-of-range class.
     pub fn observe_class_label(&self, node: usize, class: usize) -> Result<()> {
         if !self.multiclass {
             return Err(Error::InvalidLabel {
@@ -346,22 +388,15 @@ impl ShardedEngine {
                 ),
             });
         }
-        self.fold_with(node, |engine, local| {
-            engine.observe_class_label(local, class)
-        })
+        let mut target = vec![0.0; self.class_count];
+        target[class] = 1.0;
+        self.fold_target(node, &target)
     }
 
-    fn fold_with<F>(&self, node: usize, apply: F) -> Result<()>
-    where
-        F: FnOnce(&mut ServingEngine, usize) -> Result<()>,
-    {
-        if node >= self.n_nodes() {
+    fn fold_target(&self, node: usize, target: &[f64]) -> Result<()> {
+        let Some(shard_id) = self.plan.shard_of(node) else {
             return Err(Error::UnknownNode { node });
-        }
-        let shard_id = self
-            .plan
-            .shard_of(node)
-            .ok_or(Error::UnknownNode { node })?;
+        };
         let local = self.plan.shards()[shard_id]
             .local_index_of(node)
             .ok_or_else(|| Error::Internal {
@@ -371,48 +406,97 @@ impl ShardedEngine {
         // One writer at a time; readers keep cloning the old epoch Arc.
         let _guard = self.lock_writer();
         let model = self.current_model();
-        if model.engines[shard_id].labeled_mask()[local] {
+        if model.shards[shard_id].labeled[local] {
             return Err(Error::AlreadyLabeled { node });
         }
 
-        // Copy-on-write: deep-clone only the affected shard's engine and
-        // fold the label into the clone on its shard-local index.
-        let mut engine = ServingEngine::clone(&model.engines[shard_id]);
-        apply(&mut engine, local)?;
+        // Copy-on-write: deep-clone only the affected shard and fold the
+        // label into the clone on its shard-local index.
+        let mut shard = ShardModel::clone(&model.shards[shard_id]);
+        let executor = shard_executor(&self.plan, &self.executor);
+        let mut step = ShardStep::new(&self.config, &executor);
+        shard.observe(local, target, &mut step)?;
 
         // Reassemble the global scores: copy the previous epoch's matrix
         // and overwrite only the updated shard's rows.
         let mut scores = model.scores.clone();
-        let members = self.plan.shards()[shard_id].members();
-        let shard_scores = engine.scores();
-        for (local_row, &global_row) in members.iter().enumerate() {
-            for c in 0..scores.cols() {
-                scores.set(global_row, c, shard_scores.get(local_row, c));
+        scatter_rows(&mut scores, &self.plan.shards()[shard_id], &shard.scores);
+        let mut shards = model.shards.clone();
+        shards[shard_id] = Arc::new(shard);
+        self.publish(Arc::new(EpochModel {
+            id: model.id + 1,
+            shards,
+            scores,
+        }));
+        self.lock_metrics().merge(step.metrics);
+        Ok(())
+    }
+
+    /// Rebuilds and refactors every shard from scratch for the current
+    /// labeled set, discarding accumulated rank-1 drift, and publishes
+    /// the result as a new epoch. Counted as one factorization per shard
+    /// in [`ShardedEngine::metrics`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Linalg`] when a rebuilt system cannot be factored;
+    /// nothing is published then.
+    pub fn refit(&self) -> Result<()> {
+        let _guard = self.lock_writer();
+        let model = self.current_model();
+        let (shards, metrics) = each_shard(
+            &self.executor,
+            &self.config,
+            &self.plan,
+            &model.shards,
+            |shard, step| {
+                let mut shard = ShardModel::clone(shard);
+                shard.refit(step)?;
+                Ok(shard)
+            },
+        )?;
+        let scores = scatter_scores(self.n_nodes(), model.scores.cols(), &self.plan, &shards);
+        self.publish(Arc::new(EpochModel {
+            id: model.id + 1,
+            shards,
+            scores,
+        }));
+        self.lock_metrics().merge(metrics);
+        Ok(())
+    }
+
+    /// The largest residual `‖A f − b‖∞` over the shards' cached systems
+    /// — the quantity the post-fold guard compares against
+    /// `residual_tolerance`. Zero (up to factorization accuracy) right
+    /// after a refit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Linalg`] on a dimension mismatch (an internal
+    /// invariant violation).
+    pub fn residual(&self) -> Result<f64> {
+        let mut worst = 0.0;
+        for shard in &self.current_model().shards {
+            let r = shard.residual(self.config.criterion)?;
+            // `!(r <= worst)` also keeps a NaN residual.
+            if !(r <= worst) {
+                worst = r;
             }
         }
-
-        let mut engines = model.engines.clone();
-        engines[shard_id] = Arc::new(engine);
-        let next = Arc::new(EpochModel {
-            id: model.id + 1,
-            engines,
-            scores,
-        });
-        self.publish(next);
-        self.lock_metrics().record_rank1_update();
-        Ok(())
+        Ok(worst)
     }
 
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
 
-    /// The current epoch id (1 after fit, +1 per published fold).
+    /// The current epoch id (1 after fit, +1 per published fold or refit).
     pub fn epoch(&self) -> u64 {
         self.current_model().id
     }
 
-    /// Number of shards (connected components of the fitted graph).
+    /// Number of shards (connected components of the fitted graph, or 1
+    /// for [`ServingEngine`](crate::ServingEngine)).
     pub fn n_shards(&self) -> usize {
         self.plan.n_shards()
     }
@@ -440,10 +524,15 @@ impl ShardedEngine {
     /// Number of nodes whose label has been observed, over all shards.
     pub fn n_labeled(&self) -> usize {
         self.current_model()
-            .engines
+            .shards
             .iter()
-            .map(|e| e.n_labeled())
+            .map(|s| s.n_labeled())
             .sum()
+    }
+
+    /// Number of still-unlabeled nodes, over all shards.
+    pub fn n_unlabeled(&self) -> usize {
+        self.n_nodes() - self.n_labeled()
     }
 
     /// Number of classes (2 for a binary engine).
@@ -466,12 +555,13 @@ impl ShardedEngine {
         self.executor.workers()
     }
 
-    /// The global fitted kernel graph.
+    /// The global fitted kernel graph (points, kernel, bandwidth).
     pub fn graph(&self) -> &KernelGraph {
         &self.graph
     }
 
-    /// A copy of the current epoch's global score matrix (`N × k`).
+    /// A copy of the current epoch's global score matrix (`N × k`, one
+    /// column per class; a binary engine has a single column).
     pub fn scores(&self) -> Matrix {
         self.current_model().scores.clone()
     }
@@ -494,16 +584,15 @@ impl ShardedEngine {
         Ok(self.current_model().scores.get(node, 0))
     }
 
-    /// Snapshot of the engine's latency/throughput counters. Per-fold
-    /// factorization activity inside shards (guarded refactors) is
-    /// tracked by the shard engines; this aggregate counts fit-time
-    /// factorizations and published folds.
+    /// Snapshot of the engine's counters: fit-time and fold-time
+    /// factorizations, rank-1 updates, guarded refactors, the latest
+    /// factor report, and query latency and throughput.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.lock_metrics().snapshot()
     }
 
     // ------------------------------------------------------------------
-    // Crate-internal plumbing (snapshot codec, benches)
+    // Crate-internal plumbing (snapshot codec)
     // ------------------------------------------------------------------
 
     /// The current epoch, pinned. Readers hold the lock only long enough
@@ -524,21 +613,38 @@ impl ShardedEngine {
         self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Rebuilds a sharded engine from restored parts: the global graph,
-    /// index and score plane are recomputed/adopted without factoring
-    /// anything — the per-shard engines arrive with their cached
-    /// factorization state intact.
+    /// Rebuilds an engine from restored parts: the global graph and index
+    /// are recomputed without factoring anything — the shard models
+    /// arrive with their cached factorization state intact.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Snapshot`] when the stored global scores are not bitwise
+    /// the scatter of the shard scores, or the epoch cannot advance.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_restored(
         points: &Matrix,
         config: EngineConfig,
         multiclass: bool,
         class_count: usize,
         plan: ShardPlan,
-        engines: Vec<ServingEngine>,
+        shards: Vec<ShardModel>,
         scores: Matrix,
         epoch: u64,
     ) -> Result<Self> {
-        config.validate()?;
+        let shards: Vec<Arc<ShardModel>> = shards.into_iter().map(Arc::new).collect();
+        let width = if multiclass { class_count } else { 1 };
+        let scattered = scatter_scores(points.rows(), width, &plan, &shards);
+        let same_bits = (scores.rows(), scores.cols()) == (points.rows(), width)
+            && (scores.as_slice().iter())
+                .zip(scattered.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same_bits || epoch == u64::MAX {
+            return Err(Error::Snapshot {
+                message: format!("global scores or epoch {epoch} disagree with the shard records"),
+            });
+        }
+        strict::check_finite_matrix("serve snapshot scores", &scores)?;
         let executor = Executor::with_workers(config.workers);
         let graph = KernelGraph::fit(points.clone(), config.kernel, config.bandwidth)?;
         let index = if config.query_path == QueryPath::Dense {
@@ -556,7 +662,7 @@ impl ShardedEngine {
             plan,
             current: RwLock::new(Arc::new(EpochModel {
                 id: epoch,
-                engines: engines.into_iter().map(Arc::new).collect(),
+                shards,
                 scores,
             })),
             writer: Mutex::new(()),
@@ -565,37 +671,71 @@ impl ShardedEngine {
     }
 }
 
-/// Scatters per-shard score rows into a global `total × k` matrix.
-fn scatter_scores(
-    total: usize,
-    k: usize,
-    plan: &ShardPlan,
-    engines: &[Arc<ServingEngine>],
-) -> Result<Matrix> {
-    if engines.len() != plan.n_shards() {
-        return Err(Error::Internal {
-            message: format!(
-                "{} shard engines for {} shards",
-                engines.len(),
-                plan.n_shards()
-            ),
-        });
+/// The executor a shard's fit, folds and refits run on: the engine's own
+/// when the plan has one shard (`map_tasks` then runs that shard on the
+/// calling thread, so threads never nest), otherwise sequential, with the
+/// parallelism across shards.
+fn shard_executor(plan: &ShardPlan, executor: &Executor) -> Executor {
+    if plan.n_shards() == 1 {
+        executor.clone()
+    } else {
+        Executor::sequential()
     }
-    let mut scores = Matrix::zeros(total, k);
-    for (shard, engine) in plan.shards().iter().zip(engines) {
-        let local = engine.scores();
-        for (local_row, &global_row) in shard.members().iter().enumerate() {
-            for c in 0..k {
-                scores.set(global_row, c, local.get(local_row, c));
-            }
+}
+
+/// Runs `f` over `items`, one per shard in plan order, each as its own
+/// task on `executor` — component sizes are wildly uneven, so width-1
+/// claims keep a large component from queueing small ones behind it.
+/// Returns the shard models and their merged metrics, in plan order.
+fn each_shard<T, F>(
+    executor: &Executor,
+    config: &EngineConfig,
+    plan: &ShardPlan,
+    items: &[T],
+    f: F,
+) -> Result<(Vec<Arc<ShardModel>>, ServeMetrics)>
+where
+    T: Sync,
+    F: Fn(&T, &mut ShardStep<'_>) -> Result<ShardModel> + Sync,
+{
+    let shard_executor = shard_executor(plan, executor);
+    let done = executor.map_tasks(items, |_, item| {
+        let mut step = ShardStep::new(config, &shard_executor);
+        let model = f(item, &mut step)?;
+        Ok::<_, Error>((Arc::new(model), step.metrics))
+    })?;
+    let mut metrics = ServeMetrics::default();
+    let mut shards = Vec::with_capacity(done.len());
+    for (model, work) in done {
+        shards.push(model);
+        metrics.merge(work);
+    }
+    Ok((shards, metrics))
+}
+
+/// Overwrites a shard's member rows of the global `N × k` scores with its
+/// local score rows.
+fn scatter_rows(scores: &mut Matrix, shard: &Shard, local: &Matrix) {
+    for (local_row, &global_row) in shard.members().iter().enumerate() {
+        for c in 0..scores.cols() {
+            scores.set(global_row, c, local.get(local_row, c));
         }
     }
-    Ok(scores)
+}
+
+/// Scatters per-shard score rows into a global `total × k` matrix.
+fn scatter_scores(total: usize, k: usize, plan: &ShardPlan, shards: &[Arc<ShardModel>]) -> Matrix {
+    let mut scores = Matrix::zeros(total, k);
+    for (shard, model) in plan.shards().iter().zip(shards) {
+        scatter_rows(&mut scores, shard, &model.scores);
+    }
+    scores
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServingEngine;
     use gssl_graph::Kernel;
 
     /// Three well-separated 1-D clusters under a compact kernel: three
@@ -607,6 +747,64 @@ mod tests {
 
     fn compact_config() -> EngineConfig {
         EngineConfig::new(Kernel::Epanechnikov, 1.2).workers(1)
+    }
+
+    type Fit = fn(&Matrix, &[f64], EngineConfig) -> Result<ShardedEngine>;
+    type FitClasses = fn(&Matrix, &[usize], usize, EngineConfig) -> Result<ShardedEngine>;
+
+    /// Both plans: one shard holding every node, and one shard per
+    /// component.
+    const PLANS: [(&str, Fit, FitClasses); 2] = [
+        (
+            "one shard",
+            ServingEngine::fit,
+            ServingEngine::fit_multiclass,
+        ),
+        (
+            "components",
+            ShardedEngine::fit,
+            ShardedEngine::fit_multiclass,
+        ),
+    ];
+
+    #[test]
+    fn fit_validates_inputs() {
+        let line = Matrix::from_fn(4, 1, |i, _| i as f64 * 0.3);
+        let fixtures = [
+            (line, EngineConfig::new(Kernel::Gaussian, 0.8).workers(1)),
+            (clustered_points(), compact_config()),
+        ];
+        for (plan, fit, fit_classes) in PLANS {
+            for (points, config) in &fixtures {
+                let too_many = vec![0.0; points.rows() + 1];
+                for labels in [&[][..], &too_many] {
+                    assert!(
+                        matches!(
+                            fit(points, labels, config.clone()),
+                            Err(Error::InvalidLabel { .. })
+                        ),
+                        "{plan}: {} labels",
+                        labels.len()
+                    );
+                }
+                assert!(
+                    matches!(
+                        fit(points, &[f64::NAN, 1.0], config.clone()),
+                        Err(Error::NonFiniteValue { .. })
+                    ),
+                    "{plan}"
+                );
+                for (labels, count) in [(&[0, 1][..], 1), (&[0, 7], 3)] {
+                    assert!(
+                        matches!(
+                            fit_classes(points, labels, count, config.clone()),
+                            Err(Error::InvalidLabel { .. })
+                        ),
+                        "{plan}: {labels:?} of {count}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -640,7 +838,7 @@ mod tests {
         let after = engine.current_model();
         let owner = engine.shard_of(4).unwrap();
         for shard_id in 0..engine.n_shards() {
-            let shared = Arc::ptr_eq(&before.engines[shard_id], &after.engines[shard_id]);
+            let shared = Arc::ptr_eq(&before.shards[shard_id], &after.shards[shard_id]);
             assert_eq!(
                 shared,
                 shard_id != owner,
@@ -654,27 +852,43 @@ mod tests {
     }
 
     #[test]
-    fn fold_validations_use_global_indices() {
-        let engine =
-            ShardedEngine::fit(&clustered_points(), &[0.0, 1.0, 0.0], compact_config()).unwrap();
-        assert!(matches!(
-            engine.observe_label(99, 1.0),
-            Err(Error::UnknownNode { node: 99 })
-        ));
-        assert!(matches!(
-            engine.observe_label(1, 1.0),
-            Err(Error::AlreadyLabeled { node: 1 })
-        ));
-        assert!(matches!(
-            engine.observe_label(5, f64::NAN),
-            Err(Error::NonFiniteValue { .. })
-        ));
-        assert!(matches!(
-            engine.observe_class_label(5, 0),
-            Err(Error::InvalidLabel { .. })
-        ));
-        // Failed folds never publish.
-        assert_eq!(engine.epoch(), 1);
+    fn observe_label_bookkeeping_and_errors() {
+        for (plan, fit, _) in PLANS {
+            let engine = fit(&clustered_points(), &[0.0, 1.0, 0.0], compact_config()).unwrap();
+            assert_eq!(engine.n_labeled(), 3, "{plan}");
+            assert_eq!(engine.n_unlabeled(), 6, "{plan}");
+            // Node indices are global whatever the plan.
+            assert!(matches!(
+                engine.observe_label(99, 1.0),
+                Err(Error::UnknownNode { node: 99 })
+            ));
+            assert!(matches!(
+                engine.observe_label(1, 1.0),
+                Err(Error::AlreadyLabeled { node: 1 })
+            ));
+            for y in [f64::NAN, f64::INFINITY] {
+                assert!(matches!(
+                    engine.observe_label(5, y),
+                    Err(Error::NonFiniteValue { .. })
+                ));
+            }
+            assert!(matches!(
+                engine.observe_class_label(5, 0),
+                Err(Error::InvalidLabel { .. })
+            ));
+            // Failed folds never publish.
+            assert_eq!(engine.epoch(), 1, "{plan}");
+            engine.observe_label(5, 1.0).unwrap();
+            assert_eq!(engine.epoch(), 2, "{plan}");
+            assert_eq!(engine.n_labeled(), 4, "{plan}");
+            assert_eq!(engine.n_unlabeled(), 5, "{plan}");
+            assert_eq!(engine.score(5).unwrap(), 1.0, "{plan}");
+            assert!(matches!(
+                engine.observe_label(5, 0.0),
+                Err(Error::AlreadyLabeled { node: 5 })
+            ));
+            assert_eq!(engine.metrics().rank1_updates, 1, "{plan}");
+        }
     }
 
     #[test]
@@ -704,52 +918,38 @@ mod tests {
     }
 
     #[test]
-    fn multiclass_sharded_engine_serves_and_folds() {
-        let engine =
-            ShardedEngine::fit_multiclass(&clustered_points(), &[0, 1, 2], 3, compact_config())
+    fn multiclass_predictions_argmax_one_hot_targets() {
+        for (plan, _, fit_classes) in PLANS {
+            let engine = fit_classes(&clustered_points(), &[0, 1, 2], 3, compact_config()).unwrap();
+            assert!(engine.is_multiclass(), "{plan}");
+            assert_eq!(engine.class_count(), 3, "{plan}");
+            assert!(engine.score(0).is_err(), "{plan}");
+            let out = engine
+                .predict_batch(&[
+                    QueryPoint::new(vec![0.1]),
+                    QueryPoint::new(vec![10.1]),
+                    QueryPoint::new(vec![19.8]),
+                ])
                 .unwrap();
-        assert!(engine.is_multiclass());
-        assert_eq!(engine.class_count(), 3);
-        assert!(engine.score(0).is_err());
-        let out = engine
-            .predict_batch(&[QueryPoint::new(vec![19.8])])
-            .unwrap();
-        assert_eq!(out[0].class, 2);
-        engine.observe_class_label(8, 2).unwrap();
-        assert_eq!(engine.epoch(), 2);
-        assert_eq!(engine.scores().get(8, 2), 1.0);
-        assert!(matches!(
-            engine.observe_class_label(7, 9),
-            Err(Error::InvalidLabel { .. })
-        ));
-        assert!(matches!(
-            engine.observe_label(7, 1.0),
-            Err(Error::InvalidLabel { .. })
-        ));
-    }
-
-    #[test]
-    fn fit_validations_match_monolithic() {
-        let points = clustered_points();
-        assert!(matches!(
-            ShardedEngine::fit(&points, &[], compact_config()),
-            Err(Error::InvalidLabel { .. })
-        ));
-        assert!(matches!(
-            ShardedEngine::fit(&points, &[0.0; 10], compact_config()),
-            Err(Error::InvalidLabel { .. })
-        ));
-        assert!(matches!(
-            ShardedEngine::fit(&points, &[f64::NAN, 1.0, 0.0], compact_config()),
-            Err(Error::NonFiniteValue { .. })
-        ));
-        assert!(matches!(
-            ShardedEngine::fit_multiclass(&points, &[0, 1, 2], 1, compact_config()),
-            Err(Error::InvalidLabel { .. })
-        ));
-        assert!(matches!(
-            ShardedEngine::fit_multiclass(&points, &[0, 9, 2], 3, compact_config()),
-            Err(Error::InvalidLabel { .. })
-        ));
+            for (q, p) in out.iter().enumerate() {
+                assert_eq!(p.class, q, "{plan}: query {q}");
+                assert_eq!(p.per_class.len(), 3, "{plan}");
+                assert!((p.score - p.per_class[p.class]).abs() < 1e-15, "{plan}");
+            }
+            // Streaming a class label publishes an epoch and clamps the
+            // one-hot row.
+            engine.observe_class_label(8, 2).unwrap();
+            assert_eq!(engine.epoch(), 2, "{plan}");
+            assert_eq!(engine.scores().get(8, 2), 1.0, "{plan}");
+            assert_eq!(engine.scores().get(8, 0), 0.0, "{plan}");
+            assert!(matches!(
+                engine.observe_class_label(7, 9),
+                Err(Error::InvalidLabel { .. })
+            ));
+            assert!(matches!(
+                engine.observe_label(7, 1.0),
+                Err(Error::InvalidLabel { .. })
+            ));
+        }
     }
 }

@@ -24,7 +24,7 @@
 //! points  n_nodes × dim f64
 //! scores  n_nodes × k f64 (the published epoch's global plane)
 //! shards  per shard: members, fit-time labeled count, then the
-//!         engine state: labeled mask, targets, local unlabeled list,
+//!         shard state: labeled mask, targets, local unlabeled list,
 //!         system, optional inverse, rhs, shard scores, update counter
 //! trailer FNV-1a 64 checksum of all preceding bytes
 //! ```
@@ -37,12 +37,13 @@
 //! change: readers reject unknown versions instead of misparsing.
 
 use crate::config::{EngineConfig, EngineSolver, QueryPath, ServeCriterion};
-use crate::engine::ServingEngine;
+use crate::engine::ShardModel;
 use crate::error::{Error, Result};
 use crate::shard::ShardPlan;
 use crate::sharded::ShardedEngine;
 use gssl_graph::Kernel;
 use gssl_linalg::Matrix;
+use gssl_runtime::Executor;
 
 /// Magic prefix identifying a serving-engine snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GSSLSNAP";
@@ -181,29 +182,27 @@ fn write_config(w: &mut Writer, config: &EngineConfig) -> Result<()> {
     Ok(())
 }
 
-fn write_shard_engine(w: &mut Writer, engine: &ServingEngine) {
-    let labeled = engine.labeled_mask();
-    w.usize(labeled.len());
-    for &flag in labeled {
+fn write_shard(w: &mut Writer, shard: &ShardModel) {
+    w.usize(shard.labeled.len());
+    for &flag in &shard.labeled {
         w.u8(u8::from(flag));
     }
-    w.matrix(engine.targets_matrix());
-    let unlabeled = engine.unlabeled_indices();
-    w.usize(unlabeled.len());
-    for &u in unlabeled {
+    w.matrix(&shard.targets);
+    w.usize(shard.unlabeled.len());
+    for &u in &shard.unlabeled {
         w.usize(u);
     }
-    w.matrix(engine.system_matrix());
-    match engine.inverse_matrix() {
+    w.matrix(&shard.system);
+    match &shard.inverse {
         Some(inv) => {
             w.u8(1);
             w.matrix(inv);
         }
         None => w.u8(0),
     }
-    w.matrix(engine.rhs_matrix());
-    w.matrix(engine.scores());
-    w.usize(engine.updates_since_refactor());
+    w.matrix(&shard.rhs);
+    w.matrix(&shard.scores);
+    w.usize(shard.updates_since_refactor);
 }
 
 // ---------------------------------------------------------------------
@@ -344,18 +343,14 @@ fn read_config(r: &mut Reader<'_>) -> Result<EngineConfig> {
     })
 }
 
-struct ShardEngineParts {
-    labeled: Vec<bool>,
-    targets: Matrix,
-    unlabeled: Vec<usize>,
-    system: Matrix,
-    inverse: Option<Matrix>,
-    rhs: Matrix,
-    scores: Matrix,
-    updates_since_refactor: usize,
-}
-
-fn read_shard_engine(r: &mut Reader<'_>) -> Result<ShardEngineParts> {
+/// Reads one shard record into a model over `points`, the shard's
+/// members, and checks it before any fold can run on it.
+fn read_shard(
+    r: &mut Reader<'_>,
+    points: Matrix,
+    config: &EngineConfig,
+    width: usize,
+) -> Result<ShardModel> {
     let labeled_len = r.len(1)?;
     let mut labeled = Vec::with_capacity(labeled_len);
     for _ in 0..labeled_len {
@@ -368,15 +363,20 @@ fn read_shard_engine(r: &mut Reader<'_>) -> Result<ShardEngineParts> {
         unlabeled.push(r.usize()?);
     }
     let system = r.matrix()?;
-    let inverse = if r.u8()? != 0 {
-        Some(r.matrix()?)
-    } else {
-        None
-    };
+    let inverse = (r.u8()? != 0).then(|| r.matrix()).transpose()?;
     let rhs = r.matrix()?;
     let scores = r.matrix()?;
     let updates_since_refactor = r.usize()?;
-    Ok(ShardEngineParts {
+    // The weights are assembled once the cached matrices are decoded, so
+    // their block never coexists with the decoder's scratch copy. They
+    // are assembled sequentially, as at fit time under a component plan
+    // (the bits are the same either way).
+    let weights = ShardModel::weights(points, config, &Executor::sequential())?;
+    let shard = ShardModel {
+        // Same reduction as `Problem::degrees` on a dense weight matrix,
+        // so restored degrees are bit-identical to the fitted ones.
+        degrees: weights.row_sums(),
+        weights,
         labeled,
         targets,
         unlabeled,
@@ -385,7 +385,9 @@ fn read_shard_engine(r: &mut Reader<'_>) -> Result<ShardEngineParts> {
         rhs,
         scores,
         updates_since_refactor,
-    })
+    };
+    shard.check(config.criterion, width)?;
+    Ok(shard)
 }
 
 impl ShardedEngine {
@@ -411,13 +413,13 @@ impl ShardedEngine {
         w.matrix(points);
         w.matrix(&model.scores);
         w.usize(self.plan().n_shards());
-        for (shard, engine) in self.plan().shards().iter().zip(&model.engines) {
+        for (shard, model) in self.plan().shards().iter().zip(&model.shards) {
             w.usize(shard.len());
             for &member in shard.members() {
                 w.usize(member);
             }
             w.usize(shard.n_labeled());
-            write_shard_engine(&mut w, engine);
+            write_shard(&mut w, model);
         }
         Ok(w.finish())
     }
@@ -468,27 +470,23 @@ impl ShardedEngine {
             });
         }
         let config = read_config(&mut r)?;
+        config.validate()?;
         let multiclass = r.u8()? != 0;
         let class_count = r.usize()?;
+        if class_count < 2 || (!multiclass && class_count != 2) {
+            return Err(Error::Snapshot {
+                message: format!("{class_count} classes for a multiclass flag of {multiclass}"),
+            });
+        }
+        let width = if multiclass { class_count } else { 1 };
         let epoch = r.u64()?;
         let points = r.matrix()?;
         let scores = r.matrix()?;
         let n_nodes = points.rows();
-        if scores.rows() != n_nodes {
-            return Err(Error::Snapshot {
-                message: format!(
-                    "global scores have {} rows for {n_nodes} points",
-                    scores.rows()
-                ),
-            });
-        }
 
         let n_shards = r.len(8)?;
         let mut shards = Vec::with_capacity(n_shards);
-        let mut engines = Vec::with_capacity(n_shards);
-        // Per-shard engines were fitted sequential and dense-path (the
-        // global plane owns the executor and the index) — mirror that.
-        let shard_config = config.clone().workers(1).query_path(QueryPath::Dense);
+        let mut models = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             let member_len = r.len(8)?;
             let mut members = Vec::with_capacity(member_len);
@@ -512,31 +510,17 @@ impl ShardedEngine {
                 members.push(member);
             }
             let fit_labeled = r.usize()?;
-            let parts = read_shard_engine(&mut r)?;
-            if parts.labeled.len() != members.len() {
+            if fit_labeled > member_len {
                 return Err(Error::Snapshot {
-                    message: format!(
-                        "shard with {} members carries a {}-entry label mask",
-                        members.len(),
-                        parts.labeled.len()
-                    ),
+                    message: format!("{fit_labeled} fit-time labels for {member_len} members"),
                 });
             }
             let shard = ShardPlan::shard_from_parts(members, fit_labeled);
-            let shard_points = shard.extract_rows(&points);
-            engines.push(ServingEngine::from_snapshot_parts(
-                &shard_points,
-                shard_config.clone(),
-                multiclass,
-                class_count,
-                parts.labeled,
-                parts.targets,
-                parts.unlabeled,
-                parts.system,
-                parts.inverse,
-                parts.rhs,
-                parts.scores,
-                parts.updates_since_refactor,
+            models.push(read_shard(
+                &mut r,
+                shard.extract_rows(&points),
+                &config,
+                width,
             )?);
             shards.push(shard);
         }
@@ -555,7 +539,7 @@ impl ShardedEngine {
             multiclass,
             class_count,
             plan,
-            engines,
+            models,
             scores,
             epoch,
         )
@@ -566,7 +550,11 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::types::QueryPoint;
+    use crate::ServingEngine;
     use gssl_linalg::SolverPolicy;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn two_cluster_points() -> Matrix {
         let coords = [0.0, 8.0, 0.5, 8.5, 0.9, 8.9];
@@ -642,32 +630,26 @@ mod tests {
         ));
 
         // Bit flip in the body breaks the checksum.
-        let mut flipped = bytes.clone();
+        let mut flipped = bytes;
         flipped[40] ^= 0x5a;
         assert!(matches!(
             ShardedEngine::restore(&flipped),
             Err(Error::Snapshot { .. })
         ));
 
-        // Bad magic (checksum recomputed so only the magic is wrong).
-        let mut bad_magic = bytes.clone();
+        // Bad magic (resealed so only the magic is wrong).
+        let mut bad_magic = body_of(&engine);
         bad_magic[0] = b'X';
-        let body_len = bad_magic.len() - 8;
-        let sum = fnv1a(&bad_magic[..body_len]).to_le_bytes();
-        bad_magic[body_len..].copy_from_slice(&sum);
         assert!(matches!(
-            ShardedEngine::restore(&bad_magic),
+            ShardedEngine::restore(&reseal(bad_magic)),
             Err(Error::Snapshot { .. })
         ));
 
-        // Unknown version, checksum intact.
-        let mut bad_version = bytes;
+        // Unknown version, resealed.
+        let mut bad_version = body_of(&engine);
         bad_version[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = bad_version.len() - 8;
-        let sum = fnv1a(&bad_version[..body_len]).to_le_bytes();
-        bad_version[body_len..].copy_from_slice(&sum);
         assert!(matches!(
-            ShardedEngine::restore(&bad_version),
+            ShardedEngine::restore(&reseal(bad_version)),
             Err(Error::Snapshot { .. })
         ));
     }
@@ -679,6 +661,166 @@ mod tests {
         assert_eq!(
             u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
             SNAPSHOT_VERSION
+        );
+    }
+
+    /// A snapshot's bytes without the checksum trailer.
+    fn body_of(engine: &ShardedEngine) -> Vec<u8> {
+        let mut bytes = engine.snapshot().unwrap();
+        bytes.truncate(bytes.len() - 8);
+        bytes
+    }
+
+    /// Appends a fresh trailer so a mutated body reaches the parser:
+    /// FNV-1a detects accidents, it does not authenticate.
+    fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&body).to_le_bytes();
+        body.extend_from_slice(&sum);
+        body
+    }
+
+    #[test]
+    fn restore_rejects_a_class_count_the_targets_do_not_have() {
+        // Byte 63 is the multiclass flag and bytes 64..72 the class count
+        // (magic 8, version 4, then 51 bytes of config). A binary snapshot
+        // resealed to claim three classes used to restore, then index
+        // past its one target column on a class-2 fold.
+        let mut body = body_of(&fitted());
+        assert_eq!((body[63], &body[64..72]), (0, &2u64.to_le_bytes()[..]));
+        body[63] = 1;
+        body[64..72].copy_from_slice(&3u64.to_le_bytes());
+        assert!(matches!(
+            ShardedEngine::restore(&reseal(body)),
+            Err(Error::Snapshot { .. })
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_an_unlabeled_index_outside_its_shard() {
+        // Shard 0 holds nodes {0, 2, 4} with node 0 labeled, so its local
+        // unlabeled list is [1, 2]. The list follows the header and epoch
+        // (80 bytes), the 6 × 1 points and global scores (each with a
+        // 16-byte shape), the shard count, the three members and their
+        // count, the fit-time label count, the 3-byte mask and its
+        // length, and the 3 × 1 targets; its length comes first.
+        let at = 80 + 2 * (16 + 6 * 8) + 8 + 8 + 3 * 8 + 8 + 8 + 3 + (16 + 3 * 8);
+        let mut body = body_of(&fitted());
+        let list = [2u64, 1, 2].map(u64::to_le_bytes).concat();
+        assert_eq!(&body[at..at + 24], &list[..]);
+        // Local node 2 becomes 1000: restored, a fold into local node 1
+        // used to read weight row 1000 of a 3 × 3 block.
+        body[at + 16..at + 24].copy_from_slice(&1000u64.to_le_bytes());
+        assert!(matches!(
+            ShardedEngine::restore(&reseal(body)),
+            Err(Error::Snapshot { .. })
+        ));
+    }
+
+    /// Draws one corruption of `body` — a byte XOR, an 8-byte window
+    /// overwritten with 0, 1, `u64::MAX` or a random value, or a
+    /// truncation — and reseals it. Returns what it did and the bytes.
+    fn mutate(rng: &mut StdRng, body: &[u8]) -> (String, Vec<u8>) {
+        let mut out = body.to_vec();
+        let what = match rng.gen_range(0..5usize) {
+            0 | 1 => {
+                let (at, mask) = (rng.gen_range(0..out.len()), rng.gen_range(1..256usize));
+                out[at] ^= mask as u8;
+                format!("xor byte {at} with {mask:#04x}")
+            }
+            2 | 3 => {
+                let at = rng.gen_range(0..out.len() - 7);
+                let value = [0, 1, u64::MAX, rng.gen()][rng.gen_range(0..4usize)];
+                out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                format!("write {value:#x} at byte {at}")
+            }
+            _ => {
+                let len = rng.gen_range(0..out.len());
+                out.truncate(len);
+                format!("truncate to {len} bytes")
+            }
+        };
+        (what, reseal(out))
+    }
+
+    /// Tries to fold a label into every node; errors are expected for
+    /// nodes already labeled, and ignored.
+    fn fold_every_node(engine: &ShardedEngine) {
+        for node in 0..engine.n_nodes() {
+            let _ = if engine.is_multiclass() {
+                engine.observe_class_label(node, node % engine.class_count())
+            } else {
+                engine.observe_label(node, (node % 2) as f64)
+            };
+        }
+    }
+
+    /// Hard and soft binary engines over two components, a multiclass
+    /// engine over three and a one-shard Gaussian engine, each at most 12
+    /// nodes, snapshotted before and after folding every node but one.
+    fn corpus() -> Vec<Vec<u8>> {
+        let pair = two_cluster_points();
+        let three = Matrix::from_fn(9, 1, |i, _| (i % 3) as f64 * 10.0 + (i / 3) as f64 * 0.4);
+        let line = Matrix::from_fn(8, 1, |i, _| i as f64 * 0.3);
+        let compact = EngineConfig::new(Kernel::Epanechnikov, 1.5).workers(1);
+        let soft = compact
+            .clone()
+            .criterion(ServeCriterion::Soft { lambda: 0.5 })
+            .query_path(QueryPath::WithinSupport);
+        let gaussian = EngineConfig::new(Kernel::Gaussian, 0.8)
+            .workers(2)
+            .query_path(QueryPath::KNearest { k: 3 });
+        let engines = [
+            ShardedEngine::fit(&pair, &[0.0, 1.0], compact.clone()).unwrap(),
+            ShardedEngine::fit(&pair, &[0.0, 1.0], soft).unwrap(),
+            ShardedEngine::fit_multiclass(&three, &[0, 1, 2], 3, compact).unwrap(),
+            ServingEngine::fit(&line, &[0.0, 1.0], gaussian).unwrap(),
+        ];
+        let mut bodies = Vec::new();
+        for engine in engines {
+            bodies.push(body_of(&engine));
+            let last = engine.n_nodes() - 1;
+            for node in engine.n_labeled()..last {
+                if engine.is_multiclass() {
+                    engine.observe_class_label(node, node % 3).unwrap();
+                } else {
+                    engine.observe_label(node, (node % 2) as f64).unwrap();
+                }
+            }
+            bodies.push(body_of(&engine));
+        }
+        bodies
+    }
+
+    #[test]
+    fn seeded_corruptions_restore_to_an_error_or_a_working_engine() {
+        let corpus = corpus();
+        let (mut restored, mut rejected) = (0, 0);
+        for seed in 0..2400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let which = rng.gen_range(0..corpus.len());
+            let (mutation, bytes) = mutate(&mut rng, &corpus[which]);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let Ok(engine) = ShardedEngine::restore(&bytes) else {
+                    return false;
+                };
+                let queries: Vec<QueryPoint> = (0..4)
+                    .map(|q| QueryPoint::new(vec![q as f64 * 2.9; engine.dim()]))
+                    .collect();
+                let _ = engine.predict_batch(&queries);
+                fold_every_node(&engine);
+                let _ = engine.snapshot();
+                true
+            }));
+            match outcome {
+                Ok(true) => restored += 1,
+                Ok(false) => rejected += 1,
+                Err(_) => panic!("seed {seed}: {mutation} of corpus snapshot {which} panicked"),
+            }
+        }
+        // Both outcomes occur, so the engine path is exercised too.
+        assert!(
+            restored > 0 && rejected > 0,
+            "{restored} restored, {rejected} rejected"
         );
     }
 }

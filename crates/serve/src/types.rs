@@ -1,6 +1,5 @@
 //! Value types exchanged across the serving boundary: query points in,
-//! predictions out. Shared by the monolithic [`crate::ServingEngine`],
-//! the shard-decomposed [`crate::ShardedEngine`] and the admission
+//! predictions out. Shared by [`crate::ShardedEngine`] and the admission
 //! controlled [`crate::BatchQueue`].
 
 /// An out-of-sample point to be scored by a fitted engine.

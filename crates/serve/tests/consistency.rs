@@ -97,10 +97,8 @@ fn soft_engine_fit_matches_full_system_criterion() {
 #[test]
 fn hard_rank1_chain_matches_full_refit_to_1e10() {
     let ssl = moons(50, 10, 3);
-    let mut streamed =
-        ServingEngine::fit(&ssl.inputs, &ssl.labels, rank1_only_config()).expect("fit");
-    let mut refitted =
-        ServingEngine::fit(&ssl.inputs, &ssl.labels, rank1_only_config()).expect("fit");
+    let streamed = ServingEngine::fit(&ssl.inputs, &ssl.labels, rank1_only_config()).expect("fit");
+    let refitted = ServingEngine::fit(&ssl.inputs, &ssl.labels, rank1_only_config()).expect("fit");
 
     for &node in &[12usize, 35, 49, 20, 41, 17, 28, 33] {
         let y = target_of(&ssl, node);
@@ -127,8 +125,8 @@ fn hard_rank1_chain_matches_full_refit_to_1e10() {
 fn soft_rank1_chain_matches_full_refit_to_1e10() {
     let ssl = moons(50, 10, 5);
     let config = rank1_only_config().criterion(ServeCriterion::Soft { lambda: 0.3 });
-    let mut streamed = ServingEngine::fit(&ssl.inputs, &ssl.labels, config.clone()).expect("fit");
-    let mut refitted = ServingEngine::fit(&ssl.inputs, &ssl.labels, config).expect("fit");
+    let streamed = ServingEngine::fit(&ssl.inputs, &ssl.labels, config.clone()).expect("fit");
+    let refitted = ServingEngine::fit(&ssl.inputs, &ssl.labels, config).expect("fit");
 
     for &node in &[13usize, 44, 27, 38, 19, 31] {
         let y = target_of(&ssl, node);
@@ -155,7 +153,7 @@ fn soft_rank1_chain_matches_full_refit_to_1e10() {
 fn batch_predictions_match_direct_refit_to_1e8() {
     let ssl = moons(40, 8, 13);
     let n = ssl.n_labeled();
-    let mut engine =
+    let engine =
         ServingEngine::fit(&ssl.inputs, &ssl.labels, rank1_only_config().workers(4)).expect("fit");
     let streamed_nodes = [15usize, 33, 22, 39];
     for &node in &streamed_nodes {
@@ -218,7 +216,7 @@ fn batch_predictions_match_direct_refit_to_1e8() {
 fn identical_inputs_toy_returns_label_mean() {
     let points = Matrix::from_fn(6, 2, |_, _| 1.25);
     let labels = [1.0, 0.0, 1.0];
-    let mut engine = ServingEngine::fit(&points, &labels, rank1_only_config()).expect("fit");
+    let engine = ServingEngine::fit(&points, &labels, rank1_only_config()).expect("fit");
     let mean = 2.0 / 3.0;
     for i in 3..6 {
         assert!(
@@ -255,7 +253,7 @@ fn identical_inputs_toy_returns_label_mean() {
 fn residual_guard_forces_refactor() {
     let ssl = moons(20, 5, 17);
     let config = rank1_only_config().residual_tolerance(1e-300);
-    let mut engine = ServingEngine::fit(&ssl.inputs, &ssl.labels, config).expect("fit");
+    let engine = ServingEngine::fit(&ssl.inputs, &ssl.labels, config).expect("fit");
     engine
         .observe_label(10, target_of(&ssl, 10))
         .expect("update");

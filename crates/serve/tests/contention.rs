@@ -72,7 +72,7 @@ fn interleaved_observe_and_predict_match_serial_refit_twin() {
         .workers(1)
         .refactor_every(0)
         .residual_tolerance(1e-3);
-    let mut twin = ServingEngine::fit(&ssl.inputs, &ssl.labels, twin_config).expect("twin fit");
+    let twin = ServingEngine::fit(&ssl.inputs, &ssl.labels, twin_config).expect("twin fit");
     let mut expected: Vec<Vec<Prediction>> = Vec::with_capacity(ROUNDS + 1);
     expected.push(twin.predict_batch(&queries).expect("twin predict"));
     for &(node, y) in &updates {
@@ -102,7 +102,7 @@ fn interleaved_observe_and_predict_match_serial_refit_twin() {
             for &(node, y) in &updates {
                 start.wait();
                 mid.wait();
-                let mut guard = shared.write().expect("write lock");
+                let guard = shared.write().expect("write lock");
                 guard.observe_label(node, y).expect("observe_label");
             }
             // Final round: readers observe the fully-updated state.
@@ -171,9 +171,9 @@ fn guarded_refactor_matches_full_refit_twin() {
         .collect();
 
     let base = EngineConfig::new(Kernel::Gaussian, BANDWIDTH).workers(1);
-    let mut guarded = ServingEngine::fit(&ssl.inputs, &ssl.labels, base.clone().refactor_every(1))
+    let guarded = ServingEngine::fit(&ssl.inputs, &ssl.labels, base.clone().refactor_every(1))
         .expect("guarded fit");
-    let mut twin =
+    let twin =
         ServingEngine::fit(&ssl.inputs, &ssl.labels, base.refactor_every(0)).expect("twin fit");
 
     for (round, &(node, y)) in updates.iter().enumerate() {

@@ -79,7 +79,7 @@ fn sharded_matches_monolithic_bitwise_hard() {
     let mono = ServingEngine::fit(&points, &labels, compact_config()).unwrap();
     let sharded = ShardedEngine::fit(&points, &labels, compact_config()).unwrap();
     assert_eq!(sharded.n_shards(), 3, "expected a genuine decomposition");
-    assert_scores_bitwise(mono.scores(), &sharded.scores(), "hard fit");
+    assert_scores_bitwise(&mono.scores(), &sharded.scores(), "hard fit");
     let queries = in_cluster_queries(18);
     assert_bitwise(
         &mono.predict_batch(&queries).unwrap(),
@@ -96,7 +96,7 @@ fn sharded_matches_monolithic_bitwise_soft() {
     let mono = ServingEngine::fit(&points, &labels, config.clone()).unwrap();
     let sharded = ShardedEngine::fit(&points, &labels, config).unwrap();
     assert_eq!(sharded.n_shards(), 3);
-    assert_scores_bitwise(mono.scores(), &sharded.scores(), "soft fit");
+    assert_scores_bitwise(&mono.scores(), &sharded.scores(), "soft fit");
     let queries = in_cluster_queries(15);
     assert_bitwise(
         &mono.predict_batch(&queries).unwrap(),
@@ -113,7 +113,7 @@ fn sharded_matches_monolithic_bitwise_multiclass() {
     let sharded =
         ShardedEngine::fit_multiclass(&points, &class_labels, 3, compact_config()).unwrap();
     assert_eq!(sharded.n_shards(), 3);
-    assert_scores_bitwise(mono.scores(), &sharded.scores(), "multiclass fit");
+    assert_scores_bitwise(&mono.scores(), &sharded.scores(), "multiclass fit");
     let queries = in_cluster_queries(12);
     let out = sharded.predict_batch(&queries).unwrap();
     assert_bitwise(&mono.predict_batch(&queries).unwrap(), &out, "multiclass");
@@ -131,20 +131,39 @@ fn sharded_folds_track_monolithic_folds_bitwise() {
     // bits under the direct route.
     let points = clustered_points(18);
     let labels = [0.0, 1.0, 0.0];
-    let mut mono = ServingEngine::fit(&points, &labels, compact_config()).unwrap();
+    let mono = ServingEngine::fit(&points, &labels, compact_config()).unwrap();
     let sharded = ShardedEngine::fit(&points, &labels, compact_config()).unwrap();
     for (node, y) in [(7, 1.0), (11, 0.0), (9, 1.0)] {
         mono.observe_label(node, y).unwrap();
         sharded.observe_label(node, y).unwrap();
     }
     assert_eq!(sharded.epoch(), 4);
-    assert_scores_bitwise(mono.scores(), &sharded.scores(), "after folds");
+    assert_scores_bitwise(&mono.scores(), &sharded.scores(), "after folds");
     let queries = in_cluster_queries(9);
     assert_bitwise(
         &mono.predict_batch(&queries).unwrap(),
         &sharded.predict_batch(&queries).unwrap(),
         "post-fold predictions",
     );
+}
+
+#[test]
+fn fold_metrics_reach_the_engine() {
+    // refactor_every(1): every fold is a rank-1 update followed by a
+    // guarded refactor inside the owning shard, and all of it is counted
+    // on the engine — three fit-time factorizations plus three guarded.
+    let points = clustered_points(18);
+    let labels = [0.0, 1.0, 0.0];
+    let engine = ShardedEngine::fit(&points, &labels, compact_config().refactor_every(1)).unwrap();
+    assert_eq!(engine.n_shards(), 3);
+    for (node, y) in [(7, 1.0), (11, 0.0), (9, 1.0)] {
+        engine.observe_label(node, y).unwrap();
+    }
+    let m = engine.metrics();
+    assert_eq!(m.rank1_updates, 3);
+    assert_eq!(m.guarded_refactors, 3);
+    assert_eq!(m.factorizations, 6);
+    assert!(m.last_factor.is_some());
 }
 
 #[test]
@@ -288,7 +307,7 @@ fn single_component_graph_degenerates_to_one_shard() {
     let mono = ServingEngine::fit(&points, &labels, config.clone()).unwrap();
     let sharded = ShardedEngine::fit(&points, &labels, config).unwrap();
     assert_eq!(sharded.n_shards(), 1);
-    assert_scores_bitwise(mono.scores(), &sharded.scores(), "single component");
+    assert_scores_bitwise(&mono.scores(), &sharded.scores(), "single component");
     let queries: Vec<QueryPoint> = (0..8)
         .map(|q| QueryPoint::new(vec![q as f64 * 0.55]))
         .collect();
@@ -315,7 +334,7 @@ fn fitted_plan_is_the_dense_plan_for_every_kernel() {
         assert_eq!(sharded.plan(), &dense, "{kernel}");
         assert_eq!(sharded.n_shards(), 3, "{kernel}");
         let mono = ServingEngine::fit(&points, &labels, config).unwrap();
-        assert_scores_bitwise(mono.scores(), &sharded.scores(), &format!("{kernel}"));
+        assert_scores_bitwise(&mono.scores(), &sharded.scores(), &format!("{kernel}"));
     }
 }
 
@@ -331,5 +350,5 @@ fn boxcar_pair_one_ulp_past_the_bandwidth_shares_a_shard() {
     assert_eq!(sharded.n_shards(), 2);
     assert_eq!(sharded.plan().shards()[0].members(), &[0, 2]);
     let mono = ServingEngine::fit(&points, &labels, config).unwrap();
-    assert_scores_bitwise(mono.scores(), &sharded.scores(), "boxcar ulp pair");
+    assert_scores_bitwise(&mono.scores(), &sharded.scores(), "boxcar ulp pair");
 }

@@ -218,8 +218,8 @@ fn deterministic_annotation_inventory_is_pinned() {
         }
     }
     assert_eq!(
-        markers, 61,
-        "the `/// deterministic` inventory drifted from the pinned 61 \
+        markers, 60,
+        "the `/// deterministic` inventory drifted from the pinned 60 \
          entry points; update tests/determinism.rs coverage alongside"
     );
 }

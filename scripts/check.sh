@@ -44,6 +44,13 @@ cargo test -q --workspace
 echo "== cargo test --features strict-checks"
 cargo test -q --features strict-checks
 
+echo "== feature crates' own tests under strict-checks"
+# The step above builds only the root package's test targets, so the
+# tests of the crates that define the feature (the serve-boundary checks
+# among them) need their own run with the sanitizer on.
+cargo test -q --offline -p gssl-linalg -p gssl -p gssl-serve \
+    --features gssl-linalg/strict-checks,gssl/strict-checks,gssl-serve/strict-checks
+
 echo "== benchmark build + tests (perfbench/, its own Cargo workspace)"
 # perfbench/ is a workspace of its own, so the builds above never compile
 # it: a library change that breaks a call the benchmark makes would pass
