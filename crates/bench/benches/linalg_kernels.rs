@@ -45,7 +45,8 @@ fn bench_solves(c: &mut Criterion) {
     group.bench_function("cholesky_backsolve", |b| {
         b.iter(|| chol.solve(&rhs).expect("solve"));
     });
-    let cg = PrecondCg::factor_dense(&a, CgOptions::default()).expect("positive diagonal");
+    let cg = PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
+        .expect("positive diagonal");
     group.bench_function("jacobi_pcg", |b| {
         b.iter(|| cg.solve(&rhs).expect("cg"));
     });

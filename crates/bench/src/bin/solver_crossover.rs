@@ -1,8 +1,7 @@
 //! Solver-crossover benchmark for the sparse-first factorization stack:
 //! sweeps 2-D grid-Laplacian systems of increasing size through every
 //! backend the [`gssl_linalg::SolverPolicy`] can dispatch to — dense
-//! Cholesky, Jacobi-CG, block-Jacobi PCG, IC(0) PCG, and graph-coarsened
-//! AMG — and records the dense → IC-PCG → AMG crossover curve (time,
+//! Cholesky, Jacobi-CG, IC(0) PCG, and graph-coarsened AMG — and records the dense → IC-PCG → AMG crossover curve (time,
 //! iterations, residual, nnz, bandwidth per point) into
 //! `BENCH_solver.json`.
 //!
@@ -23,7 +22,7 @@
 
 use gssl_linalg::{
     AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, PrecondCg, PrecondKind,
-    SolverPolicy, Vector, DEFAULT_BLOCK_DIM,
+    SolverPolicy, Vector,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -194,12 +193,6 @@ fn run_size(side: usize, quiet: bool) -> SizeReport {
     }
     for (name, kind) in [
         ("jacobi-cg", PrecondKind::Jacobi),
-        (
-            "block-jacobi-pcg",
-            PrecondKind::BlockJacobi {
-                block_dim: DEFAULT_BLOCK_DIM,
-            },
-        ),
         ("ic0-pcg", PrecondKind::Ic0),
     ] {
         solvers.push(run_backend(

@@ -109,7 +109,9 @@ impl LabelPropagation {
 
     /// Matrix-free sweeps over the CSR structure: the `m × m` system is
     /// never assembled, each sweep walks the stored edges of the unlabeled
-    /// rows directly.
+    /// rows directly. An exhausted budget reports the last iterate's
+    /// residual `‖(D₂₂ − W₂₂) f − W₂₁ Y‖₂`, as the dense sweeps do, from
+    /// one product of the stored `W` with `[Y; f]`.
     fn fit_sparse(&self, problem: &Problem, w: &CsrMatrix) -> Result<(Scores, usize)> {
         let n = problem.n_labeled();
         let m = problem.n_unlabeled();
@@ -160,9 +162,20 @@ impl LabelPropagation {
                 return Ok((Scores::from_parts(problem.labels(), &f), sweep));
             }
         }
+        // Row i of W [Y; f] is W₂₁ Y + W₂₂ f, self-loop included, so the
+        // residual row is d_i f_a minus it.
+        let scores: Vec<f64> = problem.labels().iter().chain(&f).copied().collect();
+        let propagated = w.matvec(&scores);
+        let residual = degrees.as_slice()[n..]
+            .iter()
+            .zip(&f)
+            .zip(&propagated[n..])
+            .map(|((d, fa), wf)| (d * fa - wf).powi(2))
+            .sum::<f64>()
+            .sqrt();
         Err(Error::Linalg(gssl_linalg::Error::NotConverged {
             iterations: budget,
-            residual: f64::NAN,
+            residual,
         }))
     }
 }
@@ -248,12 +261,37 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let p = chain_problem();
-        let result = LabelPropagation::new()
-            .max_iterations(1)
-            .tolerance(1e-15)
-            .fit(&p);
-        assert!(matches!(result, Err(Error::Linalg(_))));
+        let dense = chain_problem();
+        let sparse = Problem::new(
+            CsrMatrix::from_dense(dense.dense_weights().unwrap(), 0.0),
+            dense.labels().to_vec(),
+        )
+        .unwrap();
+        for sweep in [SweepKind::Simultaneous, SweepKind::InPlace] {
+            let residuals: Vec<f64> = [&dense, &sparse]
+                .into_iter()
+                .map(|p| {
+                    let result = LabelPropagation::new()
+                        .sweep(sweep)
+                        .max_iterations(1)
+                        .tolerance(1e-15)
+                        .fit(p);
+                    match result {
+                        Err(Error::Linalg(gssl_linalg::Error::NotConverged {
+                            iterations: 1,
+                            residual,
+                        })) => residual,
+                        other => panic!("{sweep:?}: expected NotConverged, got {other:?}"),
+                    }
+                })
+                .collect();
+            let (dense_r, sparse_r) = (residuals[0], residuals[1]);
+            assert!(dense_r.is_finite() && dense_r > 0.0, "{sweep:?}: {dense_r}");
+            assert!(
+                (sparse_r - dense_r).abs() <= 1e-9 * dense_r,
+                "{sweep:?}: sparse {sparse_r} vs dense {dense_r}"
+            );
+        }
     }
 
     #[test]

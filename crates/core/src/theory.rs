@@ -11,8 +11,9 @@
 //! 3. the **regime ratio** `m/(n h_n^d)`, which must vanish
 //!    (`m = o(n h_n^d)`) for consistency.
 //!
-//! [`TheoryDiagnostics`] measures all three on a concrete problem so the
-//! asymptotic statements can be watched converging in experiments.
+//! [`TheoryDiagnostics`](crate::theory::TheoryDiagnostics) measures all
+//! three on a concrete problem so the asymptotic statements can be
+//! watched converging in experiments.
 
 use crate::error::Result;
 use crate::hard::HardCriterion;

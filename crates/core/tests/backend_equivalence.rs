@@ -113,25 +113,14 @@ fn force_cg_policy() -> SolverPolicy {
 }
 
 /// One forced-iterative policy per solver family the sparse-first stack
-/// can dispatch to: Jacobi PCG, block-Jacobi PCG, IC(0) PCG, and AMG.
+/// can dispatch to: Jacobi PCG, IC(0) PCG, and AMG.
 fn forced_iterative_policies() -> Vec<(&'static str, SolverPolicy)> {
-    let tight_cg = CgOptions {
-        max_iterations: 0,
-        tolerance: 1e-12,
-    };
     vec![
         ("forced-jacobi", force_cg_policy()),
-        (
-            "forced-block-jacobi",
-            force_strategy_policy(SparseStrategy::BlockJacobi { block_dim: 8 }),
-        ),
         ("forced-ic0", force_strategy_policy(SparseStrategy::Ic0)),
         (
             "forced-amg",
-            force_strategy_policy(SparseStrategy::Amg(AmgOptions {
-                cg: tight_cg,
-                ..AmgOptions::default()
-            })),
+            force_strategy_policy(SparseStrategy::Amg(AmgOptions::default())),
         ),
     ]
 }

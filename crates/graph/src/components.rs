@@ -1,10 +1,12 @@
 //! Connectivity analysis of weighted graphs.
 //!
 //! Proposition II.2 (inconsistency of the soft criterion at large λ)
-//! assumes `W` represents a *connected* graph; [`is_connected`] makes that
-//! hypothesis checkable, and [`connected_components`] is used by the hard
-//! criterion to detect unlabeled components with no labeled anchor (where
-//! `D₂₂ − W₂₂` is singular).
+//! assumes `W` represents a *connected* graph;
+//! [`is_connected`](crate::components::is_connected) makes that hypothesis
+//! checkable, and
+//! [`component_partition`](crate::components::component_partition) splits
+//! a graph into the components the sharded serving engine fits one by
+//! one.
 
 use crate::error::{Error, Result};
 use gssl_linalg::Matrix;
@@ -210,30 +212,6 @@ pub fn is_connected(w: &Matrix, threshold: f64) -> Result<bool> {
     Ok(labels.iter().all(|&l| l == 0))
 }
 
-/// Returns `true` when every unlabeled vertex (index `>= n_labeled`) is in
-/// the same component as at least one labeled vertex.
-///
-/// This is exactly the condition under which the hard-criterion system
-/// `D₂₂ − W₂₂` is nonsingular.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidArgument`] when `w` is not square or
-/// `n_labeled > w.rows()`.
-pub fn unlabeled_anchored(w: &Matrix, n_labeled: usize, threshold: f64) -> Result<bool> {
-    if n_labeled > w.rows() {
-        return Err(Error::InvalidArgument {
-            message: format!(
-                "n_labeled ({n_labeled}) exceeds vertex count ({})",
-                w.rows()
-            ),
-        });
-    }
-    let labels = connected_components(w, threshold)?;
-    let anchored: std::collections::HashSet<usize> = labels[..n_labeled].iter().copied().collect();
-    Ok(labels[n_labeled..].iter().all(|l| anchored.contains(l)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +247,7 @@ mod tests {
         let labels = connected_components(&two_cliques(), 0.0).unwrap();
         assert_eq!(labels, vec![0, 0, 1, 1]);
         assert!(!is_connected(&two_cliques(), 0.0).unwrap());
+        assert!(connected_components(&Matrix::zeros(2, 3), 0.0).is_err());
     }
 
     #[test]
@@ -284,24 +263,6 @@ mod tests {
     fn single_vertex_and_empty_graphs_are_connected() {
         assert!(is_connected(&Matrix::zeros(1, 1), 0.0).unwrap());
         assert!(is_connected(&Matrix::zeros(0, 0), 0.0).unwrap());
-    }
-
-    #[test]
-    fn anchoring_detects_stranded_unlabeled_vertices() {
-        // Labeled: {0, 1} (first clique). Unlabeled {2, 3} form their own
-        // component => not anchored.
-        assert!(!unlabeled_anchored(&two_cliques(), 2, 0.0).unwrap());
-        // Labeled = one vertex from each clique => anchored.
-        // Reorder: vertices 0 and 2 labeled means n_labeled = 2 only works
-        // with a permuted matrix; build it directly.
-        let w = Matrix::from_rows(&[
-            &[0.0, 0.0, 1.0, 0.0],
-            &[0.0, 0.0, 0.0, 1.0],
-            &[1.0, 0.0, 0.0, 0.0],
-            &[0.0, 1.0, 0.0, 0.0],
-        ])
-        .unwrap();
-        assert!(unlabeled_anchored(&w, 2, 0.0).unwrap());
     }
 
     #[test]
@@ -343,16 +304,5 @@ mod tests {
             }
         }
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), labels.len());
-    }
-
-    #[test]
-    fn anchoring_validates_arguments() {
-        assert!(unlabeled_anchored(&two_cliques(), 9, 0.0).is_err());
-        assert!(connected_components(&Matrix::zeros(2, 3), 0.0).is_err());
-    }
-
-    #[test]
-    fn fully_labeled_graph_is_trivially_anchored() {
-        assert!(unlabeled_anchored(&two_cliques(), 4, 0.0).unwrap());
     }
 }

@@ -41,7 +41,7 @@
 pub mod affinity;
 /// Bandwidth selection rules, including the paper's rate.
 pub mod bandwidth;
-/// Connected-component analysis and anchoring checks.
+/// Connected-component analysis.
 pub mod components;
 mod diagnostics;
 mod error;

@@ -2,8 +2,9 @@
 //!
 //! The paper's proof of Theorem II.1 hinges on the Neumann series
 //! `(I − D₂₂⁻¹W₂₂)⁻¹ = I + Σ_l (D₂₂⁻¹W₂₂)^l` converging, i.e. on the
-//! spectral radius of `D₂₂⁻¹W₂₂` staying below 1. [`spectral_radius`]
-//! lets the `gssl::theory` module measure that quantity directly.
+//! spectral radius of `D₂₂⁻¹W₂₂` staying below 1.
+//! [`spectral_radius`](crate::spectral::spectral_radius) lets the
+//! `gssl::theory` module measure that quantity directly.
 
 use crate::error::{Error, Result};
 use gssl_linalg::float::is_exactly_zero;

@@ -46,19 +46,17 @@
 //!   preconditioner that solve builds, so concurrent `&self` solves share
 //!   nothing mutable.
 
-use crate::cg::{preconditioned_cg_with, CgOptions};
+use crate::cg::{preconditioned_cg_with, CgOptions, CsrOnExecutor, LastSolve};
 use crate::cholesky::Cholesky;
 use crate::error::{Error, Result};
 use crate::factor::{BackendKind, FactorReport, Factorization};
 use crate::lu::Lu;
-use crate::ops::LinearOperator;
 use crate::precond::{JacobiPrecond, Preconditioner};
 use crate::sparse::CsrMatrix;
 use crate::strict;
 use crate::vector::Vector;
 use gssl_runtime::Executor;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Options controlling hierarchy construction and the outer PCG run.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +76,9 @@ pub struct AmgOptions {
     /// well-connected graphs, so a stalled step means the level has
     /// (almost) no off-diagonal mass left to aggregate.
     pub min_coarsening_ratio: f64,
-    /// Options for the outer V-cycle-preconditioned CG run.
+    /// Options for the outer V-cycle-preconditioned CG run of
+    /// [`AmgCg::factor_sparse`]. A [`crate::SolverPolicy`] replaces them
+    /// with its own [`crate::SolverPolicy::cg`].
     pub cg: CgOptions,
 }
 
@@ -133,7 +133,7 @@ impl CoarseSolve {
 
 /// Algebraic-multigrid [`Factorization`] backend: V-cycle-preconditioned
 /// conjugate gradient over a heavy-edge-matched Galerkin hierarchy.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AmgCg {
     /// `grids[0]` holds the finest operator; the coarsest matrix lives in
     /// `coarse_a` / `coarse` (so a system already at or below
@@ -143,25 +143,7 @@ pub struct AmgCg {
     coarse: CoarseSolve,
     options: AmgOptions,
     executor: Executor,
-    // Last-solve diagnostics, written with SeqCst so concurrent serve
-    // readers observe a consistent snapshot; `usize::MAX` / NaN bits mean
-    // "no solve recorded yet".
-    last_iterations: AtomicUsize,
-    last_residual: AtomicU64,
-}
-
-impl Clone for AmgCg {
-    fn clone(&self) -> Self {
-        AmgCg {
-            grids: self.grids.clone(),
-            coarse_a: self.coarse_a.clone(),
-            coarse: self.coarse.clone(),
-            options: self.options.clone(),
-            executor: self.executor.clone(),
-            last_iterations: AtomicUsize::new(self.last_iterations.load(Ordering::SeqCst)),
-            last_residual: AtomicU64::new(self.last_residual.load(Ordering::SeqCst)),
-        }
-    }
+    last: LastSolve,
 }
 
 impl AmgCg {
@@ -220,8 +202,7 @@ impl AmgCg {
             coarse,
             options,
             executor: Executor::default(),
-            last_iterations: AtomicUsize::new(usize::MAX),
-            last_residual: AtomicU64::new(f64::NAN.to_bits()),
+            last: LastSolve::new(),
         })
     }
 
@@ -255,29 +236,13 @@ impl AmgCg {
     /// handle (`None` before the first solve; clones start fresh from the
     /// value at clone time).
     pub fn last_iterations(&self) -> Option<usize> {
-        let v = self.last_iterations.load(Ordering::SeqCst);
-        if v == usize::MAX {
-            None
-        } else {
-            Some(v)
-        }
+        self.last.iterations()
     }
 
     /// Final residual norm of the most recent solve (`None` before the
     /// first solve).
     pub fn last_residual(&self) -> Option<f64> {
-        let v = f64::from_bits(self.last_residual.load(Ordering::SeqCst));
-        if v.is_nan() {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
-    fn record(&self, iterations: usize, residual: f64) {
-        self.last_iterations.store(iterations, Ordering::SeqCst);
-        self.last_residual
-            .store(residual.to_bits(), Ordering::SeqCst);
+        self.last.residual()
     }
 
     fn finest(&self) -> &CsrMatrix {
@@ -406,20 +371,6 @@ impl Preconditioner for VCyclePrecond<'_> {
     }
 }
 
-/// The finest operator with size-gated row-sharded matvecs, for the outer
-/// CG loop.
-struct ShardedFinest<'a>(&'a AmgCg);
-
-impl LinearOperator for ShardedFinest<'_> {
-    fn dim(&self) -> usize {
-        self.0.finest().rows()
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        self.0.finest().matvec_into_with(x, out, &self.0.executor);
-    }
-}
-
 impl Factorization for AmgCg {
     fn dim(&self) -> usize {
         self.finest().rows()
@@ -428,26 +379,12 @@ impl Factorization for AmgCg {
     /// shape: (b.len,)
     fn solve(&self, b: &Vector) -> Result<Vector> {
         let precond = VCyclePrecond::new(self);
-        let op = ShardedFinest(self);
-        match preconditioned_cg_with(&op, b, &precond, &self.options.cg) {
-            Ok(out) => {
-                self.record(out.iterations, out.residual_norm);
-                Ok(out.solution)
-            }
-            Err(Error::NotConverged {
-                iterations,
-                residual,
-            }) => {
-                // Record the failed attempt too, so serve-side diagnostics
-                // can observe a refit that hit its iteration cap.
-                self.record(iterations, residual);
-                Err(Error::NotConverged {
-                    iterations,
-                    residual,
-                })
-            }
-            Err(e) => Err(e),
-        }
+        let op = CsrOnExecutor {
+            matrix: self.finest(),
+            executor: &self.executor,
+        };
+        self.last
+            .record(preconditioned_cg_with(&op, b, &precond, &self.options.cg))
     }
 
     /// Applies the stored finest operator exactly.
@@ -461,9 +398,7 @@ impl Factorization for AmgCg {
                 right: (x.len(), 1),
             });
         }
-        let mut out = vec![0.0; n];
-        LinearOperator::apply(self.finest(), x.as_slice(), &mut out);
-        Ok(Vector::from(out))
+        Ok(Vector::from(self.finest().matvec(x.as_slice())))
     }
 
     fn kind(&self) -> BackendKind {
@@ -636,6 +571,7 @@ fn galerkin(a: &CsrMatrix, agg: &[usize], coarse_n: usize) -> Result<CsrMatrix> 
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+    use crate::ops::LinearOperator;
     use crate::vector::dot_slices;
 
     /// 2D grid-graph Laplacian plus a diagonal anchor: the canonical

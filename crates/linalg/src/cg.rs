@@ -1,16 +1,20 @@
 //! The preconditioned conjugate-gradient kernel behind [`crate::PrecondCg`]
 //! and [`crate::AmgCg`].
 //!
-//! Used as the matrix-free backend for the hard criterion: `D₂₂ − W₂₂` is
-//! SPD whenever every unlabeled vertex is connected (possibly through other
-//! unlabeled vertices) to a labeled vertex.
+//! Both backends run it on a CSR system through [`CsrOnExecutor`]: the
+//! hard criterion's `D₂₂ − W₂₂` is SPD whenever every unlabeled vertex is
+//! connected (possibly through other unlabeled vertices) to a labeled
+//! vertex.
 
 use crate::error::{Error, Result};
 use crate::float::is_exactly_zero;
 use crate::ops::LinearOperator;
 use crate::precond::Preconditioner;
+use crate::sparse::CsrMatrix;
 use crate::strict;
 use crate::vector::{dot_slices, Vector};
+use gssl_runtime::Executor;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Options controlling a conjugate-gradient run.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,13 +36,107 @@ impl Default for CgOptions {
 
 /// Outcome of a successful conjugate-gradient run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CgOutcome {
+pub(crate) struct CgOutcome {
     /// The approximate solution.
-    pub solution: Vector,
+    pub(crate) solution: Vector,
     /// Iterations performed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Final absolute residual norm `‖b − A x‖₂`.
-    pub residual_norm: f64,
+    pub(crate) residual_norm: f64,
+}
+
+/// A CSR system whose CG matvecs run on an executor: the outer operator of
+/// both [`crate::PrecondCg`] and [`crate::AmgCg`].
+///
+/// Every matvec goes through `CsrMatrix::matvec_into_with`, which shards
+/// the rows only when the matrix stores at least `PARALLEL_MIN_NNZ`
+/// entries and the executor has workers, and otherwise calls
+/// `matvec_into` on the calling thread. Each row is the same kernel call
+/// either way, so CG sees the same iterates at any worker count.
+pub(crate) struct CsrOnExecutor<'a> {
+    pub(crate) matrix: &'a CsrMatrix,
+    pub(crate) executor: &'a Executor,
+}
+
+impl LinearOperator for CsrOnExecutor<'_> {
+    fn dim(&self) -> usize {
+        self.matrix.rows()
+    }
+
+    fn apply(&self, x: &[f64], out: &mut [f64]) {
+        self.matrix.matvec_into_with(x, out, self.executor);
+    }
+}
+
+/// Iteration count and residual of an iterative backend's most recent
+/// solve, for [`crate::Factorization::report`].
+///
+/// Written with `SeqCst` so concurrent serve readers observe a consistent
+/// snapshot; `usize::MAX` / NaN bits mean "no solve recorded yet". A clone
+/// starts from the values at clone time.
+#[derive(Debug)]
+pub(crate) struct LastSolve {
+    iterations: AtomicUsize,
+    residual: AtomicU64,
+}
+
+impl LastSolve {
+    pub(crate) fn new() -> Self {
+        LastSolve {
+            iterations: AtomicUsize::new(usize::MAX),
+            residual: AtomicU64::new(f64::NAN.to_bits()),
+        }
+    }
+
+    /// Iterations of the most recent solve (`None` before the first).
+    pub(crate) fn iterations(&self) -> Option<usize> {
+        let v = self.iterations.load(Ordering::SeqCst);
+        if v == usize::MAX {
+            None
+        } else {
+            Some(v)
+        }
+    }
+
+    /// Final residual norm of the most recent solve (`None` before the
+    /// first).
+    pub(crate) fn residual(&self) -> Option<f64> {
+        let v = f64::from_bits(self.residual.load(Ordering::SeqCst));
+        if v.is_nan() {
+            None
+        } else {
+            Some(v)
+        }
+    }
+
+    /// Records a CG run and hands back its solution. A run that hit its
+    /// iteration cap is recorded too, so serve-side diagnostics can
+    /// observe a refit that did not converge.
+    pub(crate) fn record(&self, outcome: Result<CgOutcome>) -> Result<Vector> {
+        if let Ok(CgOutcome {
+            iterations,
+            residual_norm: residual,
+            ..
+        })
+        | Err(Error::NotConverged {
+            iterations,
+            residual,
+        }) = &outcome
+        {
+            self.iterations.store(*iterations, Ordering::SeqCst);
+            self.residual.store(residual.to_bits(), Ordering::SeqCst);
+        }
+        outcome.map(|out| out.solution)
+    }
+}
+
+impl Clone for LastSolve {
+    fn clone(&self) -> Self {
+        LastSolve {
+            iterations: AtomicUsize::new(self.iterations.load(Ordering::SeqCst)),
+            residual: AtomicU64::new(self.residual.load(Ordering::SeqCst)),
+        }
+    }
 }
 
 /// Solves `A x = b` by the preconditioned conjugate-gradient method with an
@@ -167,7 +265,6 @@ pub(crate) fn preconditioned_cg_with(
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
-    use crate::ops::ShiftedOperator;
     use crate::precond::JacobiPrecond;
 
     /// The identity preconditioner: plain, unpreconditioned CG.
@@ -243,13 +340,13 @@ mod tests {
 
     #[test]
     fn works_through_operator_abstraction() {
-        // Solve (L + I) x = b with L a graph Laplacian given lazily.
+        // Solve (L + I) x = b with L a graph Laplacian, as a CSR operator.
         let l =
             Matrix::from_rows(&[&[1.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 1.0]]).unwrap();
-        let shifted = ShiftedOperator::new(&l, 1.0);
+        let dense = &l + &Matrix::identity(3);
+        let shifted = CsrMatrix::from_dense(&dense, 0.0);
         let b = Vector::from(vec![1.0, 0.0, -1.0]);
         let out = cg(&shifted, &b, &CgOptions::default()).unwrap();
-        let dense = &l + &Matrix::identity(3);
         let exact = crate::lu::solve(&dense, &b).unwrap();
         assert!(out.solution.approx_eq(&exact, 1e-8));
     }

@@ -88,7 +88,7 @@ impl Cholesky {
     /// **bit-identical** to [`Cholesky::factor`].
     ///
     /// The algorithm is a right-looking blocked factorization over a
-    /// working copy of `a`: each panel of [`Self::PANEL_WIDTH`] columns is
+    /// working copy of `a`: each panel of `PANEL_WIDTH` (32) columns is
     /// factored sequentially, then every trailing row subtracts the
     /// panel's outer products independently — one worker per row block,
     /// reading a snapshot of the panel's `L` columns so no worker reads a

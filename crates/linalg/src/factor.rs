@@ -5,26 +5,24 @@
 //! reduces to "factor once, solve many". [`Factorization`] captures that
 //! contract behind one object-safe trait, implemented by the dense direct
 //! backends ([`Cholesky`], [`Lu`]), by [`PrecondCg`] — a preconditioned
-//! conjugate-gradient backend that keeps sparse systems in CSR form and
-//! pairs them with a pluggable [`crate::Preconditioner`] (Jacobi,
-//! block-Jacobi, or incomplete Cholesky) — and by [`crate::AmgCg`], an
-//! algebraic-multigrid V-cycle PCG for the largest graph Laplacians.
+//! conjugate-gradient backend that keeps its system in CSR form and pairs
+//! it with a [`crate::Precond`] (Jacobi or incomplete Cholesky) — and by
+//! [`crate::AmgCg`], an algebraic-multigrid V-cycle PCG for the largest
+//! graph Laplacians.
 //! [`SolverPolicy`] picks among them from size, symmetry, nonzero density,
 //! and bandwidth, so callers can stay representation-agnostic.
 
 use crate::amg::{AmgCg, AmgOptions};
-use crate::cg::{preconditioned_cg_with, CgOptions};
+use crate::cg::{preconditioned_cg_with, CgOptions, CsrOnExecutor, LastSolve};
 use crate::cholesky::Cholesky;
 use crate::error::{Error, Result};
 use crate::lu::Lu;
 use crate::matrix::Matrix;
-use crate::ops::LinearOperator;
-use crate::precond::{Precond, PrecondKind, DEFAULT_BLOCK_DIM};
+use crate::precond::{Precond, PrecondKind};
 use crate::sparse::CsrMatrix;
 use crate::strict;
-use crate::vector::{dot_slices, Vector};
+use crate::vector::Vector;
 use gssl_runtime::Executor;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A factored (or factor-free iterative) linear system `A x = b`, ready to
 /// solve against many right-hand sides.
@@ -144,12 +142,9 @@ pub enum BackendKind {
     DenseCholesky,
     /// Dense LU with partial pivoting; general nonsingular systems.
     DenseLu,
-    /// Jacobi-preconditioned conjugate gradient over a (usually sparse)
-    /// operator; SPD systems too large or too sparse to factor densely.
+    /// Jacobi-preconditioned conjugate gradient over a CSR system; SPD
+    /// systems too large or too sparse to factor densely.
     SparseCg,
-    /// Block-Jacobi-preconditioned CG: dense Cholesky factors of
-    /// fixed-width diagonal blocks strengthen the Jacobi scaling.
-    SparseBlockJacobiCg,
     /// Incomplete-Cholesky IC(0)-preconditioned CG: a zero-fill factor on
     /// the pattern of `tril(A)` — exact on banded systems, and the default
     /// iterative choice for sparse SPD systems.
@@ -166,7 +161,6 @@ impl BackendKind {
             BackendKind::DenseCholesky => "dense-cholesky",
             BackendKind::DenseLu => "dense-lu",
             BackendKind::SparseCg => "sparse-cg",
-            BackendKind::SparseBlockJacobiCg => "sparse-block-jacobi-cg",
             BackendKind::SparseIcCg => "sparse-ic-cg",
             BackendKind::Amg => "amg",
         }
@@ -176,10 +170,7 @@ impl BackendKind {
     pub fn is_iterative(self) -> bool {
         matches!(
             self,
-            BackendKind::SparseCg
-                | BackendKind::SparseBlockJacobiCg
-                | BackendKind::SparseIcCg
-                | BackendKind::Amg
+            BackendKind::SparseCg | BackendKind::SparseIcCg | BackendKind::Amg
         )
     }
 }
@@ -309,154 +300,25 @@ impl Factorization for Lu {
     }
 }
 
-/// The system held by the iterative backend: dense or CSR, applied as a
-/// [`LinearOperator`] without ever factoring.
-#[derive(Debug, Clone)]
-pub enum CgSystem {
-    /// Dense system matrix.
-    Dense(Matrix),
-    /// Sparse CSR system matrix.
-    Sparse(CsrMatrix),
-}
-
-impl LinearOperator for CgSystem {
-    fn dim(&self) -> usize {
-        match self {
-            CgSystem::Dense(a) => a.rows(),
-            CgSystem::Sparse(a) => a.rows(),
-        }
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        match self {
-            CgSystem::Dense(a) => a.apply(x, out),
-            CgSystem::Sparse(a) => a.apply(x, out),
-        }
-    }
-}
-
-/// A [`CgSystem`] whose matvec is sharded across an [`Executor`].
-///
-/// Each output element is one row's dot product, computed by exactly one
-/// worker with the same operations as the sequential
-/// `LinearOperator::apply` — so CG sees bit-identical iterates regardless
-/// of worker count. A sparse system goes through the size-gated
-/// `CsrMatrix::matvec_into_with`, so a small one stays on the calling
-/// thread.
-struct ShardedCgSystem<'a> {
-    system: &'a CgSystem,
-    executor: &'a Executor,
-}
-
-impl LinearOperator for ShardedCgSystem<'_> {
-    fn dim(&self) -> usize {
-        LinearOperator::dim(self.system)
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        let a = match self.system {
-            CgSystem::Dense(a) => a,
-            CgSystem::Sparse(a) => return a.matvec_into_with(x, out, self.executor),
-        };
-        let block = out
-            .len()
-            .div_ceil(self.executor.workers().saturating_mul(4))
-            .max(1);
-        let sharded = self
-            .executor
-            .for_each_chunk_mut(out, block, |start, chunk| {
-                for (local, o) in chunk.iter_mut().enumerate() {
-                    *o = dot_slices(a.row(start + local), x);
-                }
-            });
-        if sharded.is_err() {
-            // `LinearOperator::apply` is infallible and the chunk width is
-            // always >= 1, so this arm is unreachable in practice; recompute
-            // sequentially rather than panic if it ever fires.
-            self.system.apply(x, out);
-        }
-    }
-}
-
-/// Preconditioned conjugate-gradient backend.
+/// Preconditioned conjugate-gradient backend over a CSR system.
 ///
 /// "Factoring" validates the system and builds the chosen
-/// [`PrecondKind`] (Jacobi diagonal scaling by default, block-Jacobi, or
-/// incomplete Cholesky IC(0)); every [`PrecondCg::solve`] call then runs
-/// [`preconditioned_cg_with`] against the stored operator. The system must
+/// [`PrecondKind`] (Jacobi diagonal scaling by default, or incomplete
+/// Cholesky IC(0)); every [`PrecondCg::solve`] call then runs CG against
+/// the stored system, its matvecs on the stored executor. The system must
 /// be symmetric positive definite — CG reports [`Error::NotConverged`]
 /// otherwise. The most recent solve's iteration count and residual are
 /// recorded for [`Factorization::report`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PrecondCg {
-    system: CgSystem,
+    system: CsrMatrix,
     precond: Precond,
     options: CgOptions,
     executor: Executor,
-    // Last-solve diagnostics, written with SeqCst so concurrent serve
-    // readers observe a consistent snapshot; `usize::MAX` / NaN bits mean
-    // "no solve recorded yet".
-    last_iterations: AtomicUsize,
-    last_residual: AtomicU64,
-}
-
-impl Clone for PrecondCg {
-    fn clone(&self) -> Self {
-        PrecondCg {
-            system: self.system.clone(),
-            precond: self.precond.clone(),
-            options: self.options.clone(),
-            executor: self.executor.clone(),
-            last_iterations: AtomicUsize::new(self.last_iterations.load(Ordering::SeqCst)),
-            last_residual: AtomicU64::new(self.last_residual.load(Ordering::SeqCst)),
-        }
-    }
+    last: LastSolve,
 }
 
 impl PrecondCg {
-    /// Builds the iterative backend around a dense system with the
-    /// historical Jacobi (diagonal) preconditioner.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NotSquare`] when `a` is not square.
-    /// * [`Error::NotPositiveDefinite`] when a diagonal entry is `<= 0` or
-    ///   non-finite (an SPD matrix has a strictly positive diagonal).
-    pub fn factor_dense(a: &Matrix, options: CgOptions) -> Result<Self> {
-        PrecondCg::factor_dense_with(a, PrecondKind::Jacobi, options)
-    }
-
-    /// Builds the iterative backend around a dense system with an explicit
-    /// preconditioner choice.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NotSquare`] when `a` is not square.
-    /// * [`Error::NotPositiveDefinite`] when the preconditioner cannot be
-    ///   built (non-positive diagonal, indefinite block, IC(0) breakdown).
-    pub fn factor_dense_with(a: &Matrix, kind: PrecondKind, options: CgOptions) -> Result<Self> {
-        if !a.is_square() {
-            return Err(Error::NotSquare { shape: a.shape() });
-        }
-        strict::check_finite_matrix("precond_cg.factor input", a)?;
-        let precond = match kind {
-            // The Jacobi diagonal comes straight off the dense storage —
-            // no CSR conversion, and bit-identical to the pre-PR-9 path.
-            PrecondKind::Jacobi => Precond::Jacobi(crate::precond::JacobiPrecond::from_diagonal(
-                (0..a.rows()).map(|i| a.get(i, i)),
-            )?),
-            other => Precond::build(&CsrMatrix::from_dense(a, 0.0), &other)?,
-        };
-        Ok(PrecondCg {
-            system: CgSystem::Dense(a.clone()),
-            precond,
-            options,
-            executor: Executor::default(),
-            last_iterations: AtomicUsize::new(usize::MAX),
-            last_residual: AtomicU64::new(f64::NAN.to_bits()),
-        })
-    }
-
     /// Builds the iterative backend around a CSR system with the
     /// historical Jacobi (diagonal) preconditioner.
     ///
@@ -478,7 +340,7 @@ impl PrecondCg {
     /// * [`Error::NonFiniteValue`] under `strict-checks` when a stored value
     ///   is non-finite (the index is the stored-entry position).
     /// * [`Error::NotPositiveDefinite`] when the preconditioner cannot be
-    ///   built (non-positive diagonal, indefinite block, IC(0) breakdown).
+    ///   built (non-positive diagonal, IC(0) breakdown).
     /// deterministic
     pub fn factor_sparse_with(
         a: &CsrMatrix,
@@ -493,25 +355,26 @@ impl PrecondCg {
         strict::check_finite("precond_cg.factor input", a.values())?;
         let precond = Precond::build(a, &kind)?;
         Ok(PrecondCg {
-            system: CgSystem::Sparse(a.clone()),
+            system: a.clone(),
             precond,
             options,
             executor: Executor::default(),
-            last_iterations: AtomicUsize::new(usize::MAX),
-            last_residual: AtomicU64::new(f64::NAN.to_bits()),
+            last: LastSolve::new(),
         })
     }
 
-    /// Runs every solve's matvecs on `executor` (row-sharded, with output
-    /// bit-identical to the sequential backend at any worker count).
+    /// Runs every solve's matvecs on `executor` (row-sharded once the
+    /// system stores `PARALLEL_MIN_NNZ` entries, with output bit-identical
+    /// to the sequential backend at any worker count).
     #[must_use]
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
         self
     }
 
-    /// Borrows the stored system operator.
-    pub fn system(&self) -> &CgSystem {
+    /// Borrows the stored system.
+    /// shape: (n, n)
+    pub fn system(&self) -> &CsrMatrix {
         &self.system
     }
 
@@ -534,67 +397,29 @@ impl PrecondCg {
     /// handle (`None` before the first solve; clones start fresh from the
     /// value at clone time).
     pub fn last_iterations(&self) -> Option<usize> {
-        let v = self.last_iterations.load(Ordering::SeqCst);
-        if v == usize::MAX {
-            None
-        } else {
-            Some(v)
-        }
+        self.last.iterations()
     }
 
     /// Final residual norm of the most recent solve (`None` before the
     /// first solve).
     pub fn last_residual(&self) -> Option<f64> {
-        let v = f64::from_bits(self.last_residual.load(Ordering::SeqCst));
-        if v.is_nan() {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
-    fn record(&self, iterations: usize, residual: f64) {
-        self.last_iterations.store(iterations, Ordering::SeqCst);
-        self.last_residual
-            .store(residual.to_bits(), Ordering::SeqCst);
+        self.last.residual()
     }
 }
 
 impl Factorization for PrecondCg {
     fn dim(&self) -> usize {
-        LinearOperator::dim(&self.system)
+        self.system.rows()
     }
 
     /// shape: (b.len,)
     fn solve(&self, b: &Vector) -> Result<Vector> {
-        let outcome = if self.executor.is_sequential() {
-            preconditioned_cg_with(&self.system, b, &self.precond, &self.options)
-        } else {
-            let sharded = ShardedCgSystem {
-                system: &self.system,
-                executor: &self.executor,
-            };
-            preconditioned_cg_with(&sharded, b, &self.precond, &self.options)
+        let op = CsrOnExecutor {
+            matrix: &self.system,
+            executor: &self.executor,
         };
-        match outcome {
-            Ok(out) => {
-                self.record(out.iterations, out.residual_norm);
-                Ok(out.solution)
-            }
-            Err(Error::NotConverged {
-                iterations,
-                residual,
-            }) => {
-                // Record the failed attempt too, so serve-side diagnostics
-                // can observe a refit that hit its iteration cap.
-                self.record(iterations, residual);
-                Err(Error::NotConverged {
-                    iterations,
-                    residual,
-                })
-            }
-            Err(e) => Err(e),
-        }
+        self.last
+            .record(preconditioned_cg_with(&op, b, &self.precond, &self.options))
     }
 
     /// Applies the stored system exactly.
@@ -608,15 +433,12 @@ impl Factorization for PrecondCg {
                 right: (x.len(), 1),
             });
         }
-        let mut out = vec![0.0; n];
-        LinearOperator::apply(&self.system, x.as_slice(), &mut out);
-        Ok(Vector::from(out))
+        Ok(Vector::from(self.system.matvec(x.as_slice())))
     }
 
     fn kind(&self) -> BackendKind {
         match self.precond {
             Precond::Jacobi(_) => BackendKind::SparseCg,
-            Precond::BlockJacobi(_) => BackendKind::SparseBlockJacobiCg,
             Precond::Ic0(_) => BackendKind::SparseIcCg,
         }
     }
@@ -724,18 +546,13 @@ pub enum SparseStrategy {
     /// the robust default.
     #[default]
     Auto,
-    /// Always plain Jacobi (diagonal) PCG — the pre-PR-9 behavior.
+    /// Always plain Jacobi (diagonal) PCG.
     Jacobi,
-    /// Always block-Jacobi PCG with the given block width.
-    BlockJacobi {
-        /// Rows per diagonal block.
-        block_dim: usize,
-    },
     /// Always incomplete-Cholesky IC(0) PCG.
     Ic0,
-    /// Always algebraic multigrid with the given hierarchy options (the
-    /// outer CG run still uses [`SolverPolicy::cg`] unless overridden
-    /// here).
+    /// Always algebraic multigrid with the given hierarchy options. The
+    /// outer CG run uses [`SolverPolicy::cg`]; the options' own
+    /// [`AmgOptions::cg`] is ignored here.
     Amg(AmgOptions),
 }
 
@@ -782,7 +599,9 @@ pub struct SolverPolicy {
     /// graph, and such systems in this repo are anchored and
     /// well-conditioned — IC-PCG's cheaper iterations win there.
     pub amg_locality_factor: usize,
-    /// Options for the iterative backends' CG runs.
+    /// Options for the outer CG run of every iterative backend the policy
+    /// builds — Jacobi and IC(0) PCG, and AMG whether auto-selected or
+    /// forced through [`SparseStrategy::Amg`].
     pub cg: CgOptions,
     /// Executor every selected backend factors (and, for CG, solves) on.
     /// Sequential by default; parallel executors leave results bit-identical.
@@ -877,7 +696,6 @@ impl SolverPolicy {
                 }
             }
             SparseStrategy::Jacobi => BackendKind::SparseCg,
-            SparseStrategy::BlockJacobi { .. } => BackendKind::SparseBlockJacobiCg,
             SparseStrategy::Ic0 => BackendKind::SparseIcCg,
             SparseStrategy::Amg(_) => BackendKind::Amg,
         }
@@ -920,40 +738,34 @@ impl SolverPolicy {
     /// Builds the iterative backend [`SolverPolicy::select_iterative`]
     /// picked for a CSR system.
     ///
-    /// IC(0) and block-Jacobi can break down on SPD systems that are far
-    /// from diagonally dominant even though the exact factorization
-    /// exists; in that case the policy falls back to the always-buildable
-    /// Jacobi preconditioner instead of failing the solve. The fallback
-    /// depends only on the matrix values, never on timing or thread count.
+    /// Every backend it builds runs its outer CG with [`SolverPolicy::cg`].
+    /// IC(0) can break down on SPD systems that are far from diagonally
+    /// dominant even though the exact factorization exists; in that case
+    /// the policy falls back to the always-buildable Jacobi
+    /// preconditioner instead of failing the solve. The fallback depends
+    /// only on the matrix values, never on timing or thread count.
     fn factor_iterative(&self, a: &CsrMatrix) -> Result<SolverBackend> {
         match self.select_iterative(a.rows(), a.bandwidth()) {
             BackendKind::Amg => {
-                let options = match &self.sparse {
+                let hierarchy = match &self.sparse {
                     SparseStrategy::Amg(options) => options.clone(),
-                    _ => AmgOptions {
-                        cg: self.cg.clone(),
-                        ..AmgOptions::default()
-                    },
+                    _ => AmgOptions::default(),
+                };
+                let options = AmgOptions {
+                    cg: self.cg.clone(),
+                    ..hierarchy
                 };
                 Ok(SolverBackend::Amg(
                     AmgCg::factor_sparse(a, options)?.with_executor(self.executor.clone()),
                 ))
             }
             kind => {
-                let precond_kind = match (&kind, &self.sparse) {
-                    (BackendKind::SparseCg, _) => PrecondKind::Jacobi,
-                    (
-                        BackendKind::SparseBlockJacobiCg,
-                        SparseStrategy::BlockJacobi { block_dim },
-                    ) => PrecondKind::BlockJacobi {
-                        block_dim: *block_dim,
-                    },
-                    (BackendKind::SparseBlockJacobiCg, _) => PrecondKind::BlockJacobi {
-                        block_dim: DEFAULT_BLOCK_DIM,
-                    },
-                    _ => PrecondKind::Ic0,
+                let jacobi = kind == BackendKind::SparseCg;
+                let precond_kind = if jacobi {
+                    PrecondKind::Jacobi
+                } else {
+                    PrecondKind::Ic0
                 };
-                let jacobi = matches!(precond_kind, PrecondKind::Jacobi);
                 match PrecondCg::factor_sparse_with(a, precond_kind, self.cg.clone()) {
                     Ok(f) => Ok(SolverBackend::Cg(f.with_executor(self.executor.clone()))),
                     Err(Error::NotPositiveDefinite { .. }) if !jacobi => Ok(SolverBackend::Cg(
@@ -1064,22 +876,16 @@ mod tests {
 
         let chol = Cholesky::factor(&a).unwrap();
         let lu = Lu::factor(&a).unwrap();
-        let cg = PrecondCg::factor_dense(&a, CgOptions::default()).unwrap();
-        let ic = PrecondCg::factor_dense_with(&a, PrecondKind::Ic0, CgOptions::default()).unwrap();
-        let block = PrecondCg::factor_dense_with(
-            &a,
-            PrecondKind::BlockJacobi { block_dim: 4 },
-            CgOptions::default(),
-        )
-        .unwrap();
-        let amg =
-            AmgCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), AmgOptions::default()).unwrap();
+        let csr = CsrMatrix::from_dense(&a, 0.0);
+        let cg = PrecondCg::factor_sparse(&csr, CgOptions::default()).unwrap();
+        let ic =
+            PrecondCg::factor_sparse_with(&csr, PrecondKind::Ic0, CgOptions::default()).unwrap();
+        let amg = AmgCg::factor_sparse(&csr, AmgOptions::default()).unwrap();
         for backend in [
             SolverBackend::Cholesky(chol),
             SolverBackend::Lu(lu),
             SolverBackend::Cg(cg),
             SolverBackend::Cg(ic),
-            SolverBackend::Cg(block),
             SolverBackend::Amg(amg),
         ] {
             let x = backend.solve(&b).unwrap();
@@ -1109,7 +915,8 @@ mod tests {
         let ax = Factorization::apply(&chol, &x5).unwrap();
         assert!(ax.approx_eq(&spd.matvec(&x5).unwrap(), 1e-12));
 
-        let cg = PrecondCg::factor_dense(&spd, CgOptions::default()).unwrap();
+        let cg = PrecondCg::factor_sparse(&CsrMatrix::from_dense(&spd, 0.0), CgOptions::default())
+            .unwrap();
         let ax = Factorization::apply(&cg, &x5).unwrap();
         assert!(ax.approx_eq(&spd.matvec(&x5).unwrap(), 1e-14));
     }
@@ -1120,7 +927,10 @@ mod tests {
         let id = Matrix::identity(6);
         for backend in [
             SolverPolicy::default().factor_dense(&a).unwrap(),
-            SolverBackend::Cg(PrecondCg::factor_dense(&a, CgOptions::default()).unwrap()),
+            SolverBackend::Cg(
+                PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
+                    .unwrap(),
+            ),
         ] {
             let inv = backend.inverse().unwrap();
             assert!(a.matmul(&inv).unwrap().approx_eq(&id, 1e-7));
@@ -1131,7 +941,7 @@ mod tests {
     fn precond_cg_rejects_nonpositive_diagonal() {
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]).unwrap();
         assert!(matches!(
-            PrecondCg::factor_dense(&a, CgOptions::default()),
+            PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default()),
             Err(Error::NotPositiveDefinite { pivot: 1 })
         ));
         let csr = CsrMatrix::from_triplets(2, 2, &[(0, 0, -1.0), (1, 1, 1.0)]).unwrap();
@@ -1144,7 +954,10 @@ mod tests {
     #[test]
     fn precond_cg_rejects_non_square() {
         assert!(matches!(
-            PrecondCg::factor_dense(&Matrix::zeros(2, 3), CgOptions::default()),
+            PrecondCg::factor_sparse(
+                &CsrMatrix::from_dense(&Matrix::zeros(2, 3), 0.0),
+                CgOptions::default()
+            ),
             Err(Error::NotSquare { .. })
         ));
         assert!(matches!(
@@ -1158,7 +971,12 @@ mod tests {
         let n = 32;
         let a = spd_sample(n);
         let b = rhs(n);
-        let cg = PrecondCg::factor_dense_with(&a, PrecondKind::Ic0, CgOptions::default()).unwrap();
+        let cg = PrecondCg::factor_sparse_with(
+            &CsrMatrix::from_dense(&a, 0.0),
+            PrecondKind::Ic0,
+            CgOptions::default(),
+        )
+        .unwrap();
         // Before any solve the diagnostics are unset.
         assert_eq!(cg.report().iterations, None);
         assert_eq!(cg.report().final_residual, None);
@@ -1177,11 +995,10 @@ mod tests {
         assert_eq!(chol.report().iterations, None);
     }
 
-    #[test]
-    fn ic_pcg_needs_no_more_iterations_than_jacobi_pcg() {
-        // 2D grid Laplacian plus anchor: sparse, not IC-exact.
-        let side = 16;
-        let dense = Matrix::from_fn(side * side, side * side, |i, j| {
+    /// 2D grid Laplacian plus anchor on a `side × side` grid: sparse, not
+    /// IC-exact.
+    fn grid_sample(side: usize) -> Matrix {
+        Matrix::from_fn(side * side, side * side, |i, j| {
             let (ri, ci) = (i / side, i % side);
             let (rj, cj) = (j / side, j % side);
             if i == j {
@@ -1191,11 +1008,17 @@ mod tests {
             } else {
                 0.0
             }
-        });
+        })
+    }
+
+    #[test]
+    fn ic_pcg_needs_no_more_iterations_than_jacobi_pcg() {
+        let side = 16;
+        let csr = CsrMatrix::from_dense(&grid_sample(side), 0.0);
         let b = rhs(side * side);
-        let jacobi = PrecondCg::factor_dense(&dense, CgOptions::default()).unwrap();
+        let jacobi = PrecondCg::factor_sparse(&csr, CgOptions::default()).unwrap();
         let ic =
-            PrecondCg::factor_dense_with(&dense, PrecondKind::Ic0, CgOptions::default()).unwrap();
+            PrecondCg::factor_sparse_with(&csr, PrecondKind::Ic0, CgOptions::default()).unwrap();
         let xj = jacobi.solve(&b).unwrap();
         let xi = ic.solve(&b).unwrap();
         assert!(xj.approx_eq(&xi, 1e-6));
@@ -1272,10 +1095,6 @@ mod tests {
             .unwrap();
         for (strategy, expected) in [
             (SparseStrategy::Jacobi, BackendKind::SparseCg),
-            (
-                SparseStrategy::BlockJacobi { block_dim: 16 },
-                BackendKind::SparseBlockJacobiCg,
-            ),
             (SparseStrategy::Ic0, BackendKind::SparseIcCg),
             (SparseStrategy::Amg(AmgOptions::default()), BackendKind::Amg),
         ] {
@@ -1289,6 +1108,29 @@ mod tests {
             let x = backend.solve(&b).unwrap();
             assert!(x.approx_eq(&reference, 1e-7), "{strategy:?} disagrees");
         }
+    }
+
+    #[test]
+    fn forced_amg_runs_the_policy_cg_options() {
+        // A 256-row grid is past the dimension cutoff and sparse, so the
+        // policy takes the iterative route; AMG needs more than two CG
+        // iterations to reach the default tolerance on it.
+        let side = 16;
+        let csr = CsrMatrix::from_dense(&grid_sample(side), 0.0);
+        let policy = SolverPolicy {
+            sparse: SparseStrategy::Amg(AmgOptions::default()),
+            cg: CgOptions {
+                max_iterations: 2,
+                ..CgOptions::default()
+            },
+            ..SolverPolicy::default()
+        };
+        let backend = policy.factor_sparse(&csr).unwrap();
+        assert_eq!(backend.kind(), BackendKind::Amg);
+        assert!(matches!(
+            backend.solve(&rhs(side * side)),
+            Err(Error::NotConverged { iterations: 2, .. })
+        ));
     }
 
     #[test]
@@ -1412,13 +1254,13 @@ mod tests {
 
     #[test]
     fn precond_cg_with_executor_matches_sequential_matvec_path() {
-        let a = spd_sample(64);
+        let a = CsrMatrix::from_dense(&spd_sample(64), 0.0);
         let b = rhs(64);
-        let sequential = PrecondCg::factor_dense(&a, CgOptions::default())
+        let sequential = PrecondCg::factor_sparse(&a, CgOptions::default())
             .unwrap()
             .solve(&b)
             .unwrap();
-        let parallel = PrecondCg::factor_dense(&a, CgOptions::default())
+        let parallel = PrecondCg::factor_sparse(&a, CgOptions::default())
             .unwrap()
             .with_executor(Executor::with_workers(3));
         assert_eq!(parallel.executor().workers(), 3);

@@ -12,14 +12,16 @@
 //!   systems (Eq. 4 of the paper).
 //! * [`Cholesky`] — for the symmetric positive-definite systems that both
 //!   criteria produce on connected graphs (Eq. 5).
-//! * [`PrecondCg`] / [`AmgCg`] — conjugate gradient preconditioned by
-//!   Jacobi, block-Jacobi, IC(0) or an AMG V-cycle — and the stationary
-//!   solvers in [`stationary`]: matrix-free backends behind the
-//!   [`LinearOperator`] trait.
+//! * [`PrecondCg`] / [`AmgCg`] — conjugate gradient on a CSR system,
+//!   preconditioned by Jacobi, IC(0) or an AMG V-cycle.
+//! * [`stationary`] — Jacobi and Gauss–Seidel sweeps on a dense system.
 //! * [`CsrMatrix`] — compressed sparse rows for kNN / ε-threshold graphs.
 //! * [`Factorization`] / [`SolverPolicy`] — the unified backend layer:
-//!   factor once (Cholesky, LU, or Jacobi-preconditioned CG), solve many,
-//!   with auto-selection from size, symmetry, and nonzero density.
+//!   factor once (Cholesky, LU, Jacobi- or IC(0)-preconditioned CG, or
+//!   AMG), solve many, with auto-selection from size, symmetry, nonzero
+//!   density and bandwidth.
+//! * [`LinearOperator`] — `x ↦ A x` for dense and CSR matrices, the
+//!   interface the CG kernel and `gssl_graph`'s power iteration run on.
 //! * [`BlockPartition`] — the labeled/unlabeled 2×2 split the paper's
 //!   derivation is written in.
 //!
@@ -63,20 +65,18 @@ mod vector;
 
 pub use amg::{AmgCg, AmgOptions};
 pub use blocks::BlockPartition;
-pub use cg::{CgOptions, CgOutcome};
+pub use cg::CgOptions;
 pub use cholesky::{is_positive_definite, Cholesky};
 pub use eigen::{symmetric_eigen, EigenOptions, SymmetricEigen};
 pub use error::{Error, Result};
 pub use factor::{
-    BackendKind, CgSystem, FactorReport, Factorization, PrecondCg, SolverBackend, SolverPolicy,
+    BackendKind, FactorReport, Factorization, PrecondCg, SolverBackend, SolverPolicy,
     SparseStrategy,
 };
 pub use lu::{inverse, solve, solve_matrix, Lu};
 pub use matrix::Matrix;
-pub use ops::{DiagonalOperator, LinearOperator, ShiftedOperator, SumOperator};
-pub use precond::{
-    BlockJacobiPrecond, Ic0, JacobiPrecond, Precond, PrecondKind, Preconditioner, DEFAULT_BLOCK_DIM,
-};
+pub use ops::LinearOperator;
+pub use precond::{Ic0, JacobiPrecond, Precond, PrecondKind, Preconditioner};
 pub use sparse::CsrMatrix;
 pub use vector::Vector;
 

@@ -104,7 +104,7 @@ impl Lu {
     /// [`Lu::factor`].
     ///
     /// The algorithm is a right-looking blocked elimination: each panel of
-    /// [`Self::PANEL_WIDTH`] columns is factored sequentially (pivot
+    /// `PANEL_WIDTH` (32) columns is factored sequentially (pivot
     /// searches and row swaps are inherently serial), the panel's rows of
     /// `U` are finished sequentially, and then every trailing row applies
     /// the panel's eliminations independently — one worker per row block.

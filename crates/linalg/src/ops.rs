@@ -1,8 +1,8 @@
 //! The [`LinearOperator`] abstraction: anything that can apply `x ↦ A x`.
 //!
-//! Iterative solvers ([`crate::cg`], [`crate::iterative`]) are written
-//! against this trait so they work identically with dense matrices, sparse
-//! CSR matrices, and composed/shifted operators without materializing them.
+//! The CG kernel behind [`crate::PrecondCg`] and [`crate::AmgCg`] is
+//! written against this trait, and so is the power iteration in
+//! `gssl_graph::spectral`, which runs on dense and CSR matrices alike.
 
 use crate::matrix::Matrix;
 use crate::sparse::CsrMatrix;
@@ -52,110 +52,6 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
-/// The operator `A + shift·I`, applied lazily.
-///
-/// Used for the soft criterion's `V + λL` style systems without forming the
-/// sum explicitly.
-#[derive(Debug, Clone)]
-pub struct ShiftedOperator<'a, A: ?Sized> {
-    inner: &'a A,
-    shift: f64,
-}
-
-impl<'a, A: LinearOperator + ?Sized> ShiftedOperator<'a, A> {
-    /// Wraps `inner` as `inner + shift·I`.
-    pub fn new(inner: &'a A, shift: f64) -> Self {
-        ShiftedOperator { inner, shift }
-    }
-}
-
-impl<A: LinearOperator + ?Sized> LinearOperator for ShiftedOperator<'_, A> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        self.inner.apply(x, out);
-        for (o, xi) in out.iter_mut().zip(x) {
-            *o += self.shift * xi;
-        }
-    }
-}
-
-/// A diagonal operator `x ↦ diag(d) x`.
-#[derive(Debug, Clone)]
-pub struct DiagonalOperator {
-    diag: Vec<f64>,
-}
-
-impl DiagonalOperator {
-    /// Creates the operator from its diagonal entries.
-    pub fn new(diag: Vec<f64>) -> Self {
-        DiagonalOperator { diag }
-    }
-
-    /// Borrows the diagonal entries.
-    pub fn diag(&self) -> &[f64] {
-        &self.diag
-    }
-}
-
-impl LinearOperator for DiagonalOperator {
-    fn dim(&self) -> usize {
-        self.diag.len()
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.diag.len(), "operand length mismatch");
-        for ((o, xi), d) in out.iter_mut().zip(x).zip(&self.diag) {
-            *o = d * xi;
-        }
-    }
-}
-
-/// The sum `A + c·B` of two operators, applied lazily.
-#[derive(Debug, Clone)]
-pub struct SumOperator<'a, A: ?Sized, B: ?Sized> {
-    a: &'a A,
-    b: &'a B,
-    b_scale: f64,
-}
-
-impl<'a, A, B> SumOperator<'a, A, B>
-where
-    A: LinearOperator + ?Sized,
-    B: LinearOperator + ?Sized,
-{
-    /// Wraps `a + b_scale·b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the operand dimensions differ.
-    pub fn new(a: &'a A, b: &'a B, b_scale: f64) -> Self {
-        assert_eq!(a.dim(), b.dim(), "operator dimension mismatch");
-        SumOperator { a, b, b_scale }
-    }
-}
-
-impl<A, B> LinearOperator for SumOperator<'_, A, B>
-where
-    A: LinearOperator + ?Sized,
-    B: LinearOperator + ?Sized,
-{
-    fn dim(&self) -> usize {
-        self.a.dim()
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        self.a.apply(x, out);
-        let mut tmp = vec![0.0; x.len()];
-        self.b.apply(x, &mut tmp);
-        for (o, t) in out.iter_mut().zip(&tmp) {
-            *o += self.b_scale * t;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,38 +68,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let out = apply_to_vec(&a, &[1.0, 1.0]);
         assert_eq!(out, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn shifted_operator_adds_identity_multiple() {
-        let a = Matrix::zeros(2, 2);
-        let shifted = ShiftedOperator::new(&a, 2.5);
-        assert_eq!(shifted.dim(), 2);
-        assert_eq!(apply_to_vec(&shifted, &[2.0, -4.0]), vec![5.0, -10.0]);
-    }
-
-    #[test]
-    fn diagonal_operator_scales_componentwise() {
-        let d = DiagonalOperator::new(vec![1.0, 2.0, 3.0]);
-        assert_eq!(d.diag(), &[1.0, 2.0, 3.0]);
-        assert_eq!(apply_to_vec(&d, &[1.0, 1.0, 1.0]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn sum_operator_combines() {
-        let a = Matrix::identity(2);
-        let b = Matrix::filled(2, 2, 1.0);
-        let sum = SumOperator::new(&a, &b, 0.5);
-        // (I + 0.5*ones) [1, 1]ᵀ = [1 + 1, 1 + 1]
-        assert_eq!(apply_to_vec(&sum, &[1.0, 1.0]), vec![2.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "operator dimension mismatch")]
-    fn sum_operator_rejects_mismatched_dims() {
-        let a = Matrix::identity(2);
-        let b = Matrix::identity(3);
-        let _ = SumOperator::new(&a, &b, 1.0);
     }
 
     #[test]

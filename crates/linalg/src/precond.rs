@@ -2,23 +2,21 @@
 //!
 //! A preconditioner approximates `A⁻¹` cheaply enough to apply once per CG
 //! iteration: the closer `M⁻¹ A` is to the identity, the fewer iterations
-//! PCG needs. Three classical choices are implemented over the same
-//! [`Preconditioner`] trait, in increasing strength (and setup cost):
+//! PCG needs. [`crate::PrecondCg`] builds one of two classical choices,
+//! in increasing strength (and setup cost):
 //!
 //! * [`JacobiPrecond`] — `M = diag(A)`. Free to build, one multiply per
 //!   entry to apply; only corrects scaling.
-//! * [`BlockJacobiPrecond`] — `M = blockdiag(A)` with dense Cholesky
-//!   factors of fixed-width diagonal blocks; captures short-range coupling.
 //! * [`Ic0`] — incomplete Cholesky with zero fill-in: a lower-triangular
 //!   `L` on the sparsity pattern of `tril(A)` with `L Lᵀ ≈ A`. On banded
 //!   matrices (no fill-in discarded) it is *exact* and PCG converges in a
 //!   handful of iterations.
 //!
-//! All three are deterministic: building and applying them performs the
-//! same floating-point operations in the same order on every run and at
-//! every worker count.
+//! [`crate::AmgCg`]'s V-cycle is the third [`Preconditioner`]. All of
+//! them are deterministic: building and applying them performs the same
+//! floating-point operations in the same order on every run and at every
+//! worker count.
 
-use crate::cholesky::Cholesky;
 use crate::error::{Error, Result};
 use crate::sparse::CsrMatrix;
 use crate::strict;
@@ -27,7 +25,7 @@ use crate::strict;
 ///
 /// Implementations must be symmetric positive definite for PCG to remain
 /// valid; the concrete types in this module guarantee that by
-/// construction (positive diagonals, SPD blocks, `L Lᵀ` products).
+/// construction (positive diagonals, `L Lᵀ` products).
 pub trait Preconditioner {
     /// Dimension of the preconditioned system.
     fn dim(&self) -> usize;
@@ -44,17 +42,9 @@ pub enum PrecondKind {
     /// Diagonal (Jacobi) scaling — the historical default.
     #[default]
     Jacobi,
-    /// Dense Cholesky factors of fixed-width diagonal blocks.
-    BlockJacobi {
-        /// Rows per diagonal block (the last block may be smaller).
-        block_dim: usize,
-    },
     /// Incomplete Cholesky with zero fill-in on the pattern of `tril(A)`.
     Ic0,
 }
-
-/// Default rows per block for [`PrecondKind::BlockJacobi`].
-pub const DEFAULT_BLOCK_DIM: usize = 32;
 
 /// A built preconditioner: the concrete, cloneable sum type
 /// [`crate::PrecondCg`] stores (one variant per [`PrecondKind`]).
@@ -63,8 +53,6 @@ pub const DEFAULT_BLOCK_DIM: usize = 32;
 pub enum Precond {
     /// Diagonal (Jacobi) scaling.
     Jacobi(JacobiPrecond),
-    /// Block-diagonal Cholesky.
-    BlockJacobi(BlockJacobiPrecond),
     /// Incomplete Cholesky IC(0).
     Ic0(Ic0),
 }
@@ -76,17 +64,13 @@ impl Precond {
     ///
     /// * [`Error::NotSquare`] when `a` is not square.
     /// * [`Error::NotPositiveDefinite`] when the diagonal has a
-    ///   non-positive entry, a diagonal block is not SPD, or the IC(0)
-    ///   recurrence breaks down (a pivot `a_ii − Σ l_ik²` drops to zero or
-    ///   below) — IC(0) can break down on SPD matrices that are far from
-    ///   diagonally dominant even though the exact factorization exists.
-    /// * [`Error::InvalidArgument`] when a block width of 0 is requested.
+    ///   non-positive entry, or the IC(0) recurrence breaks down (a pivot
+    ///   `a_ii − Σ l_ik²` drops to zero or below) — IC(0) can break down
+    ///   on SPD matrices that are far from diagonally dominant even though
+    ///   the exact factorization exists.
     pub fn build(a: &CsrMatrix, kind: &PrecondKind) -> Result<Precond> {
         match kind {
             PrecondKind::Jacobi => Ok(Precond::Jacobi(JacobiPrecond::from_csr(a)?)),
-            PrecondKind::BlockJacobi { block_dim } => Ok(Precond::BlockJacobi(
-                BlockJacobiPrecond::factor(a, *block_dim)?,
-            )),
             PrecondKind::Ic0 => Ok(Precond::Ic0(Ic0::factor(a)?)),
         }
     }
@@ -95,9 +79,6 @@ impl Precond {
     pub fn kind(&self) -> PrecondKind {
         match self {
             Precond::Jacobi(_) => PrecondKind::Jacobi,
-            Precond::BlockJacobi(p) => PrecondKind::BlockJacobi {
-                block_dim: p.block_dim(),
-            },
             Precond::Ic0(_) => PrecondKind::Ic0,
         }
     }
@@ -107,7 +88,6 @@ impl Preconditioner for Precond {
     fn dim(&self) -> usize {
         match self {
             Precond::Jacobi(p) => p.dim(),
-            Precond::BlockJacobi(p) => p.dim(),
             Precond::Ic0(p) => p.dim(),
         }
     }
@@ -117,7 +97,6 @@ impl Preconditioner for Precond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         match self {
             Precond::Jacobi(p) => p.apply(r, z),
-            Precond::BlockJacobi(p) => p.apply(r, z),
             Precond::Ic0(p) => p.apply(r, z),
         }
     }
@@ -184,110 +163,6 @@ impl Preconditioner for JacobiPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
             *zi = ri * di;
-        }
-    }
-}
-
-/// Block-Jacobi preconditioner: dense Cholesky factors of the fixed-width
-/// diagonal blocks of `A`, applied by per-block triangular solves.
-#[derive(Debug, Clone)]
-pub struct BlockJacobiPrecond {
-    block_dim: usize,
-    dim: usize,
-    factors: Vec<Cholesky>,
-}
-
-impl BlockJacobiPrecond {
-    /// Factors the diagonal blocks of `a` (rows `[s, s + block_dim)` per
-    /// block; the last block is whatever remains).
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NotSquare`] when `a` is not square.
-    /// * [`Error::InvalidArgument`] when `block_dim == 0`.
-    /// * [`Error::NotPositiveDefinite`] when a diagonal block fails its
-    ///   Cholesky factorization (pivot reported in global row indices).
-    /// complexity: O(n * b^2)
-    pub fn factor(a: &CsrMatrix, block_dim: usize) -> Result<Self> {
-        if a.rows() != a.cols() {
-            return Err(Error::NotSquare {
-                shape: (a.rows(), a.cols()),
-            });
-        }
-        if block_dim == 0 {
-            return Err(Error::InvalidArgument {
-                message: "block-Jacobi requires block_dim >= 1".to_owned(),
-            });
-        }
-        let n = a.rows();
-        let mut factors = Vec::with_capacity(n.div_ceil(block_dim));
-        let mut start = 0;
-        while start < n {
-            let width = block_dim.min(n - start);
-            let mut block = crate::matrix::Matrix::zeros(width, width);
-            for local in 0..width {
-                for (j, v) in a.row_iter(start + local) {
-                    if j >= start && j < start + width {
-                        block.set(local, j - start, v);
-                    }
-                }
-            }
-            let factor = Cholesky::factor(&block).map_err(|e| match e {
-                Error::NotPositiveDefinite { pivot } => Error::NotPositiveDefinite {
-                    pivot: start + pivot,
-                },
-                other => other,
-            })?;
-            factors.push(factor);
-            start += width;
-        }
-        Ok(BlockJacobiPrecond {
-            block_dim,
-            dim: n,
-            factors,
-        })
-    }
-
-    /// Rows per diagonal block.
-    pub fn block_dim(&self) -> usize {
-        self.block_dim
-    }
-}
-
-impl Preconditioner for BlockJacobiPrecond {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Per-block forward/backward substitution against the stored Cholesky
-    /// factors, written straight into `z` (no temporaries).
-    /// hot
-    /// complexity: O(n * b)
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut start = 0;
-        for factor in &self.factors {
-            let width = factor.dim();
-            let l = factor.lower();
-            let zb = &mut z[start..start + width];
-            let rb = &r[start..start + width];
-            // Forward solve L y = r_b (y overwrites z_b).
-            for i in 0..width {
-                let mut sum = rb[i];
-                let row = &l.row(i)[..i];
-                for (lij, zj) in row.iter().zip(zb.iter()) {
-                    sum -= lij * zj;
-                }
-                zb[i] = sum / l.get(i, i);
-            }
-            // Backward solve Lᵀ x = y in place.
-            for i in (0..width).rev() {
-                let mut sum = zb[i];
-                for (j, zj) in zb.iter().enumerate().skip(i + 1) {
-                    sum -= l.get(j, i) * zj;
-                }
-                zb[i] = sum / l.get(i, i);
-            }
-            start += width;
         }
     }
 }
@@ -499,7 +374,6 @@ fn sparse_row_dot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
     use crate::vector::Vector;
 
     fn spd_tridiagonal(n: usize) -> CsrMatrix {
@@ -541,64 +415,6 @@ mod tests {
         assert!(matches!(
             JacobiPrecond::from_csr(&CsrMatrix::zeros(2, 3)),
             Err(Error::NotSquare { .. })
-        ));
-    }
-
-    #[test]
-    fn block_jacobi_with_full_width_inverts_exactly() {
-        // One block covering the whole matrix is a full Cholesky solve.
-        let n = 10;
-        let a = spd_tridiagonal(n);
-        let p = BlockJacobiPrecond::factor(&a, n).unwrap();
-        let dense = a.to_dense();
-        let r = Vector::from_fn(n, |i| ((i + 1) as f64).cos());
-        let z = apply_inverse(&p, r.as_slice());
-        let exact = crate::lu::solve(&dense, &r).unwrap();
-        for (zi, ei) in z.iter().zip(exact.as_slice()) {
-            assert!((zi - ei).abs() < 1e-12);
-        }
-        assert_eq!(p.block_dim(), n);
-    }
-
-    #[test]
-    fn block_jacobi_matches_blockwise_dense_solves() {
-        let n = 11;
-        let b = 4; // blocks of 4, 4, 3
-        let a = spd_tridiagonal(n);
-        let p = BlockJacobiPrecond::factor(&a, b).unwrap();
-        let r: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.3).collect();
-        let z = apply_inverse(&p, &r);
-        let dense = a.to_dense();
-        let mut start = 0;
-        while start < n {
-            let width = b.min(n - start);
-            let block = Matrix::from_fn(width, width, |i, j| dense.get(start + i, start + j));
-            let rb = Vector::from(&r[start..start + width]);
-            let exact = crate::lu::solve(&block, &rb).unwrap();
-            for (zi, ei) in z[start..start + width].iter().zip(exact.as_slice()) {
-                assert!((zi - ei).abs() < 1e-12);
-            }
-            start += width;
-        }
-    }
-
-    #[test]
-    fn block_jacobi_validates_inputs() {
-        let a = spd_tridiagonal(4);
-        assert!(matches!(
-            BlockJacobiPrecond::factor(&a, 0),
-            Err(Error::InvalidArgument { .. })
-        ));
-        assert!(matches!(
-            BlockJacobiPrecond::factor(&CsrMatrix::zeros(2, 3), 2),
-            Err(Error::NotSquare { .. })
-        ));
-        // An indefinite diagonal block reports its global pivot.
-        let bad =
-            CsrMatrix::from_triplets(3, 3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, -1.0)]).unwrap();
-        assert!(matches!(
-            BlockJacobiPrecond::factor(&bad, 2),
-            Err(Error::NotPositiveDefinite { pivot: 2 })
         ));
     }
 
@@ -679,11 +495,9 @@ mod tests {
         let a = spd_tridiagonal(9);
         let jacobi = Precond::build(&a, &PrecondKind::Jacobi).unwrap();
         assert_eq!(jacobi.kind(), PrecondKind::Jacobi);
-        let block = Precond::build(&a, &PrecondKind::BlockJacobi { block_dim: 4 }).unwrap();
-        assert_eq!(block.kind(), PrecondKind::BlockJacobi { block_dim: 4 });
         let ic = Precond::build(&a, &PrecondKind::Ic0).unwrap();
         assert_eq!(ic.kind(), PrecondKind::Ic0);
-        for p in [&jacobi, &block, &ic] {
+        for p in [&jacobi, &ic] {
             assert_eq!(p.dim(), 9);
             let r = vec![1.0; 9];
             let z = apply_inverse(p, &r);

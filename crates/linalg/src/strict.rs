@@ -22,8 +22,9 @@ use crate::matrix::Matrix;
 ///
 /// # Errors
 ///
-/// With `strict-checks` enabled, returns [`Error::NonFiniteValue`] naming
-/// the first offending flat index. Always `Ok(())` otherwise.
+/// With `strict-checks` enabled, returns
+/// [`Error::NonFiniteValue`](crate::Error::NonFiniteValue) naming the first
+/// offending flat index. Always `Ok(())` otherwise.
 pub fn check_finite(context: &'static str, values: &[f64]) -> Result<()> {
     #[cfg(feature = "strict-checks")]
     {
@@ -40,9 +41,10 @@ pub fn check_finite(context: &'static str, values: &[f64]) -> Result<()> {
 ///
 /// # Errors
 ///
-/// With `strict-checks` enabled, returns [`Error::NonFiniteValue`] with
-/// the flat (row-major) index of the first offending entry. Always
-/// `Ok(())` otherwise.
+/// With `strict-checks` enabled, returns
+/// [`Error::NonFiniteValue`](crate::Error::NonFiniteValue) with the flat
+/// (row-major) index of the first offending entry. Always `Ok(())`
+/// otherwise.
 pub fn check_finite_matrix(context: &'static str, matrix: &Matrix) -> Result<()> {
     check_finite(context, matrix.as_slice())
 }
@@ -55,8 +57,9 @@ pub fn check_finite_matrix(context: &'static str, matrix: &Matrix) -> Result<()>
 ///
 /// # Errors
 ///
-/// With `strict-checks` enabled, returns [`Error::InvalidArgument`] when a
-/// pair of mirrored entries differs by more than `tol`. Always `Ok(())`
+/// With `strict-checks` enabled, returns
+/// [`Error::InvalidArgument`](crate::Error::InvalidArgument) when a pair
+/// of mirrored entries differs by more than `tol`. Always `Ok(())`
 /// otherwise.
 pub fn check_symmetric(context: &'static str, matrix: &Matrix, tol: f64) -> Result<()> {
     #[cfg(feature = "strict-checks")]

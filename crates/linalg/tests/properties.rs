@@ -153,7 +153,7 @@ fn all_direct_and_iterative_solvers_agree() {
         let b = vector(DIM, rng);
         let lu = Lu::factor(&a).unwrap().solve(&b).unwrap();
         let chol = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
-        let cg = PrecondCg::factor_dense(&a, CgOptions::default())
+        let cg = PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
             .unwrap()
             .solve(&b)
             .unwrap();

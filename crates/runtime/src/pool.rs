@@ -200,7 +200,7 @@ impl ThreadPool {
     /// load-balance instead of travelling together inside one chunk.
     ///
     /// Results are reassembled in input order, so for a deterministic `f`
-    /// the output is bit-identical to [`map_sequential`] at any worker
+    /// the output is bit-identical to the sequential loop at any worker
     /// count — the claim width only changes who computes an item, never
     /// the per-item operation order.
     ///

@@ -7,11 +7,11 @@
 //! per claimed chunk. Every observable behaviour of the protocol is
 //! therefore a sequence of *atomic steps* — claims and publishes — and for
 //! a bounded batch the set of such sequences is finite.
-//! [`enumerate_schedules`] walks **all** of them by depth-first search
-//! with backtracking, executing the production claim code
-//! ([`crate::pool::claim`] at the width chosen by
-//! [`crate::pool::chunk_size`]) at every claim step, and checks three
-//! safety properties in every schedule:
+//! [`enumerate_schedules`](crate::sim::enumerate_schedules) walks **all**
+//! of them by depth-first search with backtracking, executing the
+//! production claim code (`pool::claim` at the width chosen by
+//! `pool::chunk_size`) at every claim step, and checks three safety
+//! properties in every schedule:
 //!
 //! * **disjointness** — no item is ever claimed by two workers;
 //! * **exhaustiveness** — every item is claimed and published exactly
@@ -19,9 +19,10 @@
 //! * **termination** — each worker halts at its first failed claim and is
 //!   never scheduled again.
 //!
-//! [`enumerate_schedules_with_width`] runs the identical search at a
-//! caller-chosen chunk width, covering the `map_chunks` protocol where
-//! the width is picked by the caller rather than by `chunk_size`.
+//! [`enumerate_schedules_with_width`](crate::sim::enumerate_schedules_with_width)
+//! runs the identical search at a caller-chosen chunk width, covering the
+//! `map_chunks` protocol where the width is picked by the caller rather
+//! than by `chunk_size`.
 //!
 //! `Ordering::Relaxed` on the cursor is sound precisely because the
 //! modification order of a single atomic object is total regardless of

@@ -2,9 +2,10 @@
 //!
 //! `rand_distr` is not on the approved dependency list, so the normal
 //! sampler (Box–Muller) and the Cholesky-based multivariate normal are
-//! implemented here. [`TruncatedMvn`] reproduces the paper's exact input
-//! distribution: a multivariate normal whose coordinates are *replaced by
-//! zero* when they fall outside `[0, 1]` (Section V.A).
+//! implemented here. [`TruncatedMvn`](crate::dist::TruncatedMvn)
+//! reproduces the paper's exact input distribution: a multivariate normal
+//! whose coordinates are *replaced by zero* when they fall outside
+//! `[0, 1]` (Section V.A).
 
 use crate::error::{Error, Result};
 use gssl_linalg::{Cholesky, Matrix, Vector};

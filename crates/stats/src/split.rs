@@ -3,8 +3,9 @@
 //!
 //! Figure 5 of the paper varies the labeled fraction by splitting the COIL
 //! data into `k` roughly equal subsets and rotating which subsets are
-//! labeled; [`KFold`] and [`labeled_unlabeled_split`] reproduce that
-//! protocol.
+//! labeled; [`KFold`](crate::split::KFold) and
+//! [`labeled_unlabeled_split`](crate::split::labeled_unlabeled_split)
+//! reproduce that protocol.
 
 use crate::error::{Error, Result};
 use rand::seq::SliceRandom;

@@ -236,8 +236,8 @@ fn analyze_real_workspace_is_baseline_clean() {
     // Every committed baseline entry must still be live — the ratchet
     // reports both regressions (counts up) and staleness (counts down).
     assert_eq!(
-        report.suppressed, 102,
-        "baseline drifted from the committed 102 entries"
+        report.suppressed, 99,
+        "baseline drifted from the committed 99 entries"
     );
 }
 

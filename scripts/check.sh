@@ -38,6 +38,11 @@ echo "== cargo check --all-targets"
 # (and every other target) are type-checked here.
 cargo check --workspace --all-targets --offline
 
+echo "== cargo doc (warnings are errors)"
+# Broken or private intra-doc links fail here, so a removed or renamed
+# item cannot leave a dangling link in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test"
 cargo test -q --workspace
 
@@ -70,7 +75,7 @@ rm -f BENCH_scale_ci.json
 
 echo "== solver crossover bench, ci sizes (writes BENCH_solver_ci.json)"
 # Sweeps grid-Laplacian systems through every factorization backend
-# (dense Cholesky, Jacobi-CG, block-Jacobi PCG, IC(0) PCG, AMG) and
+# (dense Cholesky, Jacobi-CG, IC(0) PCG, AMG) and
 # exits nonzero if any solve misses its residual gate or IC(0) needs
 # more CG iterations than plain Jacobi — deterministic correctness
 # properties, never timing. The committed BENCH_solver.json comes from
