@@ -139,8 +139,6 @@ fn bench_dense_vs_sparse_cg_crossover(c: &mut Criterion) {
 /// preconditioner families can be compared on the same problem.
 fn forced(strategy: SparseStrategy) -> HardCriterion {
     HardCriterion::new().solver(HardSolver::Auto(SolverPolicy {
-        direct_dim_cutoff: 0,
-        density_threshold: 1.0,
         sparse: strategy,
         ..SolverPolicy::default()
     }))

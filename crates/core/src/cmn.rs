@@ -43,6 +43,7 @@ pub fn argsort_scores(scores: &[f64]) -> Vec<usize> {
 ///   or scores leave `[0, 1]`.
 /// * [`Error::InvalidProblem`] when `scores` is empty or degenerate (all
 ///   mass on one side, making a normalization undefined).
+///
 /// hot
 /// complexity: O(n)
 pub fn class_mass_normalize(scores: &[f64], prior_positive: f64) -> Result<Vec<f64>> {

@@ -152,6 +152,7 @@ impl HardCriterion {
     ///   positive-weight path to a labeled vertex (singular system).
     /// * [`crate::Error::Linalg`] when the backend fails (e.g. CG budget
     ///   exhausted).
+    ///
     /// deterministic
     pub fn fit(&self, problem: &Problem) -> Result<Scores> {
         problem.require_anchored(0.0)?;
@@ -188,6 +189,7 @@ impl HardCriterion {
     ///   counts mismatch the weight matrix.
     /// * [`Error::UnanchoredUnlabeled`] / [`Error::Linalg`] as in
     ///   [`HardCriterion::fit`].
+    ///
     /// deterministic
     pub fn fit_multiclass(
         &self,

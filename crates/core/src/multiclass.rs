@@ -114,6 +114,7 @@ impl<M: TransductiveModel + Sync> OneVsRest<M> {
     /// * Propagates per-class fitting errors from the wrapped model (the
     ///   lowest-class error wins under parallel execution, matching the
     ///   sequential loop's first failure).
+    ///
     /// deterministic
     pub fn fit(&self, weights: &Matrix, class_labels: &[usize]) -> Result<MulticlassScores> {
         if let Some(&bad) = class_labels.iter().find(|&&c| c >= self.class_count) {

@@ -62,6 +62,7 @@ impl NadarayaWatson {
     ///   data.
     /// * [`Error::Graph`] when the bandwidth is invalid.
     /// * [`Error::ZeroKernelMass`] when a query sees no training mass.
+    ///
     /// hot
     /// complexity: O(q * n * d)
     pub fn predict(

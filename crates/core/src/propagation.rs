@@ -84,6 +84,7 @@ impl LabelPropagation {
     ///   be reached from the labeled set.
     /// * [`Error::Linalg`] wrapping `NotConverged` when the sweep budget
     ///   is exhausted.
+    ///
     /// hot
     /// complexity: O(iters * nnz)
     pub fn fit_with_iterations(&self, problem: &Problem) -> Result<(Scores, usize)> {

@@ -102,6 +102,7 @@ impl SoftCriterion {
     /// * [`Error::UnanchoredUnlabeled`] when the unlabeled block system is
     ///   singular because a component has no labeled anchor.
     /// * [`Error::Linalg`] on numerical failure.
+    ///
     /// deterministic
     pub fn fit(&self, problem: &Problem) -> Result<Scores> {
         problem.require_anchored(0.0)?;
@@ -192,6 +193,7 @@ impl SoftCriterion {
     ///
     /// * [`Error::InvalidParameter`] when `λ = 0`.
     /// * [`Error::Linalg`] when the system is singular.
+    ///
     /// deterministic
     pub fn fit_full_system(&self, problem: &Problem) -> Result<Scores> {
         if is_exactly_zero(self.lambda) {

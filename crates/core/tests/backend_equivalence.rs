@@ -91,12 +91,10 @@ fn hard_backends() -> Vec<(&'static str, HardSolver)> {
     backends
 }
 
-/// A policy whose thresholds force the iterative route even on small
-/// dense systems, with the given sparse strategy.
+/// A policy forcing the given iterative strategy, which takes the
+/// iterative route even on small dense systems.
 fn force_strategy_policy(strategy: SparseStrategy) -> SolverPolicy {
     SolverPolicy {
-        direct_dim_cutoff: 0,
-        density_threshold: 1.0,
         cg: CgOptions {
             max_iterations: 0,
             tolerance: 1e-12,
@@ -106,8 +104,8 @@ fn force_strategy_policy(strategy: SparseStrategy) -> SolverPolicy {
     }
 }
 
-/// A policy whose thresholds force the iterative CG backend even on
-/// small dense systems, so the soft criterion's CG route is exercised.
+/// A policy forcing the Jacobi CG backend even on small dense systems,
+/// so the soft criterion's CG route is exercised.
 fn force_cg_policy() -> SolverPolicy {
     force_strategy_policy(SparseStrategy::Jacobi)
 }

@@ -112,6 +112,7 @@ pub fn pairwise_squared_distances_with(points: &Matrix, executor: &Executor) -> 
 ///
 /// * [`Error::EmptyInput`] when `points` has no rows.
 /// * [`Error::InvalidBandwidth`] when `bandwidth <= 0`.
+///
 /// shape: (points.rows, points.rows)
 /// hot
 /// complexity: O(n^2 * d)
@@ -157,6 +158,7 @@ pub fn affinity_matrix_with(
 ///
 /// * [`Error::InvalidArgument`] when `squared_distances` is not square.
 /// * [`Error::InvalidBandwidth`] when `bandwidth <= 0`.
+///
 /// shape: (squared_distances.rows, squared_distances.cols)
 /// hot
 /// complexity: O(n^2)

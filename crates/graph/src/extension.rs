@@ -51,6 +51,7 @@ impl KernelGraph {
     /// * [`Error::EmptyInput`] when `points` has no rows or no columns.
     /// * [`Error::InvalidBandwidth`] when `bandwidth <= 0` or non-finite.
     /// * [`Error::InvalidArgument`] when any coordinate is non-finite.
+    ///
     /// deterministic
     pub fn fit(points: Matrix, kernel: Kernel, bandwidth: f64) -> Result<Self> {
         if points.rows() == 0 {
@@ -218,6 +219,7 @@ impl KernelGraph {
     /// * [`Error::DimensionMismatch`] when `x.len() != self.dim()`.
     /// * [`Error::InvalidArgument`] when a coordinate of `x` is
     ///   non-finite.
+    ///
     /// shape: (n,)
     /// hot
     /// complexity: O(n * d)

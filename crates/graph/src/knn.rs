@@ -79,6 +79,7 @@ fn check_epsilon_args(n: usize, epsilon: f64, bandwidth: f64) -> Result<()> {
 /// * [`Error::EmptyInput`] when `points` has no rows.
 /// * [`Error::InvalidArgument`] when `k == 0` or `k >= points.rows()`.
 /// * [`Error::InvalidBandwidth`] when `bandwidth <= 0`.
+///
 /// shape: (points.rows, points.rows)
 /// complexity: O(n^2 * d)
 /// deterministic
@@ -180,6 +181,7 @@ fn symmetrize_knn(
 /// * [`Error::EmptyInput`] when `points` has no rows.
 /// * [`Error::InvalidArgument`] when `epsilon <= 0`.
 /// * [`Error::InvalidBandwidth`] when `bandwidth <= 0`.
+///
 /// shape: (points.rows, points.rows)
 /// deterministic
 pub fn epsilon_graph(

@@ -135,6 +135,7 @@ pub fn spectral_radius(
 /// * [`Error::InvalidArgument`] when `w` is not square or has fewer than
 ///   two vertices.
 /// * [`Error::Linalg`] when the eigensolver fails to converge.
+///
 /// shape: (w.rows,)
 pub fn fiedler_vector(w: &gssl_linalg::Matrix) -> Result<Vector> {
     let embedding = spectral_embedding(w, 1)?;
@@ -150,6 +151,7 @@ pub fn fiedler_vector(w: &gssl_linalg::Matrix) -> Result<Vector> {
 /// * [`Error::InvalidArgument`] when `w` is not square or
 ///   `k >= w.rows()` or `k == 0`.
 /// * [`Error::Linalg`] when the eigensolver fails to converge.
+///
 /// shape: (w.rows, k)
 pub fn spectral_embedding(w: &gssl_linalg::Matrix, k: usize) -> Result<gssl_linalg::Matrix> {
     if !w.is_square() {

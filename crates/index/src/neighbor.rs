@@ -122,6 +122,7 @@ pub trait NeighborSearch: Sized {
     ///
     /// * [`Error::EmptyInput`] when `points` has no rows or no columns.
     /// * [`Error::NonFiniteCoordinate`] when any coordinate is NaN/inf.
+    ///
     /// deterministic
     fn build(points: &Matrix) -> Result<Self>;
 
@@ -164,6 +165,7 @@ pub trait NeighborSearch: Sized {
     ///   on an invalid query.
     /// * [`Error::InvalidArgument`] when `k == 0` or `k` exceeds the
     ///   number of eligible candidates.
+    ///
     /// deterministic
     fn k_nearest_excluding(
         &self,
@@ -194,6 +196,7 @@ pub trait NeighborSearch: Sized {
     /// * [`Error::DimensionMismatch`] / [`Error::NonFiniteCoordinate`]
     ///   on an invalid query.
     /// * [`Error::InvalidArgument`] when `radius` is negative or non-finite.
+    ///
     /// deterministic
     fn within_radius(&self, query: &[f64], radius: f64) -> Result<Vec<Neighbor>>;
 

@@ -163,6 +163,7 @@ impl AmgCg {
     /// * [`Error::NotPositiveDefinite`] when a level's diagonal has a
     ///   non-positive entry (the damped-Jacobi smoother needs `D > 0`).
     /// * [`Error::Singular`] when the coarsest system cannot be factored.
+    ///
     /// deterministic
     pub fn factor_sparse(a: &CsrMatrix, options: AmgOptions) -> Result<Self> {
         if a.rows() != a.cols() {
@@ -572,7 +573,6 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::ops::LinearOperator;
-    use crate::vector::dot_slices;
 
     /// 2D grid-graph Laplacian plus a diagonal anchor: the canonical
     /// "hard criterion on a mesh" system, SPD with bandwidth ~side.
@@ -984,13 +984,6 @@ mod tests {
         for (i, xi) in x.as_slice().iter().enumerate() {
             assert!((xi - b[i] / (2.0 + i as f64)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn dot_slices_is_linked() {
-        // Keep the shared-dot import alive for the sharded operator's
-        // future dense path; also sanity-check the helper itself.
-        assert!((dot_slices(&[1.0, 2.0], &[3.0, 4.0]) - 11.0).abs() < 1e-15);
     }
 
     #[test]

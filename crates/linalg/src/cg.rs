@@ -158,6 +158,7 @@ impl Clone for LastSolve {
 ///   direction of non-positive curvature is met.
 /// * [`Error::NonFiniteValue`] under `strict-checks` when the right-hand
 ///   side or the computed solution is non-finite.
+///
 /// hot
 /// complexity: O(iters * nnz)
 pub(crate) fn preconditioned_cg_with(

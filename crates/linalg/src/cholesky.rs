@@ -6,9 +6,10 @@
 //! SPD-validity check for free.
 
 use crate::error::{Error, Result};
-use crate::matrix::Matrix;
+use crate::matrix::{row_block, Matrix};
 use crate::strict;
 use crate::vector::Vector;
+use gssl_runtime::Executor;
 
 /// Columns swept together by the substitution kernel: their running
 /// values stay in registers while `k` walks down the factor.
@@ -39,7 +40,8 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Factorizes a symmetric positive-definite matrix.
+    /// Factorizes a symmetric positive-definite matrix: the blocked
+    /// [`Cholesky::factor_with`] kernel on the calling thread.
     ///
     /// Only the lower triangle of `a` is read; symmetry of the input is the
     /// caller's responsibility (use [`Matrix::is_symmetric`] to check).
@@ -51,62 +53,37 @@ impl Cholesky {
     ///   (or not finite).
     /// * [`Error::NonFiniteValue`] / [`Error::InvalidArgument`] under
     ///   `strict-checks` when `a` is non-finite or asymmetric.
+    ///
     /// hot
     /// complexity: O(n^3)
     /// deterministic
     pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(Error::NotSquare { shape: a.shape() });
-        }
-        strict::check_finite_matrix("cholesky.factor input", a)?;
-        strict::check_symmetric("cholesky.factor input", a, STRICT_SYMMETRY_TOL)?;
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut diag = a.get(j, j);
-            for &v in &l.row(j)[..j] {
-                diag -= v * v;
-            }
-            if !(diag > 0.0) || !diag.is_finite() {
-                return Err(Error::NotPositiveDefinite { pivot: j });
-            }
-            let diag_sqrt = diag.sqrt();
-            l.set(j, j, diag_sqrt);
-            for i in (j + 1)..n {
-                let mut sum = a.get(i, j);
-                for (lik, ljk) in l.row(i)[..j].iter().zip(&l.row(j)[..j]) {
-                    sum -= lik * ljk;
-                }
-                l.set(i, j, sum / diag_sqrt);
-            }
-        }
-        Ok(Cholesky { lower: l })
+        Cholesky::factor_with(a, &Executor::Sequential)
     }
 
     /// Factorizes a symmetric positive-definite matrix with trailing-block
-    /// updates parallelized across `executor`, producing a factor
-    /// **bit-identical** to [`Cholesky::factor`].
+    /// updates spread across `executor`; the factor is bit-identical at
+    /// every worker count.
     ///
     /// The algorithm is a right-looking blocked factorization over a
     /// working copy of `a`: each panel of `PANEL_WIDTH` (32) columns is
-    /// factored sequentially, then every trailing row subtracts the
-    /// panel's outer products independently — one worker per row block,
-    /// reading a snapshot of the panel's `L` columns so no worker reads a
-    /// row another is writing. Bit-identity holds because each element's
-    /// value sees exactly the left-looking sequence of operations: the
-    /// subtractions `l[i][k] · l[j][k]` in globally increasing `k`, then
-    /// one division by the pivot (or one square root on the diagonal).
+    /// factored in place, then every trailing row subtracts the panel's
+    /// outer products independently — one task per row block, reading a
+    /// snapshot of the panel's `L` columns so no task reads a row another
+    /// is writing. Each element sees exactly the left-looking sequence of
+    /// operations: the subtractions `l[i][k] · l[j][k]` in globally
+    /// increasing `k`, then one division by the pivot (or one square root
+    /// on the diagonal). A sequential executor runs the row blocks in
+    /// order on the calling thread.
     ///
     /// # Errors
     ///
     /// Same as [`Cholesky::factor`].
+    ///
     /// hot
     /// complexity: O(n^3)
     /// deterministic
-    pub fn factor_with(a: &Matrix, executor: &gssl_runtime::Executor) -> Result<Self> {
-        if executor.is_sequential() {
-            return Cholesky::factor(a);
-        }
+    pub fn factor_with(a: &Matrix, executor: &Executor) -> Result<Self> {
         if !a.is_square() {
             return Err(Error::NotSquare { shape: a.shape() });
         }
@@ -164,9 +141,7 @@ impl Cholesky {
             // (i, j) with j >= j1 subtracts l[i][k] * l[j][k] for the
             // panel's k in increasing order — the same operations, on the
             // same running value, as the left-looking inner loop.
-            let block_rows = trailing_rows
-                .div_ceil(executor.workers().saturating_mul(4))
-                .max(1);
+            let block_rows = row_block(trailing_rows, executor);
             let data = w.as_mut_slice();
             let tail = &mut data[j1 * n..];
             let l21t = &l21t[..];
@@ -187,8 +162,8 @@ impl Cholesky {
             j0 = j1;
         }
 
-        // The sequential factor writes into a zero matrix; mirror that by
-        // clearing the never-read upper triangle of the working copy.
+        // `L` is lower triangular: clear the never-read upper triangle of
+        // the working copy.
         for i in 0..n {
             for j in (i + 1)..n {
                 w.set(i, j, 0.0);
@@ -375,6 +350,7 @@ pub fn is_positive_definite(a: &Matrix) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense_oracles as oracles;
 
     fn spd_sample() -> Matrix {
         // A = Bᵀ B + I is SPD for any B.
@@ -450,41 +426,48 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn factor_with_is_bit_identical_to_sequential() {
-        // Larger than one 32-wide panel so the blocked path exercises both
-        // the panel loop and the parallel trailing update.
-        let n = 83;
+    /// `BᵀB + n·I` for a dense `B`: SPD at every order.
+    fn spd(n: usize) -> Matrix {
         let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) as f64 * 0.37).sin());
         let mut a = b.transpose().matmul(&b).unwrap();
         for i in 0..n {
             a.set(i, i, a.get(i, i) + n as f64);
         }
-        let sequential = Cholesky::factor(&a).unwrap();
-        for workers in [1, 2, 3, 4] {
-            let executor = gssl_runtime::Executor::with_workers(workers);
-            let parallel = Cholesky::factor_with(&a, &executor).unwrap();
-            assert_eq!(
-                parallel.lower().as_slice(),
-                sequential.lower().as_slice(),
-                "cholesky factor differs from sequential at {workers} workers"
-            );
+        a
+    }
+
+    /// The factor (or error) at every worker count, `factor` included,
+    /// equals the left-looking oracle's.
+    fn assert_matches_oracle(a: &Matrix, label: &str) {
+        let want = oracles::cholesky(a).map(|l| oracles::bits(&l));
+        let got = Cholesky::factor(a).map(|c| oracles::bits(c.lower()));
+        assert_eq!(got, want, "{label}, factor");
+        for workers in oracles::WORKERS {
+            let executor = Executor::with_workers(workers);
+            let got = Cholesky::factor_with(a, &executor).map(|c| oracles::bits(c.lower()));
+            assert_eq!(got, want, "{label}, {workers} workers");
         }
     }
 
     #[test]
-    fn factor_with_propagates_indefiniteness() {
-        // Indefinite past the first panel: identity with one flipped
-        // diagonal entry deep in the matrix.
-        let n = 48;
-        let pivot = 40;
-        let mut a = Matrix::identity(n);
-        a.set(pivot, pivot, -1.0);
-        let executor = gssl_runtime::Executor::with_workers(3);
+    fn factor_is_bitwise_the_left_looking_oracle() {
+        for n in oracles::ORDERS {
+            assert_matches_oracle(&spd(n), &format!("n = {n}"));
+        }
+    }
+
+    #[test]
+    fn factor_errors_match_the_oracle() {
+        // Indefinite past two panels: the failing pivot is only reached
+        // after trailing updates have run.
+        let mut indefinite = spd(83);
+        indefinite.set(70, 70, -1.0);
         assert!(matches!(
-            Cholesky::factor_with(&a, &executor),
-            Err(Error::NotPositiveDefinite { pivot: p }) if p == pivot
+            oracles::cholesky(&indefinite),
+            Err(Error::NotPositiveDefinite { pivot: 70 })
         ));
+        assert_matches_oracle(&indefinite, "indefinite");
+        assert_matches_oracle(&Matrix::zeros(2, 3), "non-square");
     }
 
     #[test]

@@ -341,6 +341,7 @@ impl PrecondCg {
     ///   is non-finite (the index is the stored-entry position).
     /// * [`Error::NotPositiveDefinite`] when the preconditioner cannot be
     ///   built (non-positive diagonal, IC(0) breakdown).
+    ///
     /// deterministic
     pub fn factor_sparse_with(
         a: &CsrMatrix,
@@ -527,23 +528,22 @@ impl Factorization for SolverBackend {
     }
 }
 
-/// Which iterative backend [`SolverPolicy`] builds once a system has been
-/// classified as large and sparse.
+/// Which iterative backend [`SolverPolicy`] builds. A forced strategy
+/// always takes the iterative route, whatever the system's size or
+/// density; `Auto` takes it only for large sparse systems.
 #[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub enum SparseStrategy {
-    /// Cost-model the system: AMG when it is large
-    /// ([`SolverPolicy::amg_dim_cutoff`]) and mesh-like — bandwidth at
-    /// least [`SolverPolicy::amg_bandwidth_floor`] but still small
-    /// relative to the dimension ([`SolverPolicy::amg_locality_factor`]);
-    /// IC(0)-PCG otherwise. Narrow-band systems stay on IC-PCG because
-    /// IC(0) discards no fill-in there — it *is* the exact factor — while
-    /// AMG's hierarchy only pays off once the bandwidth (and hence the
-    /// fill-in a direct or one-level method would suffer) grows with the
-    /// problem. When bandwidth ≈ dim the ordering carries no locality at
-    /// all (e.g. a kNN graph in spatial-index order), the measure says
-    /// nothing about conditioning, and IC-PCG's cheaper iterations are
-    /// the robust default.
+    /// Factor systems below 128 rows, or denser than 25 % nonzeros,
+    /// directly. Cost-model the rest: AMG when the system has at least
+    /// 4096 rows and is mesh-like — bandwidth (max stored `|i − j|`) at
+    /// least 128 but at most an eighth of the dimension — and IC(0)-PCG
+    /// otherwise. On a narrow band IC(0) discards little or no fill-in,
+    /// so a hierarchy has nothing to add; a 2-D mesh of n rows has
+    /// bandwidth ≈ √n. Bandwidth ≈ dim means an ordering with no
+    /// locality (a kNN graph in spatial-index order): there the measure
+    /// says nothing about conditioning, and IC-PCG's cheaper iterations
+    /// are the robust default.
     #[default]
     Auto,
     /// Always plain Jacobi (diagonal) PCG.
@@ -556,49 +556,33 @@ pub enum SparseStrategy {
     Amg(AmgOptions),
 }
 
+/// [`SparseStrategy::Auto`] factors systems with fewer rows directly.
+const DIRECT_DIM_CUTOFF: usize = 128;
+/// [`SparseStrategy::Auto`] factors systems denser than this (`nnz / n²`)
+/// directly.
+const DENSITY_THRESHOLD: f64 = 0.25;
+/// Absolute entrywise tolerance under which a directly factored system
+/// counts as symmetric, and so goes to Cholesky.
+const SYMMETRY_TOLERANCE: f64 = 1e-9;
+/// [`SparseStrategy::Auto`] picks AMG only from this many rows.
+const AMG_DIM_CUTOFF: usize = 4096;
+/// [`SparseStrategy::Auto`] picks AMG only from this bandwidth.
+const AMG_BANDWIDTH_FLOOR: usize = 128;
+/// [`SparseStrategy::Auto`] picks AMG only when
+/// `bandwidth * AMG_LOCALITY_FACTOR <= dim`.
+const AMG_LOCALITY_FACTOR: usize = 8;
+
 /// Auto-selection policy: dense Cholesky vs dense LU vs the iterative
-/// sparse backends, decided from system size, symmetry, nonzero density,
-/// and bandwidth.
-///
-/// The decision rule (see [`SolverPolicy::select_dense`] /
-/// [`SolverPolicy::select_sparse`]): systems with at least
-/// `direct_dim_cutoff` rows whose density is at or below
-/// `density_threshold` go to an iterative CSR backend chosen by
-/// [`SparseStrategy`] — by default IC(0)-PCG, escalating to AMG when the
-/// system has at least `amg_dim_cutoff` rows *and* a bandwidth that is at
-/// least `amg_bandwidth_floor` yet at most `dim / amg_locality_factor`
-/// (genuinely multi-dimensional structure in an ordering that still
-/// carries locality). Everything else is factored directly — Cholesky
-/// when symmetric within `symmetry_tolerance`, LU otherwise.
-#[derive(Debug, Clone, PartialEq)]
+/// sparse backends (see [`SolverPolicy::select_dense`] /
+/// [`SolverPolicy::select_sparse`]). The [`SparseStrategy`] decides
+/// whether a system takes the iterative route; the rest are factored
+/// directly — Cholesky when symmetric within an absolute `1e-9`, LU
+/// otherwise.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolverPolicy {
-    /// Systems smaller than this are always factored directly, regardless
-    /// of sparsity (direct factorization is cheap at small dimensions).
-    pub direct_dim_cutoff: usize,
-    /// Fraction of nonzero entries (`nnz / n²`) at or below which a large
-    /// system is routed to an iterative sparse backend.
-    pub density_threshold: f64,
-    /// Absolute entrywise tolerance used to classify a system as symmetric
-    /// (and hence Cholesky-eligible).
-    pub symmetry_tolerance: f64,
-    /// Which iterative backend to build for large sparse systems.
+    /// Which iterative backend to build, and whether the route is
+    /// cost-modelled ([`SparseStrategy::Auto`]) or forced.
     pub sparse: SparseStrategy,
-    /// Under [`SparseStrategy::Auto`], AMG requires at least this many
-    /// rows: below it, IC-PCG's lighter setup wins even on wide-band
-    /// systems.
-    pub amg_dim_cutoff: usize,
-    /// Under [`SparseStrategy::Auto`], AMG requires bandwidth (max stored
-    /// `|i − j|`) at least this large: narrow bands keep IC(0) exact or
-    /// near-exact, so the hierarchy has nothing to add.
-    pub amg_bandwidth_floor: usize,
-    /// Under [`SparseStrategy::Auto`], AMG additionally requires
-    /// `bandwidth * amg_locality_factor <= dim`. A 2-D mesh of n rows has
-    /// bandwidth ≈ √n — wide, but far below n. When bandwidth ≈ dim the
-    /// row ordering carries no locality (a kNN graph in spatial-index
-    /// order hits this), the bandwidth measure says nothing about the
-    /// graph, and such systems in this repo are anchored and
-    /// well-conditioned — IC-PCG's cheaper iterations win there.
-    pub amg_locality_factor: usize,
     /// Options for the outer CG run of every iterative backend the policy
     /// builds — Jacobi and IC(0) PCG, and AMG whether auto-selected or
     /// forced through [`SparseStrategy::Amg`].
@@ -606,22 +590,6 @@ pub struct SolverPolicy {
     /// Executor every selected backend factors (and, for CG, solves) on.
     /// Sequential by default; parallel executors leave results bit-identical.
     pub executor: Executor,
-}
-
-impl Default for SolverPolicy {
-    fn default() -> Self {
-        SolverPolicy {
-            direct_dim_cutoff: 128,
-            density_threshold: 0.25,
-            symmetry_tolerance: 1e-9,
-            sparse: SparseStrategy::Auto,
-            amg_dim_cutoff: 4096,
-            amg_bandwidth_floor: 128,
-            amg_locality_factor: 8,
-            cg: CgOptions::default(),
-            executor: Executor::default(),
-        }
-    }
 }
 
 /// Counts entries of a dense matrix with magnitude above zero.
@@ -681,14 +649,26 @@ impl SolverPolicy {
         self
     }
 
+    /// `true` when a `rows × cols` system with `nnz()` stored entries
+    /// takes the iterative route: always under a forced strategy; under
+    /// [`SparseStrategy::Auto`] when it is large and sparse.
+    fn routes_iterative(&self, rows: usize, cols: usize, nnz: impl FnOnce() -> usize) -> bool {
+        match self.sparse {
+            SparseStrategy::Auto => {
+                rows >= DIRECT_DIM_CUTOFF && density(nnz(), rows, cols) <= DENSITY_THRESHOLD
+            }
+            _ => true,
+        }
+    }
+
     /// Which iterative backend the [`SparseStrategy`] yields for a system
     /// of `dim` rows with the given bandwidth.
     fn select_iterative(&self, dim: usize, bandwidth: usize) -> BackendKind {
         match &self.sparse {
             SparseStrategy::Auto => {
-                if dim >= self.amg_dim_cutoff
-                    && bandwidth >= self.amg_bandwidth_floor
-                    && bandwidth.saturating_mul(self.amg_locality_factor) <= dim
+                if dim >= AMG_DIM_CUTOFF
+                    && bandwidth >= AMG_BANDWIDTH_FLOOR
+                    && bandwidth.saturating_mul(AMG_LOCALITY_FACTOR) <= dim
                 {
                     BackendKind::Amg
                 } else {
@@ -706,12 +686,10 @@ impl SolverPolicy {
     /// A breakdown-driven fallback (IC(0) → Jacobi, Cholesky → LU) can
     /// still land on a different backend at factor time.
     pub fn select_dense(&self, a: &Matrix) -> BackendKind {
-        if a.rows() >= self.direct_dim_cutoff
-            && density(dense_nnz(a), a.rows(), a.cols()) <= self.density_threshold
-        {
+        if self.routes_iterative(a.rows(), a.cols(), || dense_nnz(a)) {
             return self.select_iterative(a.rows(), dense_bandwidth(a));
         }
-        if a.is_symmetric(self.symmetry_tolerance) {
+        if a.is_symmetric(SYMMETRY_TOLERANCE) {
             BackendKind::DenseCholesky
         } else {
             BackendKind::DenseLu
@@ -723,12 +701,10 @@ impl SolverPolicy {
     /// A breakdown-driven fallback (IC(0) → Jacobi, Cholesky → LU) can
     /// still land on a different backend at factor time.
     pub fn select_sparse(&self, a: &CsrMatrix) -> BackendKind {
-        if a.rows() >= self.direct_dim_cutoff
-            && density(a.nnz(), a.rows(), a.cols()) <= self.density_threshold
-        {
+        if self.routes_iterative(a.rows(), a.cols(), || a.nnz()) {
             return self.select_iterative(a.rows(), a.bandwidth());
         }
-        if a.is_symmetric(self.symmetry_tolerance) {
+        if a.is_symmetric(SYMMETRY_TOLERANCE) {
             BackendKind::DenseCholesky
         } else {
             BackendKind::DenseLu
@@ -789,6 +765,7 @@ impl SolverPolicy {
     /// * [`Error::Singular`] when the (LU-factored) system is singular.
     /// * [`Error::NotPositiveDefinite`] when the iterative backend sees a
     ///   non-positive diagonal.
+    ///
     /// deterministic
     pub fn factor_dense(&self, a: &Matrix) -> Result<SolverBackend> {
         match self.select_dense(a) {
@@ -823,17 +800,16 @@ impl SolverPolicy {
 
     /// Factors a dense system *known* to be symmetric positive definite
     /// (e.g. the soft criterion's `V + λL`): Cholesky first, LU as a
-    /// robustness fallback when rounding pushed a pivot non-positive, CG
-    /// when the system qualifies as large and sparse.
+    /// robustness fallback when rounding pushed a pivot non-positive, the
+    /// policy's iterative backend when the system takes the iterative
+    /// route (a forced strategy, or large and sparse under `Auto`).
     ///
     /// # Errors
     ///
     /// Same as [`SolverPolicy::factor_dense`].
     /// deterministic
     pub fn factor_spd(&self, a: &Matrix) -> Result<SolverBackend> {
-        if a.rows() >= self.direct_dim_cutoff
-            && density(dense_nnz(a), a.rows(), a.cols()) <= self.density_threshold
-        {
+        if self.routes_iterative(a.rows(), a.cols(), || dense_nnz(a)) {
             let csr = CsrMatrix::from_dense(a, 0.0);
             return self.factor_iterative(&csr);
         }
@@ -1040,8 +1016,8 @@ mod tests {
             (-0.05 * d * d).exp() + if i == j { 1.0 } else { 0.0 }
         });
         let policy = SolverPolicy::default();
-        assert!(n >= policy.direct_dim_cutoff);
-        assert!(density(dense_nnz(&dense), n, n) > policy.density_threshold);
+        assert!(n >= DIRECT_DIM_CUTOFF);
+        assert!(density(dense_nnz(&dense), n, n) > DENSITY_THRESHOLD);
         for a in [spd_sample(10), dense] {
             assert_eq!(policy.select_dense(&a), BackendKind::DenseCholesky);
             let backend = policy.factor_dense(&a).unwrap();
@@ -1084,29 +1060,37 @@ mod tests {
 
     #[test]
     fn policy_strategy_overrides_route_to_each_backend() {
-        let n = 200;
-        let a = spd_sample(n);
-        let csr = CsrMatrix::from_dense(&a, 0.0);
-        let b = rhs(n);
-        let reference = SolverPolicy::default()
-            .factor_sparse(&csr)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        for (strategy, expected) in [
-            (SparseStrategy::Jacobi, BackendKind::SparseCg),
-            (SparseStrategy::Ic0, BackendKind::SparseIcCg),
-            (SparseStrategy::Amg(AmgOptions::default()), BackendKind::Amg),
-        ] {
-            let policy = SolverPolicy {
-                sparse: strategy.clone(),
-                ..SolverPolicy::default()
-            };
-            assert_eq!(policy.select_sparse(&csr), expected, "{strategy:?}");
-            let backend = policy.factor_sparse(&csr).unwrap();
-            assert_eq!(backend.kind(), expected, "{strategy:?}");
-            let x = backend.solve(&b).unwrap();
-            assert!(x.approx_eq(&reference, 1e-7), "{strategy:?} disagrees");
+        // A forced strategy builds its own backend at any size, 2 × 2
+        // included, on every entry point.
+        for n in [2, 200] {
+            let a = spd_sample(n);
+            let csr = CsrMatrix::from_dense(&a, 0.0);
+            let b = rhs(n);
+            let reference = crate::lu::solve(&a, &b).unwrap();
+            for (strategy, expected) in [
+                (SparseStrategy::Jacobi, BackendKind::SparseCg),
+                (SparseStrategy::Ic0, BackendKind::SparseIcCg),
+                (SparseStrategy::Amg(AmgOptions::default()), BackendKind::Amg),
+            ] {
+                let policy = SolverPolicy {
+                    sparse: strategy.clone(),
+                    ..SolverPolicy::default()
+                };
+                let kinds = [
+                    policy.select_dense(&a),
+                    policy.select_sparse(&csr),
+                    policy.factor_dense(&a).unwrap().kind(),
+                    policy.factor_spd(&a).unwrap().kind(),
+                ];
+                assert_eq!(kinds, [expected; 4], "{strategy:?}, n = {n}");
+                let backend = policy.factor_sparse(&csr).unwrap();
+                assert_eq!(backend.kind(), expected, "{strategy:?}, n = {n}");
+                let x = backend.solve(&b).unwrap();
+                assert!(
+                    x.approx_eq(&reference, 1e-7),
+                    "{strategy:?} disagrees at n = {n}"
+                );
+            }
         }
     }
 
@@ -1133,43 +1117,67 @@ mod tests {
         ));
     }
 
+    /// A symmetric `n`-row CSR matrix: diagonal `n`, then `pairs`
+    /// mirrored `-0.5` entries filling the bands nearest the diagonal, so
+    /// it stores `n + 2 * pairs` entries.
+    fn banded_pairs(n: usize, pairs: usize) -> CsrMatrix {
+        let mut triplets: Vec<_> = (0..n).map(|i| (i, i, n as f64)).collect();
+        let coords = (1..n).flat_map(|d| (0..n - d).map(move |i| (i, i + d)));
+        for (i, j) in coords.take(pairs) {
+            triplets.extend([(i, j, -0.5), (j, i, -0.5)]);
+        }
+        CsrMatrix::from_triplets(n, n, &triplets).unwrap()
+    }
+
+    /// A tridiagonal `dim`-row CSR matrix plus one mirrored pair at
+    /// distance `band`, so its bandwidth is `band`.
+    fn with_bandwidth(dim: usize, band: usize) -> CsrMatrix {
+        let mut triplets = vec![(0, band, -0.5), (band, 0, -0.5)];
+        for i in 0..dim {
+            triplets.push((i, i, 4.0));
+            if i + 1 < dim {
+                triplets.extend([(i, i + 1, -1.0), (i + 1, i, -1.0)]);
+            }
+        }
+        CsrMatrix::from_triplets(dim, dim, &triplets).unwrap()
+    }
+
     #[test]
-    fn auto_policy_prefers_amg_for_large_mesh_like_systems() {
-        let policy = SolverPolicy::default();
-        // Narrow band stays on IC-PCG regardless of size.
-        assert_eq!(policy.select_iterative(1 << 20, 1), BackendKind::SparseIcCg);
-        // Large dimension alone is not enough.
-        assert_eq!(
-            policy.select_iterative(policy.amg_dim_cutoff, policy.amg_bandwidth_floor - 1),
-            BackendKind::SparseIcCg
-        );
-        // Wide band alone is not enough.
-        assert_eq!(
-            policy.select_iterative(policy.amg_dim_cutoff - 1, 1 << 20),
-            BackendKind::SparseIcCg
-        );
-        // Bandwidth ≈ dim means the ordering carries no locality (kNN
-        // graphs in index order): the bandwidth signal is uninformative
-        // and the robust IC-PCG default applies.
-        let dim = 1 << 20;
-        assert_eq!(
-            policy.select_iterative(dim, dim - 1),
-            BackendKind::SparseIcCg
-        );
-        assert_eq!(
-            policy.select_iterative(dim, dim / policy.amg_locality_factor + 1),
-            BackendKind::SparseIcCg
-        );
-        // Mesh-like: large, wide-band, and local — a 2-D grid of n rows
-        // has bandwidth √n, far below the locality ceiling.
-        assert_eq!(
-            policy.select_iterative(dim, dim / policy.amg_locality_factor),
-            BackendKind::Amg
-        );
-        assert_eq!(
-            policy.select_iterative(policy.amg_dim_cutoff * 4, policy.amg_bandwidth_floor),
-            BackendKind::Amg
-        );
+    fn routes_flip_exactly_at_each_threshold() {
+        use BackendKind::{Amg, DenseCholesky, DenseLu, SparseIcCg};
+        let auto = SolverPolicy::default();
+        // 2 × 2, with one off-diagonal entry 0 and its mirror `delta`.
+        let skewed = |delta: f64| {
+            CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 0, delta), (1, 1, 2.0)]).unwrap()
+        };
+        let cases = [
+            // DIRECT_DIM_CUTOFF = 128 (tridiagonal).
+            ("127 rows", banded_pairs(127, 126), DenseCholesky),
+            ("128 rows", banded_pairs(128, 127), SparseIcCg),
+            // DENSITY_THRESHOLD = 0.25 at 128 rows: 4096 vs 4098 entries.
+            ("density 0.25", banded_pairs(128, 1984), SparseIcCg),
+            ("density 0.2501", banded_pairs(128, 1985), DenseCholesky),
+            // SYMMETRY_TOLERANCE = 1e-9, absolute.
+            ("asymmetry 1e-9", skewed(1e-9), DenseCholesky),
+            ("asymmetry 2e-9", skewed(2e-9), DenseLu),
+        ];
+        for (what, csr, want) in cases {
+            assert_eq!(auto.select_sparse(&csr), want, "{what}, CSR");
+            assert_eq!(auto.select_dense(&csr.to_dense()), want, "{what}, dense");
+        }
+        // AMG_DIM_CUTOFF = 4096, AMG_BANDWIDTH_FLOOR = 128 and
+        // AMG_LOCALITY_FACTOR = 8, on CSR only: a dense 4096-row copy
+        // would take 134 MB, and both routes share `select_iterative`.
+        for (dim, band, want) in [
+            (4096, 128, Amg),
+            (4095, 128, SparseIcCg),
+            (4096, 127, SparseIcCg),
+            (4096, 512, Amg),
+            (4096, 513, SparseIcCg),
+        ] {
+            let got = auto.select_sparse(&with_bandwidth(dim, band));
+            assert_eq!(got, want, "{dim} rows, bandwidth {band}");
+        }
     }
 
     #[test]
@@ -1190,8 +1198,6 @@ mod tests {
             Err(Error::NotPositiveDefinite { .. })
         ));
         let policy = SolverPolicy {
-            direct_dim_cutoff: 0,
-            density_threshold: 1.0,
             sparse: SparseStrategy::Ic0,
             ..SolverPolicy::default()
         };

@@ -84,3 +84,25 @@ pub use vector::Vector;
 pub mod stationary {
     pub use crate::iterative::{gauss_seidel, jacobi, IterationOptions, IterationOutcome};
 }
+
+#[cfg(test)]
+/// Test-only bitwise oracles for the dense kernels, and what the
+/// kernels' oracle tests share.
+mod dense_oracles {
+    use crate::float::is_exactly_zero;
+    use crate::{strict, Error, Matrix, Result};
+
+    include!("../tests/support/dense_oracles.rs");
+
+    /// Worker counts every dense kernel is checked at.
+    pub const WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
+
+    /// Orders on each side of the 32-column panel edges, plus the empty
+    /// matrix.
+    pub const ORDERS: [usize; 9] = [0, 1, 31, 32, 33, 64, 65, 83, 200];
+
+    /// Every entry's bit pattern, so `-0.0` and `0.0` differ.
+    pub fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+}

@@ -5,9 +5,10 @@
 
 use crate::error::{Error, Result};
 use crate::float::is_exactly_zero;
-use crate::matrix::Matrix;
+use crate::matrix::{row_block, Matrix};
 use crate::strict;
 use crate::vector::Vector;
+use gssl_runtime::Executor;
 
 /// Relative pivot threshold below which a matrix is declared singular.
 const SINGULARITY_RTOL: f64 = 1e-13;
@@ -36,7 +37,9 @@ pub struct Lu {
 }
 
 impl Lu {
-    /// Factorizes a square matrix.
+    /// Factorizes a square matrix: [`Lu::factor_with`] on the calling
+    /// thread, where the elimination runs as one panel spanning every
+    /// column — the unblocked loop.
     ///
     /// # Errors
     ///
@@ -44,86 +47,40 @@ impl Lu {
     /// * [`Error::Singular`] when a pivot is (numerically) zero.
     /// * [`Error::NonFiniteValue`] when `a` contains NaN/infinity and the
     ///   `strict-checks` feature is enabled.
+    ///
     /// hot
     /// complexity: O(n^3)
     /// deterministic
     pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(Error::NotSquare { shape: a.shape() });
-        }
-        strict::check_finite_matrix("lu.factor input", a)?;
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
-        let scale = a.norm_max().max(f64::MIN_POSITIVE);
-
-        for k in 0..n {
-            // Partial pivoting: bring the largest |entry| in column k to row k.
-            let mut pivot_row = k;
-            let mut pivot_val = lu.get(k, k).abs();
-            for i in (k + 1)..n {
-                let v = lu.get(i, k).abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val <= SINGULARITY_RTOL * scale {
-                return Err(Error::Singular { pivot: k });
-            }
-            if pivot_row != k {
-                lu.swap_rows(k, pivot_row);
-                perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
-            }
-            let pivot = lu.get(k, k);
-            let data = lu.as_mut_slice();
-            let (head, tail) = data.split_at_mut((k + 1) * n);
-            let pivot_row = &head[k * n + k + 1..(k + 1) * n];
-            for row in tail.chunks_mut(n) {
-                let factor = row[k] / pivot;
-                row[k] = factor;
-                if !is_exactly_zero(factor) {
-                    for (value, u) in row[k + 1..].iter_mut().zip(pivot_row) {
-                        *value -= factor * u;
-                    }
-                }
-            }
-        }
-
-        Ok(Lu {
-            factors: lu,
-            perm,
-            perm_sign,
-        })
+        Lu::factor_with(a, &Executor::Sequential)
     }
 
-    /// Factorizes a square matrix with trailing-block updates parallelized
-    /// across `executor`, producing factors **bit-identical** to
-    /// [`Lu::factor`].
+    /// Factorizes a square matrix with trailing-block updates spread
+    /// across `executor`; the factors are bit-identical at every worker
+    /// count.
     ///
     /// The algorithm is a right-looking blocked elimination: each panel of
-    /// `PANEL_WIDTH` (32) columns is factored sequentially (pivot
-    /// searches and row swaps are inherently serial), the panel's rows of
-    /// `U` are finished sequentially, and then every trailing row applies
-    /// the panel's eliminations independently — one worker per row block.
-    /// Bit-identity holds because every element receives exactly the same
+    /// columns is factored in place (pivot searches and row swaps are
+    /// inherently serial), the panel's rows of `U` are finished, and then
+    /// every trailing row applies the panel's eliminations independently —
+    /// one task per row block. Every element receives exactly the same
     /// subtractions `a[i][j] -= l[i][k] * u[k][j]` in the same (globally
     /// increasing `k`) order as the unblocked loop, pivot decisions read
     /// columns whose values match the unblocked state at decision time,
     /// and rows are assembled by position rather than completion order.
     ///
+    /// Panels are `PANEL_WIDTH` (32) columns wide on a parallel executor.
+    /// On one worker a single panel spans all `n` columns: narrower panels
+    /// only pay off once their trailing updates run in parallel.
+    ///
     /// # Errors
     ///
     /// Same as [`Lu::factor`].
+    ///
     /// hot
     /// complexity: O(n^3)
     /// deterministic
-    pub fn factor_with(a: &Matrix, executor: &gssl_runtime::Executor) -> Result<Self> {
-        if executor.is_sequential() {
-            return Lu::factor(a);
-        }
+    pub fn factor_with(a: &Matrix, executor: &Executor) -> Result<Self> {
         if !a.is_square() {
             return Err(Error::NotSquare { shape: a.shape() });
         }
@@ -133,10 +90,15 @@ impl Lu {
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
         let scale = a.norm_max().max(f64::MIN_POSITIVE);
+        let panel_width = if executor.workers() == 1 {
+            n
+        } else {
+            Self::PANEL_WIDTH
+        };
 
         let mut k0 = 0;
         while k0 < n {
-            let k1 = (k0 + Self::PANEL_WIDTH).min(n);
+            let k1 = (k0 + panel_width).min(n);
             // Panel factorization: pivot, swap and eliminate columns
             // k0..k1 over the full trailing height. Column k is current
             // with respect to every k' < k (earlier panels via trailing
@@ -199,9 +161,7 @@ impl Lu {
             // reading only the finalized U rows (the immutable head split)
             // and its own factors — rows are independent.
             let trailing_rows = n - k1;
-            let block_rows = trailing_rows
-                .div_ceil(executor.workers().saturating_mul(4))
-                .max(1);
+            let block_rows = row_block(trailing_rows, executor);
             let data = lu.as_mut_slice();
             let (head, tail) = data.split_at_mut(k1 * n);
             let head = &head[..];
@@ -229,9 +189,9 @@ impl Lu {
         })
     }
 
-    /// Panel width of the blocked [`Lu::factor_with`] elimination: wide
-    /// enough to amortize the sequential panel work, narrow enough that
-    /// trailing updates dominate and parallelize.
+    /// Panel width of the blocked [`Lu::factor_with`] elimination on a
+    /// parallel executor: wide enough to amortize the serial panel work,
+    /// narrow enough that trailing updates dominate and parallelize.
     const PANEL_WIDTH: usize = 32;
 
     /// Dimension of the factored matrix.
@@ -378,6 +338,7 @@ pub fn inverse(a: &Matrix) -> Result<Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense_oracles as oracles;
 
     fn residual(a: &Matrix, x: &Vector, b: &Vector) -> f64 {
         let ax = a.matvec(x).unwrap();
@@ -451,41 +412,61 @@ mod tests {
         assert!(lu.solve_matrix(&Matrix::zeros(3, 1)).is_err());
     }
 
-    #[test]
-    fn factor_with_is_bit_identical_to_sequential() {
-        // Larger than one panel so the blocked path crosses panel
-        // boundaries, with enough asymmetry to force pivoting.
-        let n = 83;
-        let a = Matrix::from_fn(n, n, |i, j| {
+    /// A dense asymmetric matrix whose elimination pivots.
+    fn pivoting_sample(n: usize) -> Matrix {
+        Matrix::from_fn(n, n, |i, j| {
             let v = ((i * 37 + j * 11) as f64 * 0.29).sin();
             if i == j {
                 v + 0.5
             } else {
                 v
             }
+        })
+    }
+
+    /// Factors, permutation and determinant bits (or the error) at every
+    /// worker count, `factor` included, equal the unblocked oracle's.
+    fn assert_matches_oracle(a: &Matrix, label: &str) {
+        let parts = |lu: &Lu| {
+            let det = lu.det().to_bits();
+            (oracles::bits(lu.factors()), lu.perm().to_vec(), det)
+        };
+        let want = oracles::lu(a).map(|(factors, perm, sign)| {
+            let det = (0..factors.rows()).fold(sign, |det, i| det * factors.get(i, i));
+            (oracles::bits(&factors), perm, det.to_bits())
         });
-        let reference = Lu::factor(&a).unwrap();
-        for workers in [1, 2, 3, 4] {
-            let executor = gssl_runtime::Executor::with_workers(workers);
-            let parallel = Lu::factor_with(&a, &executor).unwrap();
-            assert_eq!(
-                parallel.factors().as_slice(),
-                reference.factors().as_slice(),
-                "workers = {workers}"
-            );
-            assert_eq!(parallel.perm(), reference.perm(), "workers = {workers}");
-            assert_eq!(parallel.det(), reference.det(), "workers = {workers}");
+        assert_eq!(Lu::factor(a).map(|lu| parts(&lu)), want, "{label}, factor");
+        for workers in oracles::WORKERS {
+            let executor = Executor::with_workers(workers);
+            let got = Lu::factor_with(a, &executor).map(|lu| parts(&lu));
+            assert_eq!(got, want, "{label}, {workers} workers");
         }
     }
 
     #[test]
-    fn factor_with_propagates_singularity() {
-        let a = Matrix::from_fn(40, 40, |i, _| i as f64);
-        let executor = gssl_runtime::Executor::with_workers(4);
+    fn factor_is_bitwise_the_unblocked_oracle() {
+        for n in oracles::ORDERS {
+            let a = pivoting_sample(n);
+            let (_, perm, _) = oracles::lu(&a).unwrap();
+            assert!(n < 2 || perm.iter().enumerate().any(|(i, &p)| i != p));
+            assert_matches_oracle(&a, &format!("n = {n}"));
+        }
+    }
+
+    #[test]
+    fn factor_errors_match_the_oracle() {
+        // Column 70 repeats column 10: singular, detected only after
+        // trailing updates of two panels have run.
+        let mut singular = pivoting_sample(83);
+        for i in 0..83 {
+            singular.set(i, 70, singular.get(i, 10));
+        }
         assert!(matches!(
-            Lu::factor_with(&a, &executor),
-            Err(Error::Singular { .. })
+            oracles::lu(&singular),
+            Err(Error::Singular { pivot }) if pivot >= 64
         ));
+        assert_matches_oracle(&singular, "singular");
+        assert_matches_oracle(&Matrix::zeros(2, 3), "non-square");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::error::{Error, Result};
 use crate::vector::{dot_slices, Vector};
+use gssl_runtime::Executor;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -237,7 +238,8 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * rhs`.
+    /// Matrix product `self * rhs`: [`Matrix::matmul_with`] on the calling
+    /// thread.
     ///
     /// # Errors
     ///
@@ -252,52 +254,33 @@ impl Matrix {
     /// # Ok(())
     /// # }
     /// ```
+    ///
     /// shape: (self.rows, rhs.cols)
     /// hot
     /// complexity: O(n * m * k)
     /// deterministic
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(Error::DimensionMismatch {
-                operation: "matmul",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop contiguous in both operands.
-        for i in 0..self.rows {
-            let lhs_row = self.row(i);
-            for (k, &a_ik) in lhs_row.iter().enumerate() {
-                if crate::float::is_exactly_zero(a_ik) {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, r) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a_ik * r;
-                }
-            }
-        }
-        Ok(out)
+        self.matmul_with(rhs, &Executor::Sequential)
     }
 
     /// Matrix product `self * rhs`, row-blocked across `executor`.
     ///
-    /// Each worker computes a contiguous block of whole output rows with
-    /// exactly the i-k-j accumulation order of [`Matrix::matmul`], so the
-    /// result is bit-identical to the sequential product for any worker
-    /// count (each output row is owned by one worker; reassembly is by row
-    /// position, not completion order).
+    /// Each task computes a contiguous block of whole output rows in i-k-j
+    /// order — the inner loop contiguous in both operands, skipping exact
+    /// zeros of `self` — so every output row sees one fixed accumulation
+    /// order and the product is bit-identical at every worker count (each
+    /// row is owned by one task; reassembly is by row position, not
+    /// completion order).
     ///
     /// # Errors
     ///
     /// Returns [`Error::DimensionMismatch`] when `self.cols() != rhs.rows()`.
+    ///
     /// shape: (self.rows, rhs.cols)
     /// hot
     /// complexity: O(n * m * k)
     /// deterministic
-    pub fn matmul_with(&self, rhs: &Matrix, executor: &gssl_runtime::Executor) -> Result<Matrix> {
+    pub fn matmul_with(&self, rhs: &Matrix, executor: &Executor) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(Error::DimensionMismatch {
                 operation: "matmul",
@@ -305,15 +288,14 @@ impl Matrix {
                 right: rhs.shape(),
             });
         }
-        if executor.is_sequential() || self.rows <= 1 || rhs.cols == 0 {
-            return self.matmul(rhs);
-        }
         let cols = rhs.cols;
-        let block_rows = self
-            .rows
-            .div_ceil(executor.workers().saturating_mul(4))
-            .max(1);
         let mut out = Matrix::zeros(self.rows, cols);
+        // No output entries: nothing to dispatch (a zero chunk width is
+        // rejected by the executor).
+        if out.data.is_empty() {
+            return Ok(out);
+        }
+        let block_rows = row_block(self.rows, executor);
         executor.for_each_chunk_mut(out.as_mut_slice(), block_rows * cols, |start, chunk| {
             let first_row = start / cols;
             for (local, out_row) in chunk.chunks_mut(cols).enumerate() {
@@ -551,6 +533,13 @@ impl Matrix {
     }
 }
 
+/// Rows per task when the dense kernels split `rows` rows across
+/// `executor`: about four blocks per worker, so uneven rows still balance.
+/// The split decides only which task computes a row, never its operations.
+pub(crate) fn row_block(rows: usize, executor: &Executor) -> usize {
+    rows.div_ceil(executor.workers().saturating_mul(4)).max(1)
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 
@@ -640,20 +629,43 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense_oracles as oracles;
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap()
     }
 
     #[test]
-    fn matmul_with_is_bit_identical_to_sequential() {
-        let a = Matrix::from_fn(37, 23, |i, j| ((i * 31 + j * 7) as f64 * 0.37).sin());
-        let b = Matrix::from_fn(23, 29, |i, j| ((i * 13 + j * 17) as f64 * 0.73).cos());
-        let reference = a.matmul(&b).unwrap();
-        for workers in [1, 2, 3, 4] {
-            let executor = gssl_runtime::Executor::with_workers(workers);
-            let parallel = a.matmul_with(&b, &executor).unwrap();
-            assert_eq!(parallel, reference, "workers = {workers}");
+    fn matmul_is_bitwise_the_ikj_oracle() {
+        // Exact zeros (skipped by the kernel) and signed zeros included.
+        let fill = |salt: usize| {
+            move |i: usize, j: usize| match (i * 7 + j * 3 + salt) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                r => ((i * 31 + j * 17 + r) as f64 * 0.37).sin(),
+            }
+        };
+        let mut shapes: Vec<(usize, usize, usize)> =
+            oracles::ORDERS.iter().map(|&n| (n, n / 2 + 1, n)).collect();
+        // Shapes with no output entries, and one with an empty inner
+        // dimension (an all-zero product).
+        shapes.extend([(0, 3, 4), (3, 4, 0), (0, 0, 0), (3, 0, 4)]);
+        for (rows, inner, cols) in shapes {
+            let a = Matrix::from_fn(rows, inner, fill(1));
+            let b = Matrix::from_fn(inner, cols, fill(5));
+            let want = oracles::matmul(&a, &b).map(|m| (m.shape(), oracles::bits(&m)));
+            let got = a.matmul(&b).map(|m| (m.shape(), oracles::bits(&m)));
+            assert_eq!(got, want, "{rows}x{inner} * {inner}x{cols}");
+            for workers in oracles::WORKERS {
+                let executor = Executor::with_workers(workers);
+                let got = a
+                    .matmul_with(&b, &executor)
+                    .map(|m| (m.shape(), oracles::bits(&m)));
+                assert_eq!(
+                    got, want,
+                    "{rows}x{inner} * {inner}x{cols}, {workers} workers"
+                );
+            }
         }
     }
 

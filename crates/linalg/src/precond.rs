@@ -204,6 +204,7 @@ impl Ic0 {
     /// * [`Error::NotSquare`] when `a` is not square.
     /// * [`Error::NotPositiveDefinite`] when a diagonal entry is missing,
     ///   non-positive, or the recurrence breaks down at some pivot.
+    ///
     /// complexity: O(nnz * rows)
     /// deterministic
     pub fn factor(a: &CsrMatrix) -> Result<Self> {

@@ -5,7 +5,7 @@
 //! `O((n+m)²)`.
 
 use crate::error::{Error, Result};
-use crate::matrix::Matrix;
+use crate::matrix::{row_block, Matrix};
 use gssl_runtime::Executor;
 
 /// Stored entries from which [`CsrMatrix::matvec_into_with`] shards rows
@@ -284,7 +284,7 @@ impl CsrMatrix {
     }
 
     /// [`CsrMatrix::matvec_into`] with the rows sharded across `executor`
-    /// in `div_ceil(workers * 4)`-row blocks once the matrix stores at
+    /// (about four row blocks per worker) once the matrix stores at
     /// least [`PARALLEL_MIN_NNZ`] entries; smaller matrices run on the
     /// calling thread. Every row goes through the same kernel either way,
     /// so the output is bitwise that of `matvec_into` at any worker count.
@@ -300,10 +300,7 @@ impl CsrMatrix {
         }
         assert_eq!(x.len(), self.cols, "operand length mismatch");
         assert_eq!(out.len(), self.rows, "output length mismatch");
-        let block = self
-            .rows
-            .div_ceil(executor.workers().saturating_mul(4))
-            .max(1);
+        let block = row_block(self.rows, executor);
         let sharded = executor.for_each_chunk_mut(out, block, |start, chunk| {
             self.matvec_rows_into(start, x, chunk);
         });

@@ -1,11 +1,12 @@
 //! The [`Executor`] handle: the one knob every layer of the workspace
-//! takes to choose between the sequential reference path and the scoped
-//! thread pool.
+//! takes to choose between running a kernel's body on the calling thread
+//! and sharding it across the scoped thread pool.
 //!
 //! An executor is cheap to clone (it is a worker count, not a thread
-//! handle) and `Sequential` is the `Default`, so existing call sites keep
-//! compiling unchanged while `with_executor(..)` builders opt individual
-//! pipelines into parallelism. Every primitive on this type has a fixed
+//! handle) and `Sequential` is the `Default`: a kernel written once
+//! against these primitives runs its chunks in order inline, while
+//! `with_executor(..)` builders opt individual pipelines into
+//! parallelism. Every primitive on this type has a fixed
 //! reduction order, so for a deterministic closure the output is
 //! bit-identical across worker counts — the determinism test suite pins
 //! this with exact `==` comparisons.

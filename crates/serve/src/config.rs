@@ -35,12 +35,15 @@ pub enum EngineSolver {
     /// arrivals stay exact rank-1 updates.
     #[default]
     Direct,
-    /// Route every factorization through a [`SolverPolicy`], which picks
-    /// dense Cholesky, dense LU, or Jacobi-preconditioned CG from the
-    /// system's size and sparsity. When the policy selects the iterative
-    /// backend no explicit inverse is formed — label arrivals re-solve
-    /// the exactly-maintained cached system instead of updating an
-    /// inverse, trading per-update cost for `O(nnz)` memory.
+    /// Route every factorization through
+    /// [`SolverPolicy::factor_spd`]: dense Cholesky, falling back to
+    /// dense LU when a pivot fails; for large sparse systems (or under a
+    /// forced [`gssl_linalg::SparseStrategy`]) IC(0)-preconditioned CG,
+    /// falling back to Jacobi-preconditioned CG when IC(0) breaks down,
+    /// or AMG for large mesh-like systems. When the policy selects an
+    /// iterative backend no explicit inverse is formed — label arrivals
+    /// re-solve the exactly-maintained cached system instead of updating
+    /// an inverse, trading per-update cost for `O(nnz)` memory.
     Auto(SolverPolicy),
 }
 

@@ -788,8 +788,7 @@ mod tests {
         // Forced-iterative route: the post-solve report exposes the PCG
         // iteration count and final residual, so a cap hit is observable.
         let policy = gssl_linalg::SolverPolicy {
-            direct_dim_cutoff: 0,
-            density_threshold: 1.0,
+            sparse: gssl_linalg::SparseStrategy::Ic0,
             ..gssl_linalg::SolverPolicy::default()
         };
         let config = hard_config().solver(EngineSolver::Auto(policy));

@@ -63,6 +63,7 @@ use gssl_graph::KernelGraph;
 use gssl_index::{NeighborSearch, SpatialIndex};
 use gssl_linalg::{strict, Matrix};
 use gssl_runtime::Executor;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// One immutable published generation of the fitted state: the shard
@@ -145,6 +146,7 @@ impl ShardedEngine {
     ///   when a component has no labeled anchor (the criterion system
     ///   would be singular), read off the shard plan *before* any shard
     ///   is fitted.
+    ///
     /// deterministic
     pub fn fit(points: &Matrix, labels: &[f64], config: EngineConfig) -> Result<Self> {
         Self::fit_labels(points, labels, config, false)
@@ -310,6 +312,7 @@ impl ShardedEngine {
     /// * [`Error::ZeroKernelMass`] when a query sees zero total kernel
     ///   weight (possible for compactly supported kernels such as boxcar,
     ///   and for [`QueryPath::KNearest`] when all `k` kept weights vanish).
+    ///
     /// hot
     /// complexity: O(b * n * c)
     /// deterministic
@@ -645,7 +648,12 @@ impl ShardedEngine {
             });
         }
         strict::check_finite_matrix("serve snapshot scores", &scores)?;
-        let executor = Executor::with_workers(config.workers);
+        // The stored worker count is untrusted input: never run more
+        // threads than the host has (0 still means all of them). Outputs
+        // are bitwise equal at any worker count, and `config` keeps the
+        // stored value so a re-snapshot writes the same bytes.
+        let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let executor = Executor::with_workers(config.workers.min(host));
         let graph = KernelGraph::fit(points.clone(), config.kernel, config.bandwidth)?;
         let index = if config.query_path == QueryPath::Dense {
             None

@@ -430,6 +430,11 @@ impl ShardedEngine {
     /// recomputed from the points. Restored predictions are
     /// bitwise-identical to the snapshotted engine's.
     ///
+    /// The restored engine runs on at most the host's available
+    /// parallelism, whatever worker count the snapshot stores;
+    /// [`ShardedEngine::config`] keeps the stored count, so a re-snapshot
+    /// writes the same bytes.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::Snapshot`] for a bad magic, unknown version,
@@ -693,6 +698,23 @@ mod tests {
             ShardedEngine::restore(&reseal(body)),
             Err(Error::Snapshot { .. })
         ));
+    }
+
+    #[test]
+    fn restore_caps_a_stored_worker_count_at_the_host() {
+        // Bytes 46..54 are the worker count (magic 8, version 4, then
+        // kernel 1, bandwidth 8, criterion 1 + 8, refactor_every 8 and
+        // residual tolerance 8). Restoring runs no predict and no fold,
+        // so no thread starts here.
+        let mut body = body_of(&fitted());
+        assert_eq!(&body[46..54], &1u64.to_le_bytes()[..]);
+        body[46..54].copy_from_slice(&u64::MAX.to_le_bytes());
+        let restored = ShardedEngine::restore(&reseal(body.clone())).unwrap();
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert!(restored.workers() <= host, "{} workers", restored.workers());
+        // The stored count survives, so a re-snapshot writes the same bytes.
+        assert_eq!(restored.config().workers, usize::MAX);
+        assert_eq!(body_of(&restored), body);
     }
 
     #[test]

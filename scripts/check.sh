@@ -38,6 +38,16 @@ echo "== cargo check --all-targets"
 # (and every other target) are type-checked here.
 cargo check --workspace --all-targets --offline
 
+echo "== cargo clippy doc lint (doc_lazy_continuation is an error)"
+# rustdoc folds a line written right after a list item into that item,
+# so an analyzer marker (`/// deterministic`, `/// hot`, ...) placed
+# after an `# Errors` list renders inside its last bullet. A blank `///`
+# line before the markers keeps them out of the list; the analyzer reads
+# markers anywhere in the doc block.
+cargo clippy --workspace --all-targets --offline -- \
+    -A clippy::all -A clippy::pedantic -A clippy::restriction \
+    -D clippy::doc_lazy_continuation
+
 echo "== cargo doc (warnings are errors)"
 # Broken or private intra-doc links fail here, so a removed or renamed
 # item cannot leave a dangling link in the docs.

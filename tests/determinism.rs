@@ -536,11 +536,25 @@ fn batch_helpers_are_bitwise_the_single_query_loop() {
     );
 }
 
+/// The sequential bodies Cholesky, LU and matmul ran before each dense
+/// kernel kept one executor body: the fixed references those kernels
+/// must reproduce bit for bit.
+mod dense_oracles {
+    use gssl_linalg::float::is_exactly_zero;
+    use gssl_linalg::{strict, Error, Matrix, Result};
+
+    include!("../crates/linalg/tests/support/dense_oracles.rs");
+}
+
 #[test]
 fn matmul_is_bit_identical_across_worker_counts() {
     let a = points(33, 21);
     let b = points(21, 17);
-    let reference = a.matmul(&b).expect("sequential matmul");
+    let reference = dense_oracles::matmul(&a, &b).expect("oracle matmul");
+    assert_eq!(
+        reference.as_slice(),
+        a.matmul(&b).expect("sequential matmul").as_slice()
+    );
     for workers in WORKER_COUNTS {
         let executor = Executor::with_workers(workers);
         let parallel = a.matmul_with(&b, &executor).expect("parallel matmul");
@@ -572,34 +586,50 @@ fn spd_system(n: usize) -> (Matrix, Vector) {
 
 #[test]
 fn dense_factorizations_are_bit_identical_across_worker_counts() {
-    let (a, rhs) = spd_system(28);
-    let chol_ref = Cholesky::factor(&a).expect("sequential cholesky");
-    let lu_ref = Lu::factor(&a).expect("sequential lu");
-    let chol_solution = chol_ref.solve(&rhs).expect("cholesky solve");
-    for workers in WORKER_COUNTS {
-        let executor = Executor::with_workers(workers);
-        let chol = Cholesky::factor_with(&a, &executor).expect("parallel cholesky");
+    // n = 28 fits inside one 32-column panel; n = 83 spans three, so the
+    // blocked trailing updates run too.
+    for n in [28, 83] {
+        let (a, rhs) = spd_system(n);
+        let chol_ref = dense_oracles::cholesky(&a).expect("oracle cholesky");
+        let (lu_ref, perm_ref, _) = dense_oracles::lu(&a).expect("oracle lu");
+        let chol_solution = column_substitution(&chol_ref, rhs.as_slice());
+        let sequential = Cholesky::factor(&a).expect("sequential cholesky");
         assert_eq!(
-            chol_ref.lower().as_slice(),
-            chol.lower().as_slice(),
-            "Cholesky factor diverged at {workers} workers"
+            chol_ref.as_slice(),
+            sequential.lower().as_slice(),
+            "n = {n}"
         );
+        let sequential = Lu::factor(&a).expect("sequential lu");
         assert_eq!(
-            chol_solution.as_slice(),
-            chol.solve(&rhs).expect("solve").as_slice(),
-            "Cholesky solve diverged at {workers} workers"
+            lu_ref.as_slice(),
+            sequential.factors().as_slice(),
+            "n = {n}"
         );
-        let lu = Lu::factor_with(&a, &executor).expect("parallel lu");
-        assert_eq!(
-            lu_ref.factors().as_slice(),
-            lu.factors().as_slice(),
-            "LU factors diverged at {workers} workers"
-        );
-        assert_eq!(
-            lu_ref.perm(),
-            lu.perm(),
-            "LU pivots diverged at {workers} workers"
-        );
+        for workers in STAGE_WORKER_COUNTS {
+            let executor = Executor::with_workers(workers);
+            let chol = Cholesky::factor_with(&a, &executor).expect("parallel cholesky");
+            assert_eq!(
+                chol_ref.as_slice(),
+                chol.lower().as_slice(),
+                "Cholesky factor diverged at n = {n}, {workers} workers"
+            );
+            assert_eq!(
+                chol_solution.as_slice(),
+                chol.solve(&rhs).expect("solve").as_slice(),
+                "Cholesky solve diverged at n = {n}, {workers} workers"
+            );
+            let lu = Lu::factor_with(&a, &executor).expect("parallel lu");
+            assert_eq!(
+                lu_ref.as_slice(),
+                lu.factors().as_slice(),
+                "LU factors diverged at n = {n}, {workers} workers"
+            );
+            assert_eq!(
+                perm_ref,
+                lu.perm(),
+                "LU pivots diverged at n = {n}, {workers} workers"
+            );
+        }
     }
 }
 
