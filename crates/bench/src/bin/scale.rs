@@ -12,6 +12,10 @@
 //! writes `BENCH_scale_ci.json` instead, leaving the committed
 //! million-point record untouched.
 //!
+//! Each rung also records `peak_rss_mb`, the process's `VmHWM` read after
+//! the rung (MiB, `null` where `/proc/self/status` is absent). Rungs run
+//! in increasing n, so each reading is that rung's peak.
+//!
 //! Timing is reported as measured and never gates the exit code: wall
 //! clock depends on the host (see `host_parallelism` in the JSON). What
 //! gates is the invariant that survives any machine: on a subsample of
@@ -94,6 +98,9 @@ struct SizeReport {
     score_max: f64,
     oracle_identical: bool,
     workers_identical: Option<bool>,
+    /// `VmHWM` after the rung; rungs run in increasing n, so it is the
+    /// rung's own peak. `None` where `/proc` does not report it.
+    peak_rss_mb: Option<f64>,
 }
 
 impl SizeReport {
@@ -102,6 +109,9 @@ impl SizeReport {
             Some(v) => v.to_string(),
             None => "null".to_owned(),
         };
+        let peak = self
+            .peak_rss_mb
+            .map_or("null".to_owned(), |mb| format!("{mb:.1}"));
         format!(
             "  {{\"n\": {}, \"bandwidth\": {:.6}, \"labeled\": {}, \
              \"index_backend\": \"{}\", \"index_build_seconds\": {:.6}, \
@@ -110,7 +120,8 @@ impl SizeReport {
              \"graph_nnz\": {}, \"fit_seconds\": {:.6}, \
              \"score_min\": {:.6}, \"score_max\": {:.6}, \
              \"oracle_check_queries\": {ORACLE_QUERIES}, \
-             \"oracle_identical\": {}, \"workers_identical\": {}}}",
+             \"oracle_identical\": {}, \"workers_identical\": {}, \
+             \"peak_rss_mb\": {}}}",
             self.n,
             self.bandwidth,
             self.labeled,
@@ -125,6 +136,7 @@ impl SizeReport {
             self.score_max,
             self.oracle_identical,
             workers,
+            peak,
         )
     }
 }
@@ -138,6 +150,16 @@ fn graphs_identical(a: &gssl_linalg::CsrMatrix, b: &gssl_linalg::CsrMatrix) -> b
                 .zip(b.row_iter(i))
                 .all(|((ca, va), (cb, vb))| ca == cb && va.to_bits() == vb.to_bits())
         })
+}
+
+/// Peak resident set size of this process (`VmHWM`) in MiB, or `None`
+/// where `/proc/self/status` is absent or does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status.lines().find_map(|line| {
+        let kb = line.strip_prefix("VmHWM:")?.trim().strip_suffix("kB")?;
+        kb.trim().parse::<f64>().ok().map(|kb| kb / 1024.0)
+    })
 }
 
 /// The tree index answers a query subsample exactly like the oracle:
@@ -246,17 +268,21 @@ fn run_size(n: usize, quiet: bool) -> SizeReport {
         score_max,
         oracle_identical,
         workers_identical,
+        peak_rss_mb: peak_rss_mb(),
     };
     if !quiet {
         println!(
             "n={:>9}  build {:>8.3}s  {:>9.0} q/s  assemble {:>8.3}s  \
-             fit {:>8.3}s  nnz {:>10}  oracle {}  workers {}",
+             fit {:>8.3}s  nnz {:>10}  peak {:>7} MB  oracle {}  workers {}",
             report.n,
             report.index_build_seconds,
             report.queries_per_sec,
             report.assembly_seconds,
             report.fit_seconds,
             report.graph_nnz,
+            report
+                .peak_rss_mb
+                .map_or("n/a".to_owned(), |mb| format!("{mb:.1}")),
             report.oracle_identical,
             report
                 .workers_identical

@@ -119,7 +119,7 @@ impl HardCriterion {
                 &self.executor,
             )?)),
             HardSolver::ConjugateGradient(options) => Ok(SolverBackend::Cg(
-                PrecondCg::factor_sparse(&problem.unlabeled_system_csr()?, options.clone())?
+                PrecondCg::factor_sparse(problem.unlabeled_system_csr()?, options.clone())?
                     .with_executor(self.executor.clone()),
             )),
             HardSolver::Auto(policy) => {
@@ -133,7 +133,7 @@ impl HardCriterion {
                 match problem.weights() {
                     Weights::Dense(_) => Ok(policy.factor_dense(&problem.unlabeled_system()?)?),
                     Weights::Sparse(_) => {
-                        Ok(policy.factor_sparse(&problem.unlabeled_system_csr()?)?)
+                        Ok(policy.factor_sparse(problem.unlabeled_system_csr()?)?)
                     }
                 }
             }

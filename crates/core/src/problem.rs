@@ -229,6 +229,9 @@ impl Problem {
     /// The hard-criterion system `D₂₂ − W₂₂` in CSR form — the input the
     /// iterative sparse backend factors without densifying anything.
     ///
+    /// Each row streams its off-diagonal entries, then its diagonal, into
+    /// the CSR constructor; no triplet list is built.
+    ///
     /// # Errors
     ///
     /// Propagates coordinate errors (none for a constructed problem).
@@ -237,26 +240,32 @@ impl Problem {
         let n = self.n_labeled();
         let m = self.n_unlabeled();
         let degrees = self.degrees();
-        // Upper bound: every stored edge of the unlabeled rows plus the
-        // m explicit diagonal entries.
-        let mut triplets = Vec::with_capacity(self.weights.nnz() + m);
-        for a in 0..m {
-            let i = n + a;
-            let mut diag = degrees[i];
-            for (j, v) in self.weights.row_entries(i) {
-                if j == i {
-                    diag -= v;
-                } else if j >= n {
-                    triplets.push((a, j - n, -v));
-                }
-            }
-            triplets.push((a, a, diag));
-        }
-        Ok(CsrMatrix::from_triplets(m, m, &triplets)?)
+        let degrees = degrees.as_slice();
+        let weights = &self.weights;
+        let entries = degrees
+            .iter()
+            .enumerate()
+            .skip(n)
+            .flat_map(move |(i, &degree)| {
+                let a = i - n;
+                let diag = weights
+                    .row_entries(i)
+                    .filter(|&(j, _)| j == i)
+                    .fold(degree, |d, (_, v)| d - v);
+                weights
+                    .row_entries(i)
+                    .filter(move |&(j, _)| j != i && j >= n)
+                    .map(move |(j, v)| (a, j - n, -v))
+                    .chain(std::iter::once((a, a, diag)))
+            });
+        Ok(CsrMatrix::from_entries(m, m, entries)?)
     }
 
     /// The soft-criterion full system `V + λL` (Eq. 3) in CSR form, where
     /// `V = diag(1 labeled, 0 unlabeled)` and `L = D − W`.
+    ///
+    /// Each row streams its off-diagonal entries, then its diagonal, into
+    /// the CSR constructor; no triplet list is built.
     ///
     /// # Errors
     ///
@@ -272,19 +281,21 @@ impl Problem {
         let n = self.n_labeled();
         let total = self.len();
         let degrees = self.degrees();
-        let mut triplets = Vec::with_capacity(self.weights.nnz() + total);
-        for i in 0..total {
-            let mut diag = lambda * degrees[i] + if i < n { 1.0 } else { 0.0 };
-            for (j, v) in self.weights.row_entries(i) {
-                if j == i {
-                    diag -= lambda * v;
-                } else {
-                    triplets.push((i, j, -lambda * v));
-                }
-            }
-            triplets.push((i, i, diag));
-        }
-        Ok(CsrMatrix::from_triplets(total, total, &triplets)?)
+        let degrees = degrees.as_slice();
+        let weights = &self.weights;
+        let entries = degrees.iter().enumerate().flat_map(move |(i, &degree)| {
+            let seed = lambda * degree + if i < n { 1.0 } else { 0.0 };
+            let diag = weights
+                .row_entries(i)
+                .filter(|&(j, _)| j == i)
+                .fold(seed, |d, (_, v)| d - lambda * v);
+            weights
+                .row_entries(i)
+                .filter(move |&(j, _)| j != i)
+                .map(move |(j, v)| (i, j, -lambda * v))
+                .chain(std::iter::once((i, i, diag)))
+        });
+        Ok(CsrMatrix::from_entries(total, total, entries)?)
     }
 
     /// The hard-criterion right-hand side `W₂₁ Y_n`.

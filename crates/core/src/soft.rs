@@ -163,9 +163,7 @@ impl SoftCriterion {
     fn fit_sparse(&self, problem: &Problem) -> Result<Scores> {
         let n = problem.n_labeled();
         if is_exactly_zero(self.lambda) {
-            let backend = self
-                .policy
-                .factor_sparse(&problem.unlabeled_system_csr()?)?;
+            let backend = self.policy.factor_sparse(problem.unlabeled_system_csr()?)?;
             let f_u = backend.solve(&problem.unlabeled_rhs()?)?;
             strict::check_finite("soft criterion unlabeled output", f_u.as_slice())?;
             return Ok(Scores::from_parts(problem.labels(), f_u.as_slice()));
@@ -175,7 +173,7 @@ impl SoftCriterion {
         rhs[..n].copy_from_slice(problem.labels());
         let f = self
             .policy
-            .factor_sparse(&system)?
+            .factor_sparse(system)?
             .solve(&Vector::from(rhs))?;
         strict::check_finite("soft criterion output", f.as_slice())?;
         Ok(Scores::from_parts(&f.as_slice()[..n], &f.as_slice()[n..]))
@@ -208,7 +206,7 @@ impl SoftCriterion {
         rhs[..n].copy_from_slice(problem.labels());
         let f = self
             .policy
-            .factor_sparse(&system)?
+            .factor_sparse(system)?
             .solve(&Vector::from(rhs))?;
         strict::check_finite("soft criterion full-system output", f.as_slice())?;
         Ok(Scores::from_parts(&f.as_slice()[..n], &f.as_slice()[n..]))
@@ -222,7 +220,7 @@ impl SoftCriterion {
             return Ok(y.clone());
         }
         let system = problem.soft_system_csr(self.lambda)?;
-        Ok(self.policy.factor_sparse(&system)?.solve(y)?)
+        Ok(self.policy.factor_sparse(system)?.solve(y)?)
     }
 
     /// The objective value of Eq. 2 at a given score vector — useful for

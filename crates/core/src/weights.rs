@@ -167,7 +167,7 @@ impl Weights {
     ///
     /// Panics when `i` is out of bounds, matching the underlying matrix
     /// types.
-    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
         match self {
             Weights::Dense(w) => RowEntries::Dense(
                 w.row(i)
@@ -213,66 +213,6 @@ impl Weights {
         }
     }
 
-    /// Extracts the sub-problem induced by `members`: the square submatrix
-    /// `W[members, members]`, preserving the storage representation.
-    ///
-    /// `members` must be strictly increasing and in bounds — the canonical
-    /// component order produced by `gssl_graph::component_partition` — so
-    /// the extraction is a pure reindexing: entry `(a, b)` of the result
-    /// is `w(members[a], members[b])` bit-for-bit. Sharded solvers rely on
-    /// this to reproduce the monolithic system blocks exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidProblem`] when the matrix is not square or
-    /// `members` is out of bounds or not strictly increasing.
-    pub fn extract(&self, members: &[usize]) -> Result<Weights> {
-        if !self.is_square() {
-            return Err(Error::InvalidProblem {
-                message: format!(
-                    "sub-problem extraction needs a square matrix, got {}x{}",
-                    self.rows(),
-                    self.cols()
-                ),
-            });
-        }
-        let n = self.rows();
-        if members.windows(2).any(|w| w[1] <= w[0]) || members.last().is_some_and(|&m| m >= n) {
-            return Err(Error::InvalidProblem {
-                message: format!("member list must be strictly increasing and below {n}"),
-            });
-        }
-        let m = members.len();
-        // Inverse map: global index -> local position (usize::MAX = absent).
-        let mut local = vec![usize::MAX; n];
-        for (pos, &g) in members.iter().enumerate() {
-            local[g] = pos;
-        }
-        match self {
-            Weights::Dense(w) => {
-                let mut sub = Matrix::zeros(m, m);
-                for (a, &i) in members.iter().enumerate() {
-                    let row = w.row(i);
-                    for (b, &j) in members.iter().enumerate() {
-                        sub.set(a, b, row[j]);
-                    }
-                }
-                Ok(Weights::Dense(sub))
-            }
-            Weights::Sparse(w) => {
-                let mut triplets = Vec::new();
-                for (a, &i) in members.iter().enumerate() {
-                    for (j, v) in w.row_iter(i) {
-                        if local[j] != usize::MAX {
-                            triplets.push((a, local[j], v));
-                        }
-                    }
-                }
-                Ok(Weights::Sparse(CsrMatrix::from_triplets(m, m, &triplets)?))
-            }
-        }
-    }
-
     /// Validates the graph for use in a problem: finite nonnegative
     /// entries, square shape, symmetry within `tol`.
     pub(crate) fn validate(&self, tol: f64) -> Result<()> {
@@ -314,6 +254,7 @@ impl Weights {
 
 /// The iterator behind [`Weights::row_entries`]: one variant per storage,
 /// so a row walk allocates nothing and dispatches without a virtual call.
+#[derive(Clone)]
 enum RowEntries<D, S> {
     Dense(D),
     Sparse(S),
@@ -388,34 +329,6 @@ mod tests {
         nan.set(0, 0, f64::NAN);
         assert!(Weights::from(nan).validate(1e-9).is_err());
         assert!(Weights::from(chain_dense()).validate(1e-9).is_ok());
-    }
-
-    #[test]
-    fn extract_preserves_representation_and_bits() {
-        let dense = Weights::from(chain_dense());
-        let sparse = Weights::from(CsrMatrix::from_dense(&chain_dense(), 0.0));
-        for w in [&dense, &sparse] {
-            let sub = w.extract(&[0, 2]).unwrap();
-            assert_eq!(sub.is_sparse(), w.is_sparse());
-            assert_eq!(sub.rows(), 2);
-            for (a, &i) in [0usize, 2].iter().enumerate() {
-                for (b, &j) in [0usize, 2].iter().enumerate() {
-                    assert_eq!(sub.get(a, b).to_bits(), w.get(i, j).to_bits());
-                }
-            }
-        }
-        // Full extraction is the identity, empty extraction is empty.
-        assert_eq!(dense.extract(&[0, 1, 2]).unwrap(), dense);
-        assert_eq!(dense.extract(&[]).unwrap().rows(), 0);
-    }
-
-    #[test]
-    fn extract_validates_members() {
-        let dense = Weights::from(chain_dense());
-        assert!(dense.extract(&[0, 3]).is_err());
-        assert!(dense.extract(&[1, 0]).is_err());
-        assert!(dense.extract(&[1, 1]).is_err());
-        assert!(Weights::from(Matrix::zeros(2, 3)).extract(&[0]).is_err());
     }
 
     #[test]

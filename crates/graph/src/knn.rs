@@ -136,7 +136,12 @@ pub fn knn_graph_with(
 /// Weights reuse the squared distances the neighbour search already
 /// computed — `Neighbor::dist2` comes from the same `squared_distance`
 /// call, in the same argument order, as the historical recomputation, so
-/// edge weights are bitwise unchanged.
+/// edge weights are bitwise unchanged. Both callers validate the
+/// bandwidth, and a sum of squares is never negative, so the unchecked
+/// kernel evaluation is [`Kernel::weight`] without its error paths.
+///
+/// The edges stream into the CSR constructor, which walks them twice
+/// (count, then fill); no triplet list is built.
 fn symmetrize_knn(
     neighbors: &NeighborRows,
     kernel: Kernel,
@@ -146,12 +151,13 @@ fn symmetrize_knn(
     let n = neighbors.len();
     // Neighbor ids come from a search over these same n points, so every
     // stored index is a valid row.
-    debug_assert!(neighbors.rows().flatten().all(|nb| nb.index < n));
+    debug_assert!(neighbors
+        .rows()
+        .flatten()
+        .all(|nb| nb.index < n && !(nb.dist2 < 0.0)));
     let lists_mention = |j: usize, i: usize| neighbors.row(j).iter().any(|nb| nb.index == i);
-    // Every directed edge yields at most one symmetric pair.
-    let mut triplets = Vec::with_capacity(2 * neighbors.neighbor_count());
-    for (i, nbrs) in neighbors.rows().enumerate() {
-        for nb in nbrs {
+    let edges = (0..n).flat_map(move |i| {
+        neighbors.row(i).iter().filter_map(move |nb| {
             let j = nb.index;
             let keep = match symmetrization {
                 Symmetrization::Union => true,
@@ -161,16 +167,15 @@ fn symmetrize_knn(
             // when it lists the other, otherwise from the higher-index
             // side (a union edge the lower side never discovered).
             let emit = keep && (i < j || (j < i && !lists_mention(j, i)));
-            if emit {
-                let w = kernel.weight(nb.dist2, bandwidth)?;
-                if w > 0.0 {
-                    triplets.push((i, j, w));
-                    triplets.push((j, i, w));
-                }
+            if !emit {
+                return None;
             }
-        }
-    }
-    Ok(CsrMatrix::from_triplets(n, n, &triplets)?)
+            let w = kernel.weight_unchecked(nb.dist2, bandwidth);
+            (w > 0.0).then_some((i, j, w))
+        })
+    });
+    let entries = edges.flat_map(|(i, j, w)| [(i, j, w), (j, i, w)]);
+    Ok(CsrMatrix::from_entries(n, n, entries)?)
 }
 
 /// Builds an ε-neighbourhood affinity graph: vertices within Euclidean
@@ -234,21 +239,20 @@ pub fn epsilon_graph_with(
     let index = SpatialIndex::build(points)?;
     let balls = self_within_radius_batch(&index, epsilon, executor)?;
     // Each undirected pair appears in both endpoint balls and is emitted
-    // once as two triplets, so the ball populations bound the total.
-    let mut triplets = Vec::with_capacity(balls.neighbor_count());
-    for (i, ball) in balls.rows().enumerate() {
-        for nb in ball {
-            // Each undirected pair appears in both balls; emit once.
-            if nb.index > i {
-                let w = kernel.weight(nb.dist2, bandwidth)?;
-                if w > 0.0 {
-                    triplets.push((i, nb.index, w));
-                    triplets.push((nb.index, i, w));
-                }
-            }
-        }
-    }
-    Ok(CsrMatrix::from_triplets(n, n, &triplets)?)
+    // once, from its lower endpoint, as both orientations; the pairs
+    // stream into the CSR constructor with no triplet list in between.
+    // The bandwidth is validated above and a squared distance is never
+    // negative, so the unchecked weight is `Kernel::weight`'s value.
+    let balls = &balls;
+    let edges = (0..n).flat_map(move |i| {
+        let ball = balls.row(i).iter();
+        ball.filter(move |nb| nb.index > i).filter_map(move |nb| {
+            let w = kernel.weight_unchecked(nb.dist2, bandwidth);
+            (w > 0.0).then_some((i, nb.index, w))
+        })
+    });
+    let entries = edges.flat_map(|(i, j, w)| [(i, j, w), (j, i, w)]);
+    Ok(CsrMatrix::from_entries(n, n, entries)?)
 }
 
 #[cfg(test)]

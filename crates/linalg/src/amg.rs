@@ -13,9 +13,10 @@
 //!    and identical on every run.
 //! 2. **Galerkin coarse operators** — with the piecewise-constant
 //!    prolongation `P` (each fine vertex injects into its aggregate), the
-//!    coarse matrix is the triple product `Aᶜ = Pᵀ A P`, assembled as
-//!    triplets `(agg[i], agg[j], a_ij)` and summed deterministically by
-//!    the CSR constructor.
+//!    coarse matrix is the triple product `Aᶜ = Pᵀ A P`: the fine entries
+//!    `(agg[i], agg[j], a_ij)` are streamed in fine row order into the
+//!    CSR constructor, which sums duplicates in that order, with no
+//!    triplet list in between.
 //! 3. **V-cycle** — damped-Jacobi pre/post smoothing (simultaneous update,
 //!    `x ← x + ω D⁻¹ (r − A x)`), restriction of the residual, recursion,
 //!    prolongation of the correction, and a dense direct solve on the
@@ -56,6 +57,7 @@ use crate::sparse::CsrMatrix;
 use crate::strict;
 use crate::vector::Vector;
 use gssl_runtime::Executor;
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// Options controlling hierarchy construction and the outer PCG run.
@@ -154,6 +156,9 @@ impl AmgCg {
     /// whatever level remains is densified and factored directly
     /// (Cholesky, falling back to LU if rounding spoiled definiteness).
     ///
+    /// The hierarchy's finest level is the system itself: pass it by value
+    /// to move it in, or by reference to have it copied once.
+    ///
     /// # Errors
     ///
     /// * [`Error::NotSquare`] when `a` is not square.
@@ -165,7 +170,11 @@ impl AmgCg {
     /// * [`Error::Singular`] when the coarsest system cannot be factored.
     ///
     /// deterministic
-    pub fn factor_sparse(a: &CsrMatrix, options: AmgOptions) -> Result<Self> {
+    pub fn factor_sparse<'a>(
+        a: impl Into<Cow<'a, CsrMatrix>>,
+        options: AmgOptions,
+    ) -> Result<Self> {
+        let a = a.into();
         if a.rows() != a.cols() {
             return Err(Error::NotSquare {
                 shape: (a.rows(), a.cols()),
@@ -175,7 +184,7 @@ impl AmgCg {
         validate_options(&options)?;
 
         let mut grids = Vec::with_capacity(options.max_levels);
-        let mut current = a.clone();
+        let mut current = a.into_owned();
         while current.rows() > options.coarsest_dim && grids.len() < options.max_levels {
             let inv_diag = JacobiPrecond::from_csr(&current)?.into_inv_diag();
             let (agg, coarse_n) = heavy_edge_aggregates(&current);
@@ -554,18 +563,15 @@ fn heavy_edge_aggregates(a: &CsrMatrix) -> (Vec<usize>, usize) {
 
 /// Galerkin triple product `Aᶜ = Pᵀ A P` for the piecewise-constant `P`
 /// induced by `agg`: every fine entry `a_ij` lands on coarse coordinate
-/// `(agg[i], agg[j])`, and the CSR constructor sums duplicates in a fixed
-/// order.
+/// `(agg[i], agg[j])`, streamed in fine row order into the CSR
+/// constructor, which sums duplicates in that order.
 /// shape: (coarse_n, coarse_n)
-/// complexity: O(nnz)
 fn galerkin(a: &CsrMatrix, agg: &[usize], coarse_n: usize) -> Result<CsrMatrix> {
-    let mut triplets = Vec::with_capacity(a.nnz());
-    for i in 0..a.rows() {
-        for (j, v) in a.row_iter(i) {
-            triplets.push((agg[i], agg[j], v));
-        }
-    }
-    CsrMatrix::from_triplets(coarse_n, coarse_n, &triplets)
+    let entries = agg
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &ai)| a.row_iter(i).map(move |(j, v)| (ai, agg[j], v)));
+    CsrMatrix::from_entries(coarse_n, coarse_n, entries)
 }
 
 #[cfg(test)]

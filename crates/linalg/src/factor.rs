@@ -23,6 +23,7 @@ use crate::sparse::CsrMatrix;
 use crate::strict;
 use crate::vector::Vector;
 use gssl_runtime::Executor;
+use std::borrow::Cow;
 
 /// A factored (or factor-free iterative) linear system `A x = b`, ready to
 /// solve against many right-hand sides.
@@ -322,17 +323,23 @@ impl PrecondCg {
     /// Builds the iterative backend around a CSR system with the
     /// historical Jacobi (diagonal) preconditioner.
     ///
+    /// Takes the system by value (stored as is) or by reference (copied
+    /// once), like [`PrecondCg::factor_sparse_with`].
+    ///
     /// # Errors
     ///
     /// * [`Error::NotSquare`] when `a` is not square.
     /// * [`Error::NotPositiveDefinite`] when a diagonal entry is `<= 0` or
     ///   non-finite.
-    pub fn factor_sparse(a: &CsrMatrix, options: CgOptions) -> Result<Self> {
+    pub fn factor_sparse<'a>(a: impl Into<Cow<'a, CsrMatrix>>, options: CgOptions) -> Result<Self> {
         PrecondCg::factor_sparse_with(a, PrecondKind::Jacobi, options)
     }
 
     /// Builds the iterative backend around a CSR system with an explicit
     /// preconditioner choice.
+    ///
+    /// The backend stores the system. Pass it by value to move it in; a
+    /// borrowed system is copied once, after the preconditioner is built.
     ///
     /// # Errors
     ///
@@ -343,25 +350,36 @@ impl PrecondCg {
     ///   built (non-positive diagonal, IC(0) breakdown).
     ///
     /// deterministic
-    pub fn factor_sparse_with(
-        a: &CsrMatrix,
+    pub fn factor_sparse_with<'a>(
+        a: impl Into<Cow<'a, CsrMatrix>>,
         kind: PrecondKind,
         options: CgOptions,
     ) -> Result<Self> {
+        let a = a.into();
+        let precond = PrecondCg::precond_for(&a, &kind)?;
+        Ok(PrecondCg::with_precond(a.into_owned(), precond, options))
+    }
+
+    /// Validates `a` and builds the preconditioner `kind` for it.
+    fn precond_for(a: &CsrMatrix, kind: &PrecondKind) -> Result<Precond> {
         if a.rows() != a.cols() {
             return Err(Error::NotSquare {
                 shape: (a.rows(), a.cols()),
             });
         }
         strict::check_finite("precond_cg.factor input", a.values())?;
-        let precond = Precond::build(a, &kind)?;
-        Ok(PrecondCg {
-            system: a.clone(),
+        Precond::build(a, kind)
+    }
+
+    /// The backend over a system and the preconditioner built for it.
+    fn with_precond(system: CsrMatrix, precond: Precond, options: CgOptions) -> Self {
+        PrecondCg {
+            system,
             precond,
             options,
             executor: Executor::default(),
             last: LastSolve::new(),
-        })
+        }
     }
 
     /// Runs every solve's matvecs on `executor` (row-sharded once the
@@ -720,7 +738,7 @@ impl SolverPolicy {
     /// the policy falls back to the always-buildable Jacobi
     /// preconditioner instead of failing the solve. The fallback depends
     /// only on the matrix values, never on timing or thread count.
-    fn factor_iterative(&self, a: &CsrMatrix) -> Result<SolverBackend> {
+    fn factor_iterative(&self, a: Cow<'_, CsrMatrix>) -> Result<SolverBackend> {
         match self.select_iterative(a.rows(), a.bandwidth()) {
             BackendKind::Amg => {
                 let hierarchy = match &self.sparse {
@@ -736,20 +754,20 @@ impl SolverPolicy {
                 ))
             }
             kind => {
-                let jacobi = kind == BackendKind::SparseCg;
-                let precond_kind = if jacobi {
-                    PrecondKind::Jacobi
+                let precond = if kind == BackendKind::SparseCg {
+                    PrecondCg::precond_for(&a, &PrecondKind::Jacobi)?
                 } else {
-                    PrecondKind::Ic0
+                    match PrecondCg::precond_for(&a, &PrecondKind::Ic0) {
+                        Err(Error::NotPositiveDefinite { .. }) => {
+                            PrecondCg::precond_for(&a, &PrecondKind::Jacobi)?
+                        }
+                        built => built?,
+                    }
                 };
-                match PrecondCg::factor_sparse_with(a, precond_kind, self.cg.clone()) {
-                    Ok(f) => Ok(SolverBackend::Cg(f.with_executor(self.executor.clone()))),
-                    Err(Error::NotPositiveDefinite { .. }) if !jacobi => Ok(SolverBackend::Cg(
-                        PrecondCg::factor_sparse(a, self.cg.clone())?
-                            .with_executor(self.executor.clone()),
-                    )),
-                    Err(e) => Err(e),
-                }
+                Ok(SolverBackend::Cg(
+                    PrecondCg::with_precond(a.into_owned(), precond, self.cg.clone())
+                        .with_executor(self.executor.clone()),
+                ))
             }
         }
     }
@@ -770,8 +788,7 @@ impl SolverPolicy {
     pub fn factor_dense(&self, a: &Matrix) -> Result<SolverBackend> {
         match self.select_dense(a) {
             kind if kind.is_iterative() => {
-                let csr = CsrMatrix::from_dense(a, 0.0);
-                self.factor_iterative(&csr)
+                self.factor_iterative(Cow::Owned(CsrMatrix::from_dense(a, 0.0)))
             }
             BackendKind::DenseCholesky => match Cholesky::factor_with(a, &self.executor) {
                 Ok(f) => Ok(SolverBackend::Cholesky(f)),
@@ -787,12 +804,16 @@ impl SolverPolicy {
     /// Factors a CSR system with the auto-selected backend (densifying
     /// first when the system is small or dense enough for direct methods).
     ///
+    /// An iterative backend stores the system: pass it by value to move it
+    /// in, or by reference to have it copied once.
+    ///
     /// # Errors
     ///
     /// Same as [`SolverPolicy::factor_dense`].
     /// deterministic
-    pub fn factor_sparse(&self, a: &CsrMatrix) -> Result<SolverBackend> {
-        match self.select_sparse(a) {
+    pub fn factor_sparse<'a>(&self, a: impl Into<Cow<'a, CsrMatrix>>) -> Result<SolverBackend> {
+        let a = a.into();
+        match self.select_sparse(&a) {
             kind if kind.is_iterative() => self.factor_iterative(a),
             _ => self.factor_dense(&a.to_dense()),
         }
@@ -810,8 +831,7 @@ impl SolverPolicy {
     /// deterministic
     pub fn factor_spd(&self, a: &Matrix) -> Result<SolverBackend> {
         if self.routes_iterative(a.rows(), a.cols(), || dense_nnz(a)) {
-            let csr = CsrMatrix::from_dense(a, 0.0);
-            return self.factor_iterative(&csr);
+            return self.factor_iterative(Cow::Owned(CsrMatrix::from_dense(a, 0.0)));
         }
         match Cholesky::factor_with(a, &self.executor) {
             Ok(f) => Ok(SolverBackend::Cholesky(f)),

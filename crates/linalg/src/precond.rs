@@ -18,7 +18,7 @@
 //! worker count.
 
 use crate::error::{Error, Result};
-use crate::sparse::CsrMatrix;
+use crate::sparse::{widen, CsrMatrix};
 use crate::strict;
 
 /// Application side of a preconditioner: `z = M⁻¹ r`.
@@ -185,14 +185,15 @@ impl Preconditioner for JacobiPrecond {
 #[derive(Debug, Clone)]
 pub struct Ic0 {
     dim: usize,
-    // Lower factor in CSR (rows sorted by column; diagonal entry last).
+    // Lower factor in CSR (rows sorted by column; diagonal entry last),
+    // with `u32` column ids as in `CsrMatrix`.
     l_indptr: Vec<usize>,
-    l_indices: Vec<usize>,
+    l_indices: Vec<u32>,
     l_values: Vec<f64>,
     // Lᵀ in CSR (each row i holds the strictly-upper entries u_ij = l_ji,
     // j > i, plus the diagonal first) for the cache-friendly backward solve.
     u_indptr: Vec<usize>,
-    u_indices: Vec<usize>,
+    u_indices: Vec<u32>,
     u_values: Vec<f64>,
 }
 
@@ -214,37 +215,36 @@ impl Ic0 {
             });
         }
         let n = a.rows();
-        // The pattern of tril(A): CSR rows are sorted, so per-row entries
-        // arrive in increasing column order with the diagonal last.
+        // The pattern of tril(A): CSR rows are sorted, so each row's lower
+        // part is a prefix ending with the diagonal. Count it first so L is
+        // allocated at exactly its size.
+        let lower = |i: usize| {
+            let (cols, vals) = a.row(i);
+            let len = cols.partition_point(|&j| widen(j) <= i);
+            (&cols[..len], &vals[..len])
+        };
+        let lower_nnz = (0..n).map(|i| lower(i).0.len()).sum();
         let mut l_indptr = Vec::with_capacity(n + 1);
-        // The lower triangle holds at most half the stored entries plus
-        // the diagonal; nnz of A is a cheap, tight-enough upper bound.
-        let mut l_indices = Vec::with_capacity(a.nnz());
-        let mut l_values = Vec::with_capacity(a.nnz());
+        let mut l_indices = Vec::with_capacity(lower_nnz);
+        let mut l_values = Vec::with_capacity(lower_nnz);
         l_indptr.push(0);
         for i in 0..n {
-            let mut has_diagonal = false;
-            for (j, v) in a.row_iter(i) {
-                if j > i {
-                    break;
-                }
-                has_diagonal |= j == i;
-                l_indices.push(j);
-                // Seed with a_ij; the elimination below subtracts the
-                // already-computed products in place.
-                l_values.push(v);
-            }
-            if !has_diagonal {
+            let (cols, vals) = lower(i);
+            if !cols.last().is_some_and(|&j| widen(j) == i) {
                 // An SPD matrix stores a (positive) diagonal in every row.
                 return Err(Error::NotPositiveDefinite { pivot: i });
             }
+            // Seed with a_ij; the elimination below subtracts the
+            // already-computed products in place.
+            l_indices.extend_from_slice(cols);
+            l_values.extend_from_slice(vals);
             l_indptr.push(l_indices.len());
         }
 
         for i in 0..n {
             let (row_start, row_end) = (l_indptr[i], l_indptr[i + 1]);
             for idx in row_start..row_end {
-                let j = l_indices[idx];
+                let j = widen(l_indices[idx]);
                 let sum = sparse_row_dot(
                     &l_indices,
                     &l_values,
@@ -272,19 +272,21 @@ impl Ic0 {
         let nnz = l_indices.len();
         let mut u_indptr = vec![0usize; n + 1];
         for &j in &l_indices {
-            u_indptr[j + 1] += 1;
+            u_indptr[widen(j) + 1] += 1;
         }
         for k in 0..n {
             u_indptr[k + 1] += u_indptr[k];
         }
-        let mut u_indices = vec![0usize; nnz];
+        let mut u_indices = vec![0u32; nnz];
         let mut u_values = vec![0.0f64; nnz];
         let mut cursor = u_indptr.clone();
-        for i in 0..n {
+        // Row ids of L are column ids of Lᵀ; the range stops at u32::MAX
+        // without overflowing, and n <= 2^32.
+        for (i, row_id) in (0..n).zip(0..=u32::MAX) {
             for idx in l_indptr[i]..l_indptr[i + 1] {
-                let j = l_indices[idx];
+                let j = widen(l_indices[idx]);
                 let at = cursor[j];
-                u_indices[at] = i;
+                u_indices[at] = row_id;
                 u_values[at] = l_values[idx];
                 cursor[j] = at + 1;
             }
@@ -324,7 +326,7 @@ impl Preconditioner for Ic0 {
             let (start, end) = (self.l_indptr[i], self.l_indptr[i + 1]);
             let mut sum = r[i];
             for idx in start..end - 1 {
-                sum -= self.l_values[idx] * z[self.l_indices[idx]];
+                sum -= self.l_values[idx] * z[widen(self.l_indices[idx])];
             }
             z[i] = sum / self.l_values[end - 1];
         }
@@ -333,7 +335,7 @@ impl Preconditioner for Ic0 {
             let (start, end) = (self.u_indptr[i], self.u_indptr[i + 1]);
             let mut sum = z[i];
             for idx in start + 1..end {
-                sum -= self.u_values[idx] * z[self.u_indices[idx]];
+                sum -= self.u_values[idx] * z[widen(self.u_indices[idx])];
             }
             z[i] = sum / self.u_values[start];
         }
@@ -345,7 +347,7 @@ impl Preconditioner for Ic0 {
 /// shared `indices`/`values` storage.
 /// complexity: O(len)
 fn sparse_row_dot(
-    indices: &[usize],
+    indices: &[u32],
     values: &[f64],
     a: std::ops::Range<usize>,
     b: std::ops::Range<usize>,
@@ -355,7 +357,7 @@ fn sparse_row_dot(
     let mut p = a.start;
     let mut q = b.start;
     while p < a.end && q < b.end {
-        let (cp, cq) = (indices[p], indices[q]);
+        let (cp, cq) = (widen(indices[p]), widen(indices[q]));
         if cp == stop_col || cq == stop_col {
             break;
         }
