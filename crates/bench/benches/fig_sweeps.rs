@@ -1,6 +1,11 @@
 //! Criterion timings of single experiment repetitions for every figure —
 //! the per-cell cost behind the `fig*` binaries.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a Criterion timing closure cannot return an error; a failed setup or iteration aborts the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gssl_bench::experiment::{CoilConfig, LabeledRatio, SyntheticConfig, SYNTHETIC_LAMBDAS};
 use gssl_datasets::synthetic::PaperModel;

@@ -1,6 +1,11 @@
 //! Timings of graph construction: kernel evaluation, affinity matrices,
 //! bandwidth rules and sparse graph builders.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a Criterion timing closure cannot return an error; a failed setup or iteration aborts the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gssl_datasets::synthetic::{paper_dataset, PaperModel};
 use gssl_graph::{

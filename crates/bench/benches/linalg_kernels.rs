@@ -1,6 +1,11 @@
 //! Timings of the linear-algebra substrate: factorizations, solves and
 //! products at the sizes the criteria actually use.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a Criterion timing closure cannot return an error; a failed setup or iteration aborts the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gssl_linalg::{CgOptions, Cholesky, CsrMatrix, Factorization, Lu, Matrix, PrecondCg, Vector};
 
@@ -45,7 +50,7 @@ fn bench_solves(c: &mut Criterion) {
     group.bench_function("cholesky_backsolve", |b| {
         b.iter(|| chol.solve(&rhs).expect("solve"));
     });
-    let cg = PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
+    let cg = PrecondCg::factor_sparse(CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
         .expect("positive diagonal");
     group.bench_function("jacobi_pcg", |b| {
         b.iter(|| cg.solve(&rhs).expect("cg"));

@@ -3,6 +3,11 @@
 //! or `O(n³ + m³)` (block form of Eq. 4). With `n ≫ m` the hard solve is
 //! dramatically cheaper — "another advantage of the hard criterion".
 
+#![allow(
+    clippy::expect_used,
+    reason = "a Criterion timing closure cannot return an error; a failed setup or iteration aborts the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gssl::{HardCriterion, HardSolver, Problem, SoftCriterion, SweepKind};
 use gssl_datasets::synthetic::{paper_dataset, PaperModel, PAPER_DIM};

@@ -34,7 +34,7 @@ fn average_rmse(
         let mut rng = StdRng::seed_from_u64(seed + rep);
         let ds = paper_dataset(PaperModel::Linear, n + m, &mut rng)?;
         let ssl = ds.arrange_prefix(n)?;
-        let truth = ssl.hidden_truth.as_ref().expect("synthetic truth");
+        let truth = ssl.hidden_truth.as_ref().ok_or("synthetic truth")?;
         let h = bandwidth.resolve(&ssl.inputs, Some(n))?;
         let w = affinity_matrix(&ssl.inputs, kernel, h)?;
         let problem = Problem::new(w, ssl.labels.clone())?;

@@ -15,7 +15,7 @@ use gssl_stats::metrics::rmse;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = match CliArgs::parse(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
@@ -39,16 +39,16 @@ fn main() {
         let (mut hard_sum, mut mean_sum) = (0.0, 0.0);
         for rep in 0..reps {
             let mut rng = StdRng::seed_from_u64(seed + rep as u64);
-            let ds = paper_dataset(PaperModel::Linear, n + m, &mut rng).expect("generation");
-            let ssl = ds.arrange_prefix(n).expect("arrangement");
-            let truth = ssl.hidden_truth.as_ref().expect("synthetic truth");
-            let h = paper_rate(n, PAPER_DIM).expect("n >= 2");
-            let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h).expect("affinity");
-            let problem = Problem::new(w, ssl.labels.clone()).expect("valid problem");
-            let hard = HardCriterion::new().fit(&problem).expect("hard fit");
-            let mean = MeanPredictor::new().fit(&problem).expect("mean fit");
-            hard_sum += rmse(truth, hard.unlabeled()).expect("rmse");
-            mean_sum += rmse(truth, mean.unlabeled()).expect("rmse");
+            let ds = paper_dataset(PaperModel::Linear, n + m, &mut rng)?;
+            let ssl = ds.arrange_prefix(n)?;
+            let truth = ssl.hidden_truth.as_ref().ok_or("synthetic truth")?;
+            let h = paper_rate(n, PAPER_DIM)?;
+            let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h)?;
+            let problem = Problem::new(w, ssl.labels.clone())?;
+            let hard = HardCriterion::new().fit(&problem)?;
+            let mean = MeanPredictor::new().fit(&problem)?;
+            hard_sum += rmse(truth, hard.unlabeled())?;
+            mean_sum += rmse(truth, mean.unlabeled())?;
         }
         println!(
             "{n:>6}  {:>12.4}  {:>12.4}",
@@ -62,22 +62,19 @@ fn main() {
     println!("== Proposition II.1: soft -> hard as lambda -> 0 ==");
     let n = 100;
     let mut rng = StdRng::seed_from_u64(seed);
-    let ds = paper_dataset(PaperModel::Linear, n + m, &mut rng).expect("generation");
-    let ssl = ds.arrange_prefix(n).expect("arrangement");
-    let h = paper_rate(n, PAPER_DIM).expect("n >= 2");
-    let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h).expect("affinity");
-    let problem = Problem::new(w, ssl.labels.clone()).expect("valid problem");
-    let hard = HardCriterion::new().fit(&problem).expect("hard fit");
-    let mean = MeanPredictor::new().fit(&problem).expect("mean fit");
+    let ds = paper_dataset(PaperModel::Linear, n + m, &mut rng)?;
+    let ssl = ds.arrange_prefix(n)?;
+    let h = paper_rate(n, PAPER_DIM)?;
+    let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h)?;
+    let problem = Problem::new(w, ssl.labels.clone())?;
+    let hard = HardCriterion::new().fit(&problem)?;
+    let mean = MeanPredictor::new().fit(&problem)?;
     println!(
         "{:>10}  {:>16}  {:>16}",
         "lambda", "gap to hard", "gap to mean"
     );
     for &lambda in &[10.0, 1.0, 0.1, 0.01, 0.001, 0.0001] {
-        let soft = SoftCriterion::new(lambda)
-            .expect("valid lambda")
-            .fit(&problem)
-            .expect("soft fit");
+        let soft = SoftCriterion::new(lambda)?.fit(&problem)?;
         let gap_hard: f64 = soft
             .unlabeled()
             .iter()
@@ -94,4 +91,5 @@ fn main() {
     }
     println!("\ngap-to-hard vanishes as lambda -> 0 (Prop II.1); gap-to-mean");
     println!("vanishes as lambda grows (Prop II.2).");
+    Ok(())
 }

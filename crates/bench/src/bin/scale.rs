@@ -29,6 +29,7 @@ use gssl_graph::{knn_graph_with, Kernel, Symmetrization};
 use gssl_index::{k_nearest_batch, BruteForce, NeighborSearch, SpatialIndex};
 use gssl_linalg::{CgOptions, Matrix, SolverPolicy};
 use gssl_runtime::Executor;
+use std::error::Error;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -164,39 +165,47 @@ fn peak_rss_mb() -> Option<f64> {
 
 /// The tree index answers a query subsample exactly like the oracle:
 /// same neighbor ids, bitwise-equal squared distances.
-fn oracle_agrees(points: &Matrix, index: &SpatialIndex, queries: &Matrix) -> bool {
-    let brute = BruteForce::build(points).expect("brute build");
+fn oracle_agrees(
+    points: &Matrix,
+    index: &SpatialIndex,
+    queries: &Matrix,
+) -> Result<bool, Box<dyn Error>> {
+    let brute = BruteForce::build(points)?;
     let take = queries.rows().min(ORACLE_QUERIES);
-    (0..take).all(|qi| {
+    for qi in 0..take {
         let q = queries.row(qi);
-        let expect = brute.k_nearest(q, K).expect("oracle query");
-        let got = index.k_nearest(q, K).expect("tree query");
-        expect.len() == got.len()
+        let expect = brute.k_nearest(q, K)?;
+        let got = index.k_nearest(q, K)?;
+        let same = expect.len() == got.len()
             && expect
                 .iter()
                 .zip(&got)
-                .all(|(e, g)| e.index == g.index && e.dist2.to_bits() == g.dist2.to_bits())
-    })
+                .all(|(e, g)| e.index == g.index && e.dist2.to_bits() == g.dist2.to_bits());
+        if !same {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
-fn run_size(n: usize, quiet: bool) -> SizeReport {
+fn run_size(n: usize, quiet: bool) -> Result<SizeReport, Box<dyn Error>> {
     let points = cloud(n);
     let bandwidth = bandwidth_for(n);
     let labeled = (n / LABEL_EVERY).max(2);
     let executor = Executor::with_workers(0);
 
     let start = Instant::now();
-    let index = SpatialIndex::build(&points).expect("index build");
+    let index = SpatialIndex::build(&points)?;
     let index_build_seconds = start.elapsed().as_secs_f64();
 
     let queries = query_cloud(QUERY_COUNT);
     let start = Instant::now();
-    let batches = k_nearest_batch(&index, &queries, K, &executor).expect("batched queries");
+    let batches = k_nearest_batch(&index, &queries, K, &executor)?;
     let batch_seconds = start.elapsed().as_secs_f64();
     assert_eq!(batches.len(), QUERY_COUNT);
     let queries_per_sec = QUERY_COUNT as f64 / batch_seconds.max(1e-12);
 
-    let oracle_identical = oracle_agrees(&points, &index, &queries);
+    let oracle_identical = oracle_agrees(&points, &index, &queries)?;
 
     let start = Instant::now();
     let graph = knn_graph_with(
@@ -206,14 +215,13 @@ fn run_size(n: usize, quiet: bool) -> SizeReport {
         bandwidth,
         Symmetrization::Union,
         &executor,
-    )
-    .expect("graph assembly");
+    )?;
     let assembly_seconds = start.elapsed().as_secs_f64();
     let graph_nnz = graph.nnz();
 
     // At the smaller rungs, pay the assembly once more at a different
     // worker count and require the result bit for bit.
-    let workers_identical = (n <= WORKER_CHECK_MAX_N).then(|| {
+    let workers_identical = if n <= WORKER_CHECK_MAX_N {
         let twin = knn_graph_with(
             &points,
             K,
@@ -221,10 +229,11 @@ fn run_size(n: usize, quiet: bool) -> SizeReport {
             bandwidth,
             Symmetrization::Union,
             &Executor::with_workers(4),
-        )
-        .expect("graph assembly (4 workers)");
-        graphs_identical(&graph, &twin)
-    });
+        )?;
+        Some(graphs_identical(&graph, &twin))
+    } else {
+        None
+    };
 
     // End-to-end hard-criterion fit through the policy-selected sparse
     // path (the dense solvers would need an n × n matrix — 8 TB at a
@@ -236,15 +245,14 @@ fn run_size(n: usize, quiet: bool) -> SizeReport {
     // the iteration count of the old plain Jacobi-CG path.
     let labels: Vec<f64> = (0..labeled).map(|i| f64::from(i as u8 % 2)).collect();
     let start = Instant::now();
-    let problem = Problem::new(graph, labels).expect("problem");
-    problem.require_anchored(0.0).expect("anchored graph");
+    let problem = Problem::new(graph, labels)?;
+    problem.require_anchored(0.0)?;
     let scores = HardCriterion::new()
         .solver(HardSolver::Auto(SolverPolicy::with_cg(CgOptions {
             max_iterations: 10_000,
             tolerance: 1e-7,
         })))
-        .fit(&problem)
-        .expect("hard fit");
+        .fit(&problem)?;
     let fit_seconds = start.elapsed().as_secs_f64();
     let (score_min, score_max) = scores
         .all()
@@ -289,10 +297,10 @@ fn run_size(n: usize, quiet: bool) -> SizeReport {
                 .map_or("skipped".to_owned(), |v| v.to_string()),
         );
     }
-    report
+    Ok(report)
 }
 
-fn main() -> ExitCode {
+fn main() -> Result<ExitCode, Box<dyn Error>> {
     let args: Vec<String> = std::env::args().collect();
     let quiet = args.iter().any(|a| a == "--quiet");
     let ci = args.iter().any(|a| a == "--ci");
@@ -309,7 +317,10 @@ fn main() -> ExitCode {
         );
     }
     let total_start = Instant::now();
-    let reports: Vec<SizeReport> = sizes.iter().map(|&n| run_size(n, quiet)).collect();
+    let reports = sizes
+        .iter()
+        .map(|&n| run_size(n, quiet))
+        .collect::<Result<Vec<SizeReport>, _>>()?;
     let end_to_end_seconds = total_start.elapsed().as_secs_f64();
 
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -324,7 +335,7 @@ fn main() -> ExitCode {
          \"sizes\": [\n{body}\n]\n}}\n",
         if ci { "ci" } else { "full" },
     );
-    std::fs::write(out_path, &json).expect("write scale report");
+    std::fs::write(out_path, &json)?;
 
     // Exit gates: exactness, never timing. (Per-query latency growing
     // sublinearly is visible in the recorded queries_per_sec column —
@@ -347,9 +358,9 @@ fn main() -> ExitCode {
             if exact { "all passed" } else { "FAILED" }
         );
     }
-    if exact {
+    Ok(if exact {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }

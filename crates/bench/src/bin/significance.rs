@@ -8,7 +8,7 @@ use gssl_bench::runner::CliArgs;
 use gssl_datasets::synthetic::PaperModel;
 use gssl_stats::inference::{paired_t_test, sign_test, wilcoxon_signed_rank};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = match CliArgs::parse(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
@@ -53,9 +53,9 @@ fn main() {
         let hard: Vec<f64> = per_rep.iter().map(|v| v[0]).collect();
         for (k, &lambda) in SYNTHETIC_LAMBDAS.iter().enumerate().skip(1) {
             let soft: Vec<f64> = per_rep.iter().map(|v| v[k]).collect();
-            let t = paired_t_test(&hard, &soft).expect("distinct samples");
-            let s = sign_test(&hard, &soft).expect("non-tied pairs");
-            let w = wilcoxon_signed_rank(&hard, &soft).expect("enough pairs");
+            let t = paired_t_test(&hard, &soft)?;
+            let s = sign_test(&hard, &soft)?;
+            let w = wilcoxon_signed_rank(&hard, &soft)?;
             println!(
                 "{n:>6} {lambda:>8} {:>14.5} {:>12.2e} {:>8}/{:<5} {:>14.2e} {:>14.2e}",
                 t.mean_difference, t.p_value, s.wins, s.losses, s.p_value, w.p_value
@@ -66,4 +66,5 @@ fn main() {
     println!("\nNegative ΔRMSE means the hard criterion wins; small p-values mean");
     println!("the advantage is statistically significant across repetitions");
     println!("(wins counts repetitions where the SOFT criterion had larger error).");
+    Ok(())
 }

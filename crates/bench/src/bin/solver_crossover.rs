@@ -24,6 +24,7 @@ use gssl_linalg::{
     AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, PrecondCg, PrecondKind,
     SolverPolicy, Vector,
 };
+use std::error::Error;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -49,7 +50,7 @@ const RESIDUAL_GATE: f64 = 1e-6;
 /// counts genuinely separate the preconditioners as n grows. Bandwidth
 /// is `side`, so the policy's IC-vs-AMG bandwidth test sees a genuinely
 /// 2-D structure.
-fn grid_laplacian(side: usize) -> CsrMatrix {
+fn grid_laplacian(side: usize) -> gssl_linalg::Result<CsrMatrix> {
     let n = side * side;
     let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(5 * n);
     for r in 0..side {
@@ -73,7 +74,7 @@ fn grid_laplacian(side: usize) -> CsrMatrix {
             }
         }
     }
-    CsrMatrix::from_triplets(n, n, &triplets).expect("grid Laplacian triplets")
+    CsrMatrix::from_triplets(n, n, &triplets)
 }
 
 /// Deterministic smooth-plus-oscillatory right-hand side so the
@@ -157,25 +158,25 @@ fn cg_options() -> CgOptions {
 /// Times one factor + solve through a [`Factorization`] backend.
 fn run_backend<F: Factorization>(
     name: &'static str,
-    factor: impl FnOnce() -> F,
+    factor: impl FnOnce() -> gssl_linalg::Result<F>,
     a: &CsrMatrix,
     b: &Vector,
     iterations: impl FnOnce(&F) -> Option<usize>,
-) -> SolverPoint {
+) -> gssl_linalg::Result<SolverPoint> {
     let start = Instant::now();
-    let backend = factor();
-    let x = backend.solve(b).expect("solve");
+    let backend = factor()?;
+    let x = backend.solve(b)?;
     let seconds = start.elapsed().as_secs_f64();
-    SolverPoint {
+    Ok(SolverPoint {
         solver: name,
         seconds,
         iterations: iterations(&backend),
         residual: relative_residual(a, &x, b),
-    }
+    })
 }
 
-fn run_size(side: usize, quiet: bool) -> SizeReport {
-    let a = grid_laplacian(side);
+fn run_size(side: usize, quiet: bool) -> gssl_linalg::Result<SizeReport> {
+    let a = grid_laplacian(side)?;
     let n = a.rows();
     let b = rhs(n);
     let policy_choice = SolverPolicy::default().select_sparse(&a).as_str();
@@ -185,11 +186,11 @@ fn run_size(side: usize, quiet: bool) -> SizeReport {
         let dense = a.to_dense();
         solvers.push(run_backend(
             "dense-cholesky",
-            || Cholesky::factor(&dense).expect("dense Cholesky"),
+            || Cholesky::factor(&dense),
             &a,
             &b,
             |_| None,
-        ));
+        )?);
     }
     for (name, kind) in [
         ("jacobi-cg", PrecondKind::Jacobi),
@@ -197,11 +198,11 @@ fn run_size(side: usize, quiet: bool) -> SizeReport {
     ] {
         solvers.push(run_backend(
             name,
-            || PrecondCg::factor_sparse_with(&a, kind, cg_options()).expect("pcg factor"),
+            || PrecondCg::factor_sparse_with(&a, kind, cg_options()),
             &a,
             &b,
             |f| f.last_iterations(),
-        ));
+        )?);
     }
     solvers.push(run_backend(
         "amg-pcg",
@@ -213,12 +214,11 @@ fn run_size(side: usize, quiet: bool) -> SizeReport {
                     ..AmgOptions::default()
                 },
             )
-            .expect("amg factor")
         },
         &a,
         &b,
         |f| f.last_iterations(),
-    ));
+    )?);
 
     let report = SizeReport {
         n,
@@ -243,10 +243,10 @@ fn run_size(side: usize, quiet: bool) -> SizeReport {
             );
         }
     }
-    report
+    Ok(report)
 }
 
-fn main() -> ExitCode {
+fn main() -> Result<ExitCode, Box<dyn Error>> {
     let args: Vec<String> = std::env::args().collect();
     let quiet = args.iter().any(|a| a == "--quiet");
     let ci = args.iter().any(|a| a == "--ci");
@@ -262,15 +262,18 @@ fn main() -> ExitCode {
             if ci { "ci" } else { "full" }
         );
     }
-    let reports: Vec<SizeReport> = sides.iter().map(|&side| run_size(side, quiet)).collect();
+    let reports = sides
+        .iter()
+        .map(|&side| run_size(side, quiet))
+        .collect::<gssl_linalg::Result<Vec<SizeReport>>>()?;
 
     // Wall-clock winner of the largest solve — recorded, never gated.
-    let largest = reports.last().expect("at least one size");
+    let largest = reports.last().ok_or("at least one size")?;
     let fastest_large = largest
         .solvers
         .iter()
         .min_by(|x, y| x.seconds.total_cmp(&y.seconds))
-        .expect("at least one solver");
+        .ok_or("at least one solver")?;
 
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let body = reports
@@ -285,7 +288,7 @@ fn main() -> ExitCode {
         if ci { "ci" } else { "full" },
         fastest_large.solver,
     );
-    std::fs::write(out_path, &json).expect("write solver report");
+    std::fs::write(out_path, &json)?;
 
     // Exit gates: correctness only. Every backend must actually solve
     // the system, and IC(0) must not need more CG iterations than plain
@@ -311,9 +314,9 @@ fn main() -> ExitCode {
             if ic_ok { "passed" } else { "FAILED" },
         );
     }
-    if residuals_ok && ic_ok {
+    Ok(if residuals_ok && ic_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }

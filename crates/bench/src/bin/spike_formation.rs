@@ -52,7 +52,7 @@ fn score_spread(scores: &[f64]) -> f64 {
     (scores.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / scores.len() as f64).sqrt()
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = match CliArgs::parse(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
@@ -75,10 +75,10 @@ fn main() {
         // Dense Gaussian graph; as h shrinks with n fixed, the labels'
         // share of every unlabeled vertex's degree vanishes — the regime
         // of reference [17] where the solution goes noninformative.
-        let dense = gssl_graph::affinity::affinity_matrix(&points, gssl_graph::Kernel::Gaussian, h)
-            .expect("affinity");
+        let dense =
+            gssl_graph::affinity::affinity_matrix(&points, gssl_graph::Kernel::Gaussian, h)?;
         let graph = gssl_linalg::CsrMatrix::from_dense(&dense, 1e-12);
-        let problem = Problem::new(graph, labels).expect("valid problem");
+        let problem = Problem::new(graph, labels)?;
         let regime = 4.0 * h * h / m as f64; // n h^d / m with n = 4, d = 2
         let cg = HardCriterion::new().solver(HardSolver::ConjugateGradient(CgOptions::default()));
         match cg.fit(&problem) {
@@ -108,13 +108,11 @@ fn main() {
     println!("== Penalty exponent: p = 2 vs p = 3 (dense graph, m = 150) ==");
     let mut rng = StdRng::seed_from_u64(seed);
     let (points, labels) = build_points(150, &mut rng);
-    let w = gssl_graph::affinity::affinity_matrix(&points, gssl_graph::Kernel::Gaussian, 0.12)
-        .expect("affinity");
-    let problem = Problem::new(w, labels).expect("valid problem");
+    let w = gssl_graph::affinity::affinity_matrix(&points, gssl_graph::Kernel::Gaussian, 0.12)?;
+    let problem = Problem::new(w, labels)?;
     println!("{:>6} {:>14}", "p", "score spread");
     for &p in &[2.0, 3.0] {
-        match PLaplacian::new(p)
-            .expect("valid p")
+        match PLaplacian::new(p)?
             .max_rounds(500)
             .tolerance(1e-5)
             .fit(&problem)
@@ -127,4 +125,5 @@ fn main() {
     }
     println!("\nReference [19] predicts larger p keeps the solution informative");
     println!("(spread bounded away from zero) beyond the p = d threshold.");
+    Ok(())
 }

@@ -12,14 +12,18 @@ use gssl_graph::{affinity::affinity_matrix, bandwidth::paper_rate, Kernel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn diagnostics_for(n: usize, m: usize, seed: u64) -> TheoryDiagnostics {
+fn diagnostics_for(
+    n: usize,
+    m: usize,
+    seed: u64,
+) -> Result<TheoryDiagnostics, Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let ds = paper_dataset(PaperModel::Linear, n + m, &mut rng).expect("generation");
-    let ssl = ds.arrange_prefix(n).expect("arrangement");
-    let h = paper_rate(n, PAPER_DIM).expect("n >= 2");
-    let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h).expect("affinity");
-    let problem = Problem::new(w, ssl.labels.clone()).expect("valid problem");
-    TheoryDiagnostics::compute(&problem, h, PAPER_DIM).expect("diagnostics")
+    let ds = paper_dataset(PaperModel::Linear, n + m, &mut rng)?;
+    let ssl = ds.arrange_prefix(n)?;
+    let h = paper_rate(n, PAPER_DIM)?;
+    let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h)?;
+    let problem = Problem::new(w, ssl.labels.clone())?;
+    Ok(TheoryDiagnostics::compute(&problem, h, PAPER_DIM)?)
 }
 
 fn print_row(label: &str, d: &TheoryDiagnostics) {
@@ -33,7 +37,7 @@ fn print_row(label: &str, d: &TheoryDiagnostics) {
     );
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = match CliArgs::parse(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
@@ -56,7 +60,7 @@ fn main() {
         &[20, 50, 100, 200, 500]
     };
     for &n in n_grid {
-        let d = diagnostics_for(n, 20, seed);
+        let d = diagnostics_for(n, 20, seed)?;
         print_row(&format!("n={n}"), &d);
     }
 
@@ -67,11 +71,12 @@ fn main() {
         &[10, 30, 100, 300]
     };
     for &m in m_grid {
-        let d = diagnostics_for(100, m, seed);
+        let d = diagnostics_for(100, m, seed)?;
         print_row(&format!("m={m}"), &d);
     }
 
     println!("\nReading: every column shrinks down the first table (the proof's");
     println!("bounds bite as n grows) and the coupling/regime columns grow down");
     println!("the second (m outpacing n h^d breaks the argument).");
+    Ok(())
 }

@@ -10,7 +10,7 @@
 use gssl::{HardCriterion, Problem};
 use gssl_linalg::{inverse, Matrix};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 5; // labeled
     let m = 3; // unlabeled
     let labels = vec![1.0, 0.0, 1.0, 1.0, 0.0];
@@ -18,13 +18,13 @@ fn main() {
 
     // All inputs identical => all pairwise distances 0 => w_ij ≡ 1.
     let w = Matrix::filled(n + m, n + m, 1.0);
-    let problem = Problem::new(w, labels).expect("toy problem is valid");
+    let problem = Problem::new(w, labels)?;
 
     println!("== Section III toy example: identical inputs ==");
     println!("n = {n} labeled, m = {m} unlabeled, label mean = {label_mean:.4}\n");
 
-    let system = problem.unlabeled_system().expect("valid problem");
-    let inv = inverse(&system).expect("D22 - W22 is invertible");
+    let system = problem.unlabeled_system()?;
+    let inv = inverse(&system)?;
     let nf = n as f64;
     let total = (n + m) as f64;
     println!("(D22 - W22)^-1 measured vs closed form:");
@@ -51,9 +51,7 @@ fn main() {
     );
     println!("  max |measured - closed form| = {worst:.2e}\n");
 
-    let scores = HardCriterion::new()
-        .fit(&problem)
-        .expect("anchored problem");
+    let scores = HardCriterion::new().fit(&problem)?;
     println!("hard-criterion predictions on unlabeled points:");
     for (a, &s) in scores.unlabeled().iter().enumerate() {
         println!("  f[n+{a}] = {s:.6} (expected label mean {label_mean:.6})");
@@ -66,4 +64,5 @@ fn main() {
     println!("\nmax |prediction - label mean| = {max_gap:.2e}");
     assert!(worst < 1e-10 && max_gap < 1e-10, "toy example check failed");
     println!("toy example verified ✓");
+    Ok(())
 }

@@ -62,12 +62,12 @@ pub struct SyntheticConfig {
 impl SyntheticConfig {
     /// The paper's bandwidth for this cell: `σ = h_n = (log n / n)^{1/5}`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `n_labeled < 2` (the rate is undefined).
-    pub fn bandwidth(&self) -> f64 {
+    /// Returns the graph crate's error when `n_labeled < 2` (the rate is
+    /// undefined).
+    pub fn bandwidth(&self) -> gssl_graph::Result<f64> {
         gssl_graph::bandwidth::paper_rate(self.n_labeled, PAPER_DIM)
-            .expect("n_labeled >= 2 required for the paper rate")
     }
 
     /// Runs one repetition: returns the RMSE of each λ (aligned with
@@ -85,10 +85,10 @@ impl SyntheticConfig {
         let truth = ssl
             .hidden_truth
             .as_ref()
-            .expect("paper datasets carry the true q(X)");
+            .ok_or("paper datasets carry the true q(X)")?;
 
         // One affinity matrix per repetition, shared across the λ sweep.
-        let h = self.bandwidth();
+        let h = self.bandwidth()?;
         let d2 = pairwise_squared_distances(&ssl.inputs)?;
         let w = affinity_from_distances(&d2, Kernel::Gaussian, h)?;
         let problem = Problem::new(w, ssl.labels.clone())?;
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn bandwidth_matches_paper_rate() {
         let config = tiny_synthetic(100, 30);
-        let h = config.bandwidth();
+        let h = config.bandwidth().unwrap();
         assert!((h - (100f64.ln() / 100.0).powf(0.2)).abs() < 1e-15);
     }
 

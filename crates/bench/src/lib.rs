@@ -17,9 +17,6 @@
 //! cargo run --release -p gssl-bench --bin fig5 -- --full   # paper-scale
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod experiment;
 pub mod figures;
 pub mod report;

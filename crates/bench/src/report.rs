@@ -99,7 +99,10 @@ impl PartialOrd for Ordered {
 
 impl Ord for Ordered {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("finite keys")
+        // `ordered` admits finite keys only, so `partial_cmp` never fails.
+        self.0
+            .partial_cmp(&other.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
     }
 }
 

@@ -1,11 +1,22 @@
 //! Parallel Monte-Carlo repetition runner.
 //!
 //! Repetitions are embarrassingly parallel; this runner fans them out over
-//! the available cores with `std::thread::scope` and collects results under
-//! a `std::sync::Mutex`. On a single-core host it degrades to the
-//! sequential loop.
+//! the available cores through [`gssl_runtime::ThreadPool::map_tasks`]
+//! (one claim per repetition) and collects results in repetition order.
+//! On a single-core host it degrades to the sequential loop.
 
-use std::sync::Mutex;
+use gssl_runtime::ThreadPool;
+
+/// A failed repetition's message. Boxed errors are not `Send` in general,
+/// so a repetition's error crosses the worker boundary as text.
+#[derive(Debug)]
+struct RepetitionFailed(String);
+
+impl From<gssl_runtime::Error> for RepetitionFailed {
+    fn from(e: gssl_runtime::Error) -> Self {
+        RepetitionFailed(e.to_string())
+    }
+}
 
 /// Runs `repetitions` independent evaluations of `f` (each receiving its
 /// repetition index) across the available cores, preserving order.
@@ -21,53 +32,12 @@ pub fn average_over_repetitions<F>(
 where
     F: Fn(usize) -> Result<Vec<f64>, Box<dyn std::error::Error>> + Sync,
 {
-    if repetitions == 0 {
-        return Ok(Vec::new());
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(repetitions);
-
-    if threads <= 1 {
-        return (0..repetitions).map(|r| f(r)).collect();
-    }
-
-    let results: Mutex<Vec<Option<Result<Vec<f64>, String>>>> =
-        Mutex::new((0..repetitions).map(|_| None).collect());
-    let next: Mutex<usize> = Mutex::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let r = {
-                    let mut guard = next.lock().expect("index mutex poisoned");
-                    if *guard >= repetitions {
-                        break;
-                    }
-                    let r = *guard;
-                    *guard += 1;
-                    r
-                };
-                // Errors cross the thread boundary as strings; boxed errors
-                // are not Send in general.
-                let outcome = f(r).map_err(|e| e.to_string());
-                results.lock().expect("result mutex poisoned")[r] = Some(outcome);
-            });
-        }
-    });
-
-    let collected = results
-        .into_inner()
-        .expect("result mutex poisoned after join");
-    let mut out = Vec::with_capacity(repetitions);
-    for slot in collected {
-        match slot.expect("every repetition index was claimed") {
-            Ok(v) => out.push(v),
-            Err(message) => return Err(message.into()),
-        }
-    }
-    Ok(out)
+    let indices: Vec<usize> = (0..repetitions).collect();
+    ThreadPool::with_available_parallelism()
+        .map_tasks(&indices, |r, _| {
+            f(r).map_err(|e| RepetitionFailed(e.to_string()))
+        })
+        .map_err(|e| e.0.into())
 }
 
 /// Parses a `--flag value` style argument list for the experiment
@@ -135,7 +105,7 @@ mod tests {
 
     #[test]
     fn zero_repetitions_is_empty() {
-        let results = average_over_repetitions(0, |_| unreachable!()).unwrap();
+        let results = average_over_repetitions(0, |_| panic!("no repetition runs")).unwrap();
         assert!(results.is_empty());
     }
 

@@ -48,9 +48,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 /// Class-mass normalization of transductive scores (Zhu et al. 2003).
 pub mod cmn;
 mod error;

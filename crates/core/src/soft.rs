@@ -157,26 +157,18 @@ impl SoftCriterion {
 
     /// Sparse-representation path. At `λ = 0` the criterion *is* the hard
     /// criterion (Proposition II.1), so the CSR-assembled `D₂₂ − W₂₂`
-    /// system is solved directly; at `λ > 0` the full Eq. 3 system
-    /// `V + λL` is assembled in CSR and routed through the policy, which
-    /// keeps large sparse graphs iterative instead of densifying them.
+    /// system is solved directly; at `λ > 0` it is
+    /// [`SoftCriterion::fit_full_system`]: the full Eq. 3 system `V + λL`,
+    /// assembled in CSR and routed through the policy, which keeps large
+    /// sparse graphs iterative instead of densifying them.
     fn fit_sparse(&self, problem: &Problem) -> Result<Scores> {
-        let n = problem.n_labeled();
         if is_exactly_zero(self.lambda) {
             let backend = self.policy.factor_sparse(problem.unlabeled_system_csr()?)?;
             let f_u = backend.solve(&problem.unlabeled_rhs()?)?;
             strict::check_finite("soft criterion unlabeled output", f_u.as_slice())?;
             return Ok(Scores::from_parts(problem.labels(), f_u.as_slice()));
         }
-        let system = problem.soft_system_csr(self.lambda)?;
-        let mut rhs = vec![0.0; problem.len()];
-        rhs[..n].copy_from_slice(problem.labels());
-        let f = self
-            .policy
-            .factor_sparse(system)?
-            .solve(&Vector::from(rhs))?;
-        strict::check_finite("soft criterion output", f.as_slice())?;
-        Ok(Scores::from_parts(&f.as_slice()[..n], &f.as_slice()[n..]))
+        self.fit_full_system(problem)
     }
 
     /// Solves the criterion by assembling the full `(n+m) × (n+m)` system

@@ -5,6 +5,11 @@
 //! vertices, disconnected unlabeled islands, and the λ = 0 limit of the
 //! soft criterion (Proposition II.1) — must behave identically too.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{Error, HardCriterion, HardSolver, Problem, Scores, SoftCriterion, Weights};
 use gssl_linalg::{AmgOptions, CgOptions, CsrMatrix, Matrix, SolverPolicy, SparseStrategy};
 

@@ -74,10 +74,10 @@ fn harmonicity() {
         for a in N_LABELED..TOTAL {
             let mut mass = 0.0;
             let mut avg = 0.0;
-            for j in 0..TOTAL {
+            for (j, &fj) in f.iter().enumerate().take(TOTAL) {
                 if j != a {
                     mass += w.get(a, j);
-                    avg += w.get(a, j) * f[j];
+                    avg += w.get(a, j) * fj;
                 }
             }
             assert!((f[a] - avg / mass).abs() < 1e-8, "vertex {a} not harmonic");

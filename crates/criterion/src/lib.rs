@@ -8,9 +8,6 @@
 //! skips criterion's statistical machinery (outlier analysis, HTML reports).
 //! Numbers are indicative, not publication-grade.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

@@ -31,9 +31,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 /// Synthetic COIL-style rotating-object image library.
 pub mod coil;
 mod dataset;

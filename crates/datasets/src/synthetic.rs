@@ -251,7 +251,7 @@ pub fn swiss_roll(count: usize, noise: f64, rng: &mut impl Rng) -> Result<Datase
         targets.push(if u < 0.5 { 0.0 } else { 1.0 });
     }
     let truth = targets.clone();
-    Ok(Dataset::with_truth(inputs, targets, truth)?)
+    Dataset::with_truth(inputs, targets, truth)
 }
 
 /// A 1-D noisy regression problem `y = sin(2πx) + ε` on `[0, 1]` — used to

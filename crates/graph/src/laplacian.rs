@@ -82,10 +82,10 @@ pub fn laplacian(w: &Matrix, kind: LaplacianKind) -> Result<Matrix> {
         LaplacianKind::RandomWalk => {
             let inv = positive_degree_transform(&d, |x| 1.0 / x)?;
             let mut l = Matrix::zeros(n, n);
-            for i in 0..n {
+            for (i, &inv_i) in inv.iter().enumerate() {
                 for j in 0..n {
                     let identity = if i == j { 1.0 } else { 0.0 };
-                    l.set(i, j, identity - inv[i] * w.get(i, j));
+                    l.set(i, j, identity - inv_i * w.get(i, j));
                 }
             }
             Ok(l)

@@ -34,9 +34,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 /// Dense kernel affinity matrices over point clouds.
 pub mod affinity;
 /// Bandwidth selection rules, including the paper's rate.

@@ -253,7 +253,7 @@ fn lloyd_kmeans(points: &gssl_linalg::Matrix, k: usize) -> Vec<usize> {
     for _ in 0..100 {
         // Assign.
         let mut changed = false;
-        for i in 0..n {
+        for (i, assigned) in assignment.iter_mut().enumerate() {
             let best = centers
                 .iter()
                 .enumerate()
@@ -262,8 +262,8 @@ fn lloyd_kmeans(points: &gssl_linalg::Matrix, k: usize) -> Vec<usize> {
                 })
                 .map(|(c, _)| c)
                 .unwrap_or(0);
-            if assignment[i] != best {
-                assignment[i] = best;
+            if *assigned != best {
+                *assigned = best;
                 changed = true;
             }
         }

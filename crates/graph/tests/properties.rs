@@ -5,6 +5,12 @@
 //! deterministic sweep of seeded random cases instead of a shrinking
 //! strategy. Seeds are fixed, so failures are exactly reproducible.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl_graph::{
     affinity::{affinity_matrix, pairwise_squared_distances},
     component_partition,

@@ -51,9 +51,6 @@
 //! 211.8–215.0 MB, where a flat table read 175.2 MB (173.7 MB for this
 //! one).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod auto;
 mod brute;
 mod cover;

@@ -925,7 +925,7 @@ mod tests {
     #[test]
     fn validates_inputs_and_options() {
         assert!(matches!(
-            AmgCg::factor_sparse(&CsrMatrix::zeros(2, 3), AmgOptions::default()),
+            AmgCg::factor_sparse(CsrMatrix::zeros(2, 3), AmgOptions::default()),
             Err(Error::NotSquare { .. })
         ));
         let a = grid_laplacian(4);

@@ -729,8 +729,8 @@ impl SolverPolicy {
         }
     }
 
-    /// Builds the iterative backend [`SolverPolicy::select_iterative`]
-    /// picked for a CSR system.
+    /// Builds the iterative backend `kind`, which the caller picked for
+    /// the CSR system `a` through [`SolverPolicy::select_iterative`].
     ///
     /// Every backend it builds runs its outer CG with [`SolverPolicy::cg`].
     /// IC(0) can break down on SPD systems that are far from diagonally
@@ -738,8 +738,8 @@ impl SolverPolicy {
     /// the policy falls back to the always-buildable Jacobi
     /// preconditioner instead of failing the solve. The fallback depends
     /// only on the matrix values, never on timing or thread count.
-    fn factor_iterative(&self, a: Cow<'_, CsrMatrix>) -> Result<SolverBackend> {
-        match self.select_iterative(a.rows(), a.bandwidth()) {
+    fn factor_iterative(&self, a: Cow<'_, CsrMatrix>, kind: BackendKind) -> Result<SolverBackend> {
+        match kind {
             BackendKind::Amg => {
                 let hierarchy = match &self.sparse {
                     SparseStrategy::Amg(options) => options.clone(),
@@ -788,7 +788,7 @@ impl SolverPolicy {
     pub fn factor_dense(&self, a: &Matrix) -> Result<SolverBackend> {
         match self.select_dense(a) {
             kind if kind.is_iterative() => {
-                self.factor_iterative(Cow::Owned(CsrMatrix::from_dense(a, 0.0)))
+                self.factor_iterative(Cow::Owned(CsrMatrix::from_dense(a, 0.0)), kind)
             }
             BackendKind::DenseCholesky => match Cholesky::factor_with(a, &self.executor) {
                 Ok(f) => Ok(SolverBackend::Cholesky(f)),
@@ -814,7 +814,7 @@ impl SolverPolicy {
     pub fn factor_sparse<'a>(&self, a: impl Into<Cow<'a, CsrMatrix>>) -> Result<SolverBackend> {
         let a = a.into();
         match self.select_sparse(&a) {
-            kind if kind.is_iterative() => self.factor_iterative(a),
+            kind if kind.is_iterative() => self.factor_iterative(a, kind),
             _ => self.factor_dense(&a.to_dense()),
         }
     }
@@ -831,7 +831,9 @@ impl SolverPolicy {
     /// deterministic
     pub fn factor_spd(&self, a: &Matrix) -> Result<SolverBackend> {
         if self.routes_iterative(a.rows(), a.cols(), || dense_nnz(a)) {
-            return self.factor_iterative(Cow::Owned(CsrMatrix::from_dense(a, 0.0)));
+            let csr = CsrMatrix::from_dense(a, 0.0);
+            let kind = self.select_iterative(csr.rows(), csr.bandwidth());
+            return self.factor_iterative(Cow::Owned(csr), kind);
         }
         match Cholesky::factor_with(a, &self.executor) {
             Ok(f) => Ok(SolverBackend::Cholesky(f)),
@@ -911,7 +913,7 @@ mod tests {
         let ax = Factorization::apply(&chol, &x5).unwrap();
         assert!(ax.approx_eq(&spd.matvec(&x5).unwrap(), 1e-12));
 
-        let cg = PrecondCg::factor_sparse(&CsrMatrix::from_dense(&spd, 0.0), CgOptions::default())
+        let cg = PrecondCg::factor_sparse(CsrMatrix::from_dense(&spd, 0.0), CgOptions::default())
             .unwrap();
         let ax = Factorization::apply(&cg, &x5).unwrap();
         assert!(ax.approx_eq(&spd.matvec(&x5).unwrap(), 1e-14));
@@ -924,7 +926,7 @@ mod tests {
         for backend in [
             SolverPolicy::default().factor_dense(&a).unwrap(),
             SolverBackend::Cg(
-                PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
+                PrecondCg::factor_sparse(CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
                     .unwrap(),
             ),
         ] {
@@ -937,7 +939,7 @@ mod tests {
     fn precond_cg_rejects_nonpositive_diagonal() {
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]).unwrap();
         assert!(matches!(
-            PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default()),
+            PrecondCg::factor_sparse(CsrMatrix::from_dense(&a, 0.0), CgOptions::default()),
             Err(Error::NotPositiveDefinite { pivot: 1 })
         ));
         let csr = CsrMatrix::from_triplets(2, 2, &[(0, 0, -1.0), (1, 1, 1.0)]).unwrap();
@@ -951,13 +953,13 @@ mod tests {
     fn precond_cg_rejects_non_square() {
         assert!(matches!(
             PrecondCg::factor_sparse(
-                &CsrMatrix::from_dense(&Matrix::zeros(2, 3), 0.0),
+                CsrMatrix::from_dense(&Matrix::zeros(2, 3), 0.0),
                 CgOptions::default()
             ),
             Err(Error::NotSquare { .. })
         ));
         assert!(matches!(
-            PrecondCg::factor_sparse(&CsrMatrix::zeros(2, 3), CgOptions::default()),
+            PrecondCg::factor_sparse(CsrMatrix::zeros(2, 3), CgOptions::default()),
             Err(Error::NotSquare { .. })
         ));
     }
@@ -968,7 +970,7 @@ mod tests {
         let a = spd_sample(n);
         let b = rhs(n);
         let cg = PrecondCg::factor_sparse_with(
-            &CsrMatrix::from_dense(&a, 0.0),
+            CsrMatrix::from_dense(&a, 0.0),
             PrecondKind::Ic0,
             CgOptions::default(),
         )

@@ -41,9 +41,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod amg;
 mod blocks;
 mod cg;

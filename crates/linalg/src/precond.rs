@@ -230,7 +230,7 @@ impl Ic0 {
         l_indptr.push(0);
         for i in 0..n {
             let (cols, vals) = lower(i);
-            if !cols.last().is_some_and(|&j| widen(j) == i) {
+            if cols.last().is_none_or(|&j| widen(j) != i) {
                 // An SPD matrix stores a (positive) diagonal in every row.
                 return Err(Error::NotPositiveDefinite { pivot: i });
             }

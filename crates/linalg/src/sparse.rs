@@ -256,8 +256,8 @@ impl CsrMatrix {
         let mut scratch: Vec<(u32, f64)> = Vec::new();
         let mut kept = 0;
         let mut start = 0;
-        for r in 1..=rows {
-            let end = indptr[r];
+        for row_end in &mut indptr[1..=rows] {
+            let end = *row_end;
             scratch.clear();
             scratch.extend(
                 indices[start..end]
@@ -290,7 +290,7 @@ impl CsrMatrix {
                 kept += 1;
                 last = Some((slot_c, slot_v));
             }
-            indptr[r] = kept;
+            *row_end = kept;
             start = end;
         }
         if kept < total {

@@ -5,6 +5,11 @@
 //! deterministic sweep of seeded random cases instead of a shrinking
 //! strategy. Seeds are fixed, so failures are exactly reproducible.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl_linalg::stationary::{gauss_seidel, jacobi, IterationOptions};
 use gssl_linalg::{
     symmetric_eigen, BlockPartition, CgOptions, Cholesky, CsrMatrix, EigenOptions, Factorization,
@@ -153,7 +158,7 @@ fn all_direct_and_iterative_solvers_agree() {
         let b = vector(DIM, rng);
         let lu = Lu::factor(&a).unwrap().solve(&b).unwrap();
         let chol = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
-        let cg = PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
+        let cg = PrecondCg::factor_sparse(CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
             .unwrap()
             .solve(&b)
             .unwrap();

@@ -12,9 +12,6 @@
 //! statistical quality for Monte-Carlo experiments. It makes no security
 //! claims whatsoever.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 /// A source of uniformly distributed 64-bit words.
 pub trait RngCore {
     /// Returns the next 64 random bits.

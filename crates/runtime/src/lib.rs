@@ -26,9 +26,6 @@
 //! long-lived threads: every batch opens a `std::thread::scope` and joins
 //! it before returning.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 /// Error and result types shared by the executor and pool.
 pub mod error;
 /// The [`Executor`] handle: sequential by default, pooled on request.

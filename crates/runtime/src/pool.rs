@@ -18,6 +18,10 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+/// One result slot per item (or per range), filled by whichever worker
+/// claims it and read back in index order after the join.
+type Slots<T, E> = Mutex<Vec<Option<Result<T, E>>>>;
+
 /// Chunk width used to shard a batch of `len` items across `workers`
 /// threads: small enough to balance skewed per-item cost, large enough to
 /// amortize the atomic increment. Always at least 1.
@@ -230,25 +234,23 @@ impl ThreadPool {
         }
 
         let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<R, E>>>> =
-            Mutex::new((0..items.len()).map(|_| None).collect());
+        let slots: Slots<R, E> = Mutex::new((0..items.len()).map(|_| None).collect());
 
         let threads = self.workers.min(items.len());
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let Some((start, end)) = claim(&cursor, chunk, items.len()) else {
-                        break;
-                    };
-                    // Compute the whole chunk locally, then publish under
-                    // one short lock.
-                    let mut local = Vec::with_capacity(end - start);
-                    for (i, item) in items[start..end].iter().enumerate() {
-                        local.push(f(start + i, item));
-                    }
-                    let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
-                    for (offset, outcome) in local.into_iter().enumerate() {
-                        guard[start + offset] = Some(outcome);
+                scope.spawn(|| {
+                    while let Some((start, end)) = claim(&cursor, chunk, items.len()) {
+                        // Compute the whole chunk locally, then publish
+                        // under one short lock.
+                        let mut local = Vec::with_capacity(end - start);
+                        for (i, item) in items[start..end].iter().enumerate() {
+                            local.push(f(start + i, item));
+                        }
+                        let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                        for (offset, outcome) in local.into_iter().enumerate() {
+                            guard[start + offset] = Some(outcome);
+                        }
                     }
                 });
             }
@@ -304,19 +306,17 @@ impl ThreadPool {
         let cursor = AtomicUsize::new(0);
         // One slot per range; the cursor starts at zero and advances by
         // exactly `width`, so `start / width` is an exact range index.
-        let slots: Mutex<Vec<Option<Result<Vec<R>, E>>>> =
-            Mutex::new((0..nchunks).map(|_| None).collect());
+        let slots: Slots<Vec<R>, E> = Mutex::new((0..nchunks).map(|_| None).collect());
 
         let threads = self.workers.min(nchunks);
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let Some((start, end)) = claim(&cursor, width, len) else {
-                        break;
-                    };
-                    let outcome = f(start..end);
-                    let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
-                    guard[start / width] = Some(outcome);
+                scope.spawn(|| {
+                    while let Some((start, end)) = claim(&cursor, width, len) {
+                        let outcome = f(start..end);
+                        let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                        guard[start / width] = Some(outcome);
+                    }
                 });
             }
         });

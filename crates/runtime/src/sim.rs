@@ -406,12 +406,10 @@ mod tests {
         let first = sim.step(0).unwrap();
         // Roll the cursor back as if the fetch_add were lost, then let the
         // second worker claim: it must collide with worker 0's claim.
-        match first {
-            Undo::Claimed { cursor_before, .. } => {
-                sim.cursor.store(cursor_before, Ordering::SeqCst);
-            }
-            _ => unreachable!("first claim on a non-empty batch succeeds"),
-        }
+        let Undo::Claimed { cursor_before, .. } = first else {
+            panic!("first claim on a non-empty batch succeeds");
+        };
+        sim.cursor.store(cursor_before, Ordering::SeqCst);
         let second = sim.step(1);
         assert!(second.is_err(), "lost update went undetected");
         let message = second.unwrap_err();

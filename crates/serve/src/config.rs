@@ -202,7 +202,7 @@ impl EngineConfig {
             }
         }
         match self.query_path {
-            QueryPath::KNearest { k } if k == 0 => {
+            QueryPath::KNearest { k: 0 } => {
                 return Err(Error::InvalidConfig {
                     message: "QueryPath::KNearest requires k >= 1".to_owned(),
                 });

@@ -348,8 +348,8 @@ impl ShardModel {
         let mut new_rhs = Matrix::zeros(m - 1, k);
         for (a2, &a) in keep.iter().enumerate() {
             let w = self.weights.get(self.unlabeled[a], node);
-            for c in 0..k {
-                new_rhs.set(a2, c, self.rhs.get(a, c) + w * target[c]);
+            for (c, &t) in target.iter().enumerate().take(k) {
+                new_rhs.set(a2, c, self.rhs.get(a, c) + w * t);
             }
         }
         // The shrunk system is the old one minus row/column j — degrees
@@ -461,8 +461,8 @@ impl ShardModel {
         let mut new_inverse = Matrix::zeros(total, total);
         for a in 0..total {
             let ba = b_col[a];
-            for b in 0..total {
-                new_inverse.set(a, b, inverse.get(a, b) - ba * b_row[b] / denom);
+            for (b, &rb) in b_row.iter().enumerate().take(total) {
+                new_inverse.set(a, b, inverse.get(a, b) - ba * rb / denom);
             }
         }
         self.scores = new_inverse.matmul(&self.rhs)?;

@@ -47,9 +47,6 @@
 //! reported as [`Error::NonFiniteValue`]. Query coordinates and observed
 //! labels are validated unconditionally.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 /// Admission-controlled coalescing of predict traffic into batches.
 pub mod batch;
 /// Engine configuration: criterion, kernel parameters, update policy.

@@ -218,7 +218,7 @@ impl ShardPlan {
                 node_to_shard[node] = shard_index;
             }
         }
-        if node_to_shard.iter().any(|&s| s == usize::MAX) {
+        if node_to_shard.contains(&usize::MAX) {
             return Err(Error::Snapshot {
                 message: "shard plan does not cover every node".to_owned(),
             });

@@ -3,6 +3,11 @@
 //! refit to tight tolerance (ISSUE acceptance: 1e-10 on a 50-point
 //! problem; batch predictions vs direct refit to 1e-8).
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{HardCriterion, Problem, SoftCriterion};
 use gssl_datasets::synthetic::two_moons;
 use gssl_datasets::SemiSupervisedData;

@@ -5,6 +5,11 @@
 //! round's concurrent predictions must match a serial twin that applied
 //! the same labels one at a time followed by a full refit, to 1e-10.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl_datasets::synthetic::two_moons;
 use gssl_datasets::SemiSupervisedData;
 use gssl_graph::Kernel;

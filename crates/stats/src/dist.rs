@@ -124,13 +124,13 @@ impl MultivariateNormal {
         let d = self.dim();
         let z: Vec<f64> = (0..d).map(|_| standard_normal(rng)).collect();
         let mut out = vec![0.0; d];
-        for i in 0..d {
+        for (i, slot) in out.iter_mut().enumerate() {
             let mut sum = self.mean[i];
             // L is lower triangular: only j <= i contribute.
             for (j, zj) in z.iter().enumerate().take(i + 1) {
                 sum += self.factor.get(i, j) * zj;
             }
-            out[i] = sum;
+            *slot = sum;
         }
         out
     }

@@ -29,9 +29,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 /// Descriptive statistics: means, quantiles, dispersion.
 pub mod describe;
 /// Probability distributions and samplers.

@@ -118,17 +118,17 @@ mod tests {
 
     #[test]
     fn parses_entries_and_comments() {
-        let text = "# comment\n\ncrates/a/src/lib.rs no_panic structurally valid\n";
+        let text = "# comment\n\ncrates/a/src/lib.rs float_eq structurally valid\n";
         let (entries, violations) = parse(text, "allow.list");
         assert_eq!(entries.len(), 1);
         assert!(violations.is_empty());
-        assert_eq!(entries[0].rule, Rule::NoPanic);
+        assert_eq!(entries[0].rule, Rule::FloatEq);
         assert_eq!(entries[0].reason, "structurally valid");
     }
 
     #[test]
     fn rejects_missing_reason_and_unknown_rule() {
-        let (entries, violations) = parse("a.rs no_panic\nb.rs bogus_rule why\n", "allow.list");
+        let (entries, violations) = parse("a.rs float_eq\nb.rs bogus_rule why\n", "allow.list");
         assert!(entries.is_empty());
         assert_eq!(violations.len(), 2);
     }
@@ -137,7 +137,7 @@ mod tests {
     fn reconcile_finds_unlisted_and_stale() {
         let entries = vec![Entry {
             file: "a.rs".into(),
-            rule: Rule::NoPanic,
+            rule: Rule::FloatEq,
             reason: "ok".into(),
             line: 1,
         }];
@@ -156,14 +156,14 @@ mod tests {
     fn matched_pairs_are_clean() {
         let entries = vec![Entry {
             file: "a.rs".into(),
-            rule: Rule::NoPanic,
+            rule: Rule::FloatEq,
             reason: "ok".into(),
             line: 1,
         }];
         let allows = vec![InlineAllow {
             file: "a.rs".into(),
             line: 9,
-            rule: Rule::NoPanic,
+            rule: Rule::FloatEq,
         }];
         assert!(reconcile(&entries, &allows, "allow.list").is_empty());
     }

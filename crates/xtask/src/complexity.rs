@@ -141,10 +141,8 @@ pub fn observed_depth(source: &SourceFile, f: &FnInfo) -> usize {
                 depth += 1;
                 max = max.max(depth);
             }
-        } else if t.is_punct('}') {
-            if frames.pop().unwrap_or(false) {
-                depth = depth.saturating_sub(1);
-            }
+        } else if t.is_punct('}') && frames.pop().unwrap_or(false) {
+            depth = depth.saturating_sub(1);
         }
         k += 1;
     }

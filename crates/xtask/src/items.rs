@@ -510,7 +510,7 @@ fn scan_body(toks: &[(usize, &Tok)], body: std::ops::Range<usize>) -> (Vec<Call>
         {
             let literal_divisor = next.is_some_and(|n| {
                 matches!(n.kind, TokKind::Int | TokKind::Float)
-                    && n.text.trim_start_matches(['0', '_', '.']) != ""
+                    && !n.text.trim_start_matches(['0', '_', '.']).is_empty()
             });
             if !literal_divisor {
                 raw_sites.push((SiteKind::Div, t.line));

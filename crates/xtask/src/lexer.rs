@@ -593,10 +593,10 @@ mod tests {
 
     #[test]
     fn blanked_lines_match_pr1_semantics() {
-        let out = lex(r#"let x = "panic!(no)"; call(); // lint: allow(no_panic)"#);
+        let out = lex(r#"let x = "panic!(no)"; call(); // lint: allow(float_eq)"#);
         assert!(!out.lines[0].code.contains("panic!"));
         assert!(out.lines[0].code.contains("call()"));
-        assert!(out.lines[0].comment.contains("lint: allow(no_panic)"));
+        assert!(out.lines[0].comment.contains("lint: allow(float_eq)"));
     }
 
     #[test]

@@ -6,27 +6,26 @@
 //! cargo run -p gssl-xtask -- check
 //! ```
 //!
-//! The checker is a line/token scanner (no `syn`, no network, no build
-//! scripts) enforcing the project's correctness conventions on the seven
-//! library crates (`runtime`, `linalg`, `graph`, `stats`, `datasets`,
-//! `core`, `serve`):
+//! The workspace lint table in `Cargo.toml`, enforced by
+//! `cargo clippy --workspace --all-targets -- -D warnings`, already
+//! forbids `unsafe`, requires docs on every exported item and denies
+//! `unwrap`/`expect`/`panic!`/`unreachable!` outside tests. This checker
+//! keeps only what no rustc or clippy lint says. It is a line/token
+//! scanner (no `syn`, no network, no build scripts) over the eight
+//! library crates (`runtime`, `linalg`, `index`, `graph`, `stats`,
+//! `datasets`, `core`, `serve`):
 //!
-//! * crate roots carry `#![forbid(unsafe_code)]` and
-//!   `#![deny(missing_docs)]`, and every `pub` item is documented;
-//! * no `unwrap()` / `expect(` / `panic!`-family calls in non-test library
-//!   code — fallible paths return `Error`s;
-//! * no bare `f64`/`f32` `==` / `!=` comparisons; exact sentinels go
+//! * every `pub` item is documented, including those in private modules
+//!   that rustc's `missing_docs` never sees;
+//! * no bare `f64`/`f32` `==` / `!=` against a float literal, zero
+//!   included (clippy's `float_cmp` exempts zero); exact sentinels go
 //!   through named helpers (`is_exactly_zero` / `is_exactly_one`);
-//! * every `pub enum …Error` stays `#[non_exhaustive]` with documented
-//!   variants.
+//! * every `pub enum …Error` stays `#[non_exhaustive]`.
 //!
 //! Justified exceptions need an inline `// lint: allow(<rule>)` marker
 //! *and* a registration with a reason in `crates/xtask/allow.list`;
 //! unregistered markers and stale registrations are violations themselves.
 //! See `DESIGN.md` ("Correctness tooling") for the full contract.
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 
 pub mod allowlist;
 pub mod analysis;
@@ -47,10 +46,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Crates under `crates/` exempt from the library-crate strict rules: the
+/// Crates under `crates/` exempt from the library-crate rules: the
 /// vendored offline shims (`rand`, `criterion`), the benchmark harness and
-/// this checker itself. Their roots are still checked for the mandatory
-/// attributes.
+/// this checker itself.
 const EXEMPT_CRATES: [&str; 4] = ["rand", "criterion", "bench", "xtask"];
 
 /// Workspace-relative location of the allowlist.
@@ -112,32 +110,13 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
                 path: &rel,
                 source: &source,
             };
-            if file.file_name().is_some_and(|f| f == "lib.rs") {
-                violations.extend(rules::check_root_attrs(&ctx));
-            }
             if strict {
-                rules::check_no_panic(&ctx, &mut outcome);
                 rules::check_float_eq(&ctx, &mut outcome);
                 rules::check_missing_docs(&ctx, &mut outcome);
                 rules::check_error_enum(&ctx, &mut outcome);
             }
             rules::collect_inline_allows(&ctx, &mut outcome);
         }
-    }
-
-    // Umbrella crate root (examples/integration tests live at the top).
-    let umbrella = root.join("src").join("lib.rs");
-    if umbrella.is_file() {
-        files_scanned += 1;
-        let text = fs::read_to_string(&umbrella)?;
-        let source = scanner::analyze(&text);
-        let rel = relative_path(root, &umbrella);
-        let ctx = FileContext {
-            path: &rel,
-            source: &source,
-        };
-        violations.extend(rules::check_root_attrs(&ctx));
-        rules::collect_inline_allows(&ctx, &mut outcome);
     }
 
     // Allowlist reconciliation.

@@ -9,10 +9,7 @@
 //! `2` usage or I/O error. `--json` emits one JSON object on stdout with
 //! the same fields for both passes, so CI can diff them uniformly.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: gssl-xtask <check|analyze> [--root PATH] [--json]";
@@ -61,8 +58,8 @@ fn main() -> ExitCode {
     run_analyze(&root, json)
 }
 
-/// Runs the PR-1 line-rule pass.
-fn run_check(root: &PathBuf, json: bool) -> ExitCode {
+/// Runs the line-rule pass.
+fn run_check(root: &Path, json: bool) -> ExitCode {
     match gssl_xtask::check_workspace(root) {
         Ok(report) => {
             if json {
@@ -100,7 +97,7 @@ fn run_check(root: &PathBuf, json: bool) -> ExitCode {
 
 /// Runs the semantic analyze pass (panic-reachability, shape contracts,
 /// concurrency lints, the perf pass, and the determinism pass).
-fn run_analyze(root: &PathBuf, json: bool) -> ExitCode {
+fn run_analyze(root: &Path, json: bool) -> ExitCode {
     match gssl_xtask::analysis::analyze_workspace(root) {
         Ok(report) => {
             if json {

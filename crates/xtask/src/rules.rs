@@ -12,18 +12,12 @@ use crate::scanner::SourceFile;
 /// The rules the checker knows about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Crate roots must carry `#![forbid(unsafe_code)]` and
-    /// `#![deny(missing_docs)]`.
-    RootAttrs,
     /// Every `pub` item must have a doc comment.
     MissingDoc,
-    /// No `unwrap()`/`expect(`/`panic!`-family calls in library code.
-    NoPanic,
     /// No bare `==`/`!=` against float literals; use the named helpers
     /// (`is_exactly_zero`/`is_exactly_one`) for exact sentinels.
     FloatEq,
-    /// `pub enum ...Error` must be `#[non_exhaustive]` with documented
-    /// variants.
+    /// `pub enum ...Error` must be `#[non_exhaustive]`.
     ErrorEnum,
     /// An inline `lint: allow(...)` marker has no allowlist registration.
     AllowUnlisted,
@@ -36,9 +30,7 @@ impl Rule {
     #[must_use]
     pub fn key(self) -> &'static str {
         match self {
-            Rule::RootAttrs => "root_attrs",
             Rule::MissingDoc => "missing_doc",
-            Rule::NoPanic => "no_panic",
             Rule::FloatEq => "float_eq",
             Rule::ErrorEnum => "error_enum",
             Rule::AllowUnlisted => "allow_unlisted",
@@ -50,9 +42,7 @@ impl Rule {
     #[must_use]
     pub fn from_key(key: &str) -> Option<Rule> {
         match key {
-            "root_attrs" => Some(Rule::RootAttrs),
             "missing_doc" => Some(Rule::MissingDoc),
-            "no_panic" => Some(Rule::NoPanic),
             "float_eq" => Some(Rule::FloatEq),
             "error_enum" => Some(Rule::ErrorEnum),
             "allow_unlisted" => Some(Rule::AllowUnlisted),
@@ -127,55 +117,6 @@ pub struct FileOutcome {
     pub violations: Vec<Violation>,
     /// All inline markers (used for allowlist reconciliation).
     pub allows: Vec<InlineAllow>,
-}
-
-/// Tokens whose presence in library code is a panic path.
-const PANIC_TOKENS: [&str; 6] = [
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-/// Checks a crate-root `lib.rs` for the required inner attributes.
-#[must_use]
-pub fn check_root_attrs(ctx: &FileContext<'_>) -> Vec<Violation> {
-    let mut missing = Vec::new();
-    for required in ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"] {
-        let found = ctx.source.lines.iter().any(|l| l.code.trim() == required);
-        if !found {
-            missing.push(Violation {
-                rule: Rule::RootAttrs,
-                file: ctx.path.to_owned(),
-                line: 1,
-                message: format!("crate root is missing `{required}`"),
-            });
-        }
-    }
-    missing
-}
-
-/// Scans for panic-path tokens in non-test code.
-pub fn check_no_panic(ctx: &FileContext<'_>, out: &mut FileOutcome) {
-    for (i, line) in ctx.source.lines.iter().enumerate() {
-        if ctx.source.test_mask[i] {
-            continue;
-        }
-        for token in PANIC_TOKENS {
-            if line.code.contains(token) {
-                report(
-                    ctx,
-                    out,
-                    i,
-                    Rule::NoPanic,
-                    format!("`{token}` in library code; return an Error instead"),
-                );
-                break;
-            }
-        }
-    }
 }
 
 /// Scans for bare `==`/`!=` comparisons against float literals.
@@ -348,8 +289,7 @@ fn has_doc_above(source: &SourceFile, item_line: usize) -> bool {
     false
 }
 
-/// Checks `pub enum …Error` declarations: `#[non_exhaustive]` plus a doc
-/// comment on every variant.
+/// Checks that `pub enum …Error` declarations are `#[non_exhaustive]`.
 pub fn check_error_enum(ctx: &FileContext<'_>, out: &mut FileOutcome) {
     for (i, line) in ctx.source.lines.iter().enumerate() {
         if ctx.source.test_mask[i] {
@@ -375,7 +315,6 @@ pub fn check_error_enum(ctx: &FileContext<'_>, out: &mut FileOutcome) {
                 format!("error enum `{name}` is not #[non_exhaustive]"),
             );
         }
-        check_variant_docs(ctx, out, i, &name);
     }
 }
 
@@ -395,58 +334,6 @@ fn has_attr_above(source: &SourceFile, item_line: usize, attr: &str) -> bool {
         return false;
     }
     false
-}
-
-/// Requires a doc comment on every variant of the enum starting at
-/// `enum_line` (variants are code lines at brace depth 1 starting with an
-/// uppercase identifier).
-fn check_variant_docs(ctx: &FileContext<'_>, out: &mut FileOutcome, enum_line: usize, name: &str) {
-    let mut depth = 0usize;
-    let mut started = false;
-    let mut pending_doc = false;
-    for i in enum_line..ctx.source.lines.len() {
-        let line = &ctx.source.lines[i];
-        let trimmed = line.code.trim();
-        if started && depth == 1 {
-            if line.is_doc {
-                pending_doc = true;
-            } else if trimmed.starts_with("#[") {
-                // attributes between doc and variant keep the pending doc
-            } else if trimmed
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_uppercase())
-            {
-                if !pending_doc {
-                    report(
-                        ctx,
-                        out,
-                        i,
-                        Rule::ErrorEnum,
-                        format!("undocumented variant of error enum `{name}`"),
-                    );
-                }
-                pending_doc = false;
-            } else if !trimmed.is_empty() {
-                pending_doc = false;
-            }
-        }
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    started = true;
-                }
-                '}' => {
-                    depth = depth.saturating_sub(1);
-                    if started && depth == 0 {
-                        return;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 /// Records a violation unless the line carries a matching inline allow;
@@ -507,7 +394,6 @@ mod tests {
             source: &source,
         };
         let mut out = FileOutcome::default();
-        check_no_panic(&ctx, &mut out);
         check_float_eq(&ctx, &mut out);
         check_missing_docs(&ctx, &mut out);
         check_error_enum(&ctx, &mut out);
@@ -516,24 +402,10 @@ mod tests {
     }
 
     #[test]
-    fn flags_unwrap_outside_tests() {
-        let out = run_all("x.rs", "fn f() { y.unwrap(); }");
-        assert_eq!(out.violations.len(), 1);
-        assert_eq!(out.violations[0].rule, Rule::NoPanic);
-    }
-
-    #[test]
-    fn ignores_unwrap_in_tests_and_docs() {
-        let src =
-            "/// y.unwrap()\nfn f() {}\n#[cfg(test)]\nmod tests {\n fn t() { y.unwrap(); }\n}";
+    fn ignores_float_equality_in_tests_and_docs() {
+        let src = "/// x == 0.0\nfn f() {}\n#[cfg(test)]\nmod tests {\n fn t() { x == 0.0; }\n}";
         let out = run_all("x.rs", src);
-        assert!(out.violations.iter().all(|v| v.rule != Rule::NoPanic));
-    }
-
-    #[test]
-    fn unwrap_or_is_not_a_panic() {
-        let out = run_all("x.rs", "fn f() { y.unwrap_or(0); z.unwrap_or_else(|| 1); }");
-        assert!(out.violations.iter().all(|v| v.rule != Rule::NoPanic));
+        assert!(out.violations.iter().all(|v| v.rule != Rule::FloatEq));
     }
 
     #[test]
@@ -610,15 +482,15 @@ mod tests {
     }
 
     #[test]
-    fn error_enum_needs_non_exhaustive_and_variant_docs() {
-        let bad = "/// doc\npub enum Error {\n    Broken,\n}";
+    fn error_enum_needs_non_exhaustive() {
+        let bad = "/// doc\npub enum Error {\n    /// documented\n    Broken,\n}";
         let out = run_all("x.rs", bad);
         assert_eq!(
             out.violations
                 .iter()
                 .filter(|v| v.rule == Rule::ErrorEnum)
                 .count(),
-            2
+            1
         );
 
         let good =
@@ -631,21 +503,5 @@ mod tests {
     fn non_error_enums_are_ignored() {
         let out = run_all("x.rs", "/// doc\npub enum Kernel {\n    Gaussian,\n}");
         assert!(out.violations.iter().all(|v| v.rule != Rule::ErrorEnum));
-    }
-
-    #[test]
-    fn root_attrs_detected() {
-        let source = analyze("#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n");
-        let ctx = FileContext {
-            path: "lib.rs",
-            source: &source,
-        };
-        assert!(check_root_attrs(&ctx).is_empty());
-        let source = analyze("#![warn(missing_docs)]\n");
-        let ctx = FileContext {
-            path: "lib.rs",
-            source: &source,
-        };
-        assert_eq!(check_root_attrs(&ctx).len(), 2);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * **nested `#[cfg(test)]` modules** — the old single-slot tracker was
 //!   overwritten by an inner `#[cfg(test)]` item, unmasking the tail of
-//!   the outer test module and producing false `no_panic` positives;
+//!   the outer test module and producing false positives;
 //! * **`'\''` char literals** — the old scanner mis-consumed the escaped
 //!   quote and desynchronized on the closing quote.
 
@@ -152,8 +152,8 @@ mod tests {
 
     #[test]
     fn extracts_line_comments() {
-        let f = analyze("let x = 1; // lint: allow(no_panic)");
-        assert!(f.lines[0].comment.contains("lint: allow(no_panic)"));
+        let f = analyze("let x = 1; // lint: allow(float_eq)");
+        assert!(f.lines[0].comment.contains("lint: allow(float_eq)"));
         assert!(!f.lines[0].code.contains("lint"));
     }
 

@@ -397,7 +397,7 @@ fn infer_expr_shape(
             let qual = (k >= at + 2 && toks[k - 1].is_punct(':') && toks[k - 2].is_punct(':'))
                 .then(|| toks.get(k.wrapping_sub(3)).map(|t| t.text.clone()))
                 .flatten();
-            let recv = (k >= at + 1 && toks[k - 1].is_punct('.') && k >= at + 2)
+            let recv = (k > at && toks[k - 1].is_punct('.') && k >= at + 2)
                 .then(|| toks[k - 2].text.clone());
             let entry = registry.resolve(qual.as_deref(), name)?;
             let args = top_level_args(toks, k + 1, end);
@@ -419,18 +419,24 @@ fn top_level_args<'a>(toks: &[&'a Tok], open: usize, end: usize) -> Vec<Vec<&'a 
         if t.is_punct('(') || t.is_punct('[') {
             depth += 1;
             if depth > 1 {
-                args.last_mut().map(|a| a.push(t));
+                if let Some(a) = args.last_mut() {
+                    a.push(t);
+                }
             }
         } else if t.is_punct(')') || t.is_punct(']') {
             depth -= 1;
             if depth == 0 {
                 break;
             }
-            args.last_mut().map(|a| a.push(t));
+            if let Some(a) = args.last_mut() {
+                a.push(t);
+            }
         } else if t.is_punct(',') && depth == 1 {
             args.push(Vec::new());
         } else if depth >= 1 {
-            args.last_mut().map(|a| a.push(t));
+            if let Some(a) = args.last_mut() {
+                a.push(t);
+            }
         }
         k += 1;
     }

@@ -54,14 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                             .original_order
                             .iter()
                             .position(|&o| o == v)
-                            .expect("validation point present");
+                            .ok_or("validation point present")?;
                         let predicted = scores.all()[row] >= 0.5;
                         if predicted == (ds.targets()[v] > 0.5) {
                             correct += 1;
                         }
                     }
                     let acc = correct as f64 / validation.len() as f64;
-                    if best.map_or(true, |(_, b)| acc > b) {
+                    if best.is_none_or(|(_, b)| acc > b) {
                         best = Some((h, acc));
                     }
                     format!("{acc:.2}")
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let (h_best, acc_best) = best.expect("at least one bandwidth fits");
+    let (h_best, acc_best) = best.ok_or("at least one bandwidth fits")?;
     println!("\nselected h = {h_best} (validation accuracy {acc_best:.2})");
     assert!(
         acc_best >= 0.99,

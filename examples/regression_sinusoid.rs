@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(7);
     let ds = sinusoidal_regression(n + m, 0.25, &mut rng)?;
     let ssl = ds.arrange_prefix(n)?;
-    let truth = ssl.hidden_truth.as_ref().expect("synthetic truth");
+    let truth = ssl.hidden_truth.as_ref().ok_or("synthetic truth")?;
 
     let h = paper_rate(n, 1)?;
     let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h)?;

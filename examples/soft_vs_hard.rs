@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(99);
     let ds = paper_dataset(PaperModel::Linear, n + m, &mut rng)?;
     let ssl = ds.arrange_prefix(n)?;
-    let truth = ssl.hidden_truth.as_ref().expect("synthetic truth");
+    let truth = ssl.hidden_truth.as_ref().ok_or("synthetic truth")?;
 
     let h = paper_rate(n, PAPER_DIM)?;
     let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h)?;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full workspace gate: format check (when rustfmt is installed), the
-# project's own static-analysis pass, release build, and the test suite
-# with and without the runtime numeric sanitizer.
+# project's own static-analysis pass, release build, clippy, and the test
+# suite with and without the runtime numeric sanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,20 +33,12 @@ cargo run -q -p gssl-xtask -- analyze --json || {
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo check --all-targets"
-# `cargo test` never compiles bench targets, so the Criterion benches
-# (and every other target) are type-checked here.
-cargo check --workspace --all-targets --offline
-
-echo "== cargo clippy doc lint (doc_lazy_continuation is an error)"
-# rustdoc folds a line written right after a list item into that item,
-# so an analyzer marker (`/// deterministic`, `/// hot`, ...) placed
-# after an `# Errors` list renders inside its last bullet. A blank `///`
-# line before the markers keeps them out of the list; the analyzer reads
-# markers anywhere in the doc block.
-cargo clippy --workspace --all-targets --offline -- \
-    -A clippy::all -A clippy::pedantic -A clippy::restriction \
-    -D clippy::doc_lazy_continuation
+echo "== cargo clippy --all-targets (warnings are errors)"
+# The one lint gate: the workspace lint table in Cargo.toml (forbid
+# unsafe, deny missing docs and the panic family outside tests), clippy's
+# default lints and rustc's warnings, all errors. Clippy type-checks every
+# target, the Criterion benches included, which `cargo test` never builds.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo doc (warnings are errors)"
 # Broken or private intra-doc links fail here, so a removed or renamed

@@ -9,9 +9,6 @@
 //! let _ = HardCriterion::new();
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub use gssl;
 pub use gssl_datasets as datasets;
 pub use gssl_graph as graph;

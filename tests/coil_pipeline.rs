@@ -1,6 +1,12 @@
 //! End-to-end test of the Figure 5 pipeline on the synthetic COIL
 //! library: render → median-heuristic RBF graph → criteria → AUC.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{HardCriterion, Problem, SoftCriterion};
 use gssl_datasets::coil::SyntheticCoil;
 use gssl_graph::{affinity::affinity_matrix, bandwidth::median_heuristic, Kernel};

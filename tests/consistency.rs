@@ -2,6 +2,11 @@
 //! unlabeled data vanishes as the labeled sample grows (with m fixed and
 //! the paper's bandwidth rate), while the mean predictor's does not.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::theory::TheoryDiagnostics;
 use gssl::{HardCriterion, MeanPredictor, NadarayaWatson, Problem};
 use gssl_datasets::synthetic::{paper_dataset, PaperModel, PAPER_DIM};

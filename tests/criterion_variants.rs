@@ -1,6 +1,11 @@
 //! Cross-variant integration test: every criterion in the crate fitted on
 //! the same realistic problem, with the orderings the theory predicts.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{
     Criterion, GsslModel, HardCriterion, LocalGlobalConsistency, MeanPredictor, NadarayaWatson,
     PLaplacian, Problem, SoftCriterion, TransductiveModel,

@@ -13,6 +13,13 @@
 //! `sim::enumerate_schedules` proves exhaustively for the claim protocol
 //! itself.
 
+#![allow(
+    clippy::expect_used,
+    clippy::needless_range_loop,
+    clippy::manual_pattern_char_comparison,
+    reason = "fixture helpers expect on known-valid inputs; the reference loops and marker scan keep their literal form"
+)]
+
 use gssl::cmn::argsort_scores;
 use gssl::{HardCriterion, OneVsRest, Problem, SoftCriterion};
 use gssl_graph::{

@@ -1,6 +1,11 @@
 //! Failure-injection tests: malformed inputs must surface as typed
 //! errors at the public API boundary, never as panics or silent garbage.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{Criterion, GsslModel, HardCriterion, Problem, SoftCriterion};
 use gssl_graph::{Bandwidth, Kernel};
 use gssl_linalg::Matrix;

@@ -14,6 +14,11 @@
 //! Gaussian weights call the platform's `f64::exp`, so the record holds
 //! for one target and libm.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{HardCriterion, HardSolver, Problem, SoftCriterion};
 use gssl_graph::{epsilon_graph_with, knn_graph, knn_graph_with, Kernel, Symmetrization};
 use gssl_linalg::{
@@ -232,7 +237,8 @@ fn digests() -> BTreeMap<String, u64> {
 
     // Symmetry verdicts on a fixed list of matrices and tolerances.
     let zero_stored = [(0, 1, 1.0), (0, 1, -1.0), (1, 0, 2.0)];
-    let cases: Vec<(usize, usize, Vec<(usize, usize, f64)>)> = vec![
+    type Triplets = Vec<(usize, usize, f64)>;
+    let cases: Vec<(usize, usize, Triplets)> = vec![
         (2, 2, vec![(0, 1, 1.0), (1, 0, 1.0)]),
         (2, 2, vec![(0, 1, 1.0)]),
         (2, 2, vec![(0, 1, 1.0), (1, 0, 1.0 + 1e-10)]),

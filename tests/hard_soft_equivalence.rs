@@ -1,6 +1,11 @@
 //! End-to-end checks of Proposition II.1 (soft → hard as λ → 0) and
 //! Proposition II.2 (soft → labeled mean as λ → ∞) on realistic data.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{HardCriterion, MeanPredictor, Problem, SoftCriterion};
 use gssl_datasets::synthetic::{paper_dataset, PaperModel, PAPER_DIM};
 use gssl_graph::{affinity::affinity_matrix, bandwidth::paper_rate, Kernel};

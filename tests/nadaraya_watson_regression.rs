@@ -2,6 +2,11 @@
 //! and the hard criterion on the sinusoidal dataset, with consistency
 //! (error shrinking in n) checked for both.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{kernel_regression, HardCriterion, Problem};
 use gssl_datasets::synthetic::sinusoidal_regression;
 use gssl_graph::{affinity::affinity_matrix, bandwidth::paper_rate, Kernel};

@@ -2,6 +2,11 @@
 //! Cholesky/LU, conjugate gradient, iterative propagation) coincide on
 //! realistic graphs, including sparse kNN constructions.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{HardCriterion, HardSolver, LabelPropagation, Problem, SweepKind};
 use gssl_datasets::synthetic::two_moons;
 use gssl_graph::{affinity::affinity_matrix, knn_graph, Kernel, Symmetrization};

@@ -2,6 +2,11 @@
 //! where the dense path would allocate hundreds of MB — now expressed
 //! through the unified `Problem` holding CSR weights.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
+)]
+
 use gssl::{HardCriterion, HardSolver, LabelPropagation, Problem};
 use gssl_datasets::synthetic::two_moons;
 use gssl_graph::{knn_graph, Kernel, Symmetrization};

@@ -7,6 +7,11 @@
 //! paper prescribes.
 
 #![cfg(feature = "strict-checks")]
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helpers outside #[test] functions build known-valid fixtures and assert error variants; a failure fails the test"
+)]
 
 use gssl::{Error, HardCriterion, NadarayaWatson, Problem, SoftCriterion, TransductiveModel};
 use gssl_linalg::Matrix;
@@ -101,7 +106,7 @@ fn sparse_pcg_factor_rejects_a_non_finite_stored_entry() {
 fn amg_factor_rejects_a_non_finite_stored_entry() {
     use gssl_linalg::{AmgCg, AmgOptions};
     let err =
-        AmgCg::factor_sparse(&path_laplacian_with_nan_edge(), AmgOptions::default()).unwrap_err();
+        AmgCg::factor_sparse(path_laplacian_with_nan_edge(), AmgOptions::default()).unwrap_err();
     assert_non_finite_at(err, "amg.factor input");
 }
 
