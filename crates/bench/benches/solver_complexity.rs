@@ -9,7 +9,10 @@
 )]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gssl::{HardCriterion, HardSolver, Problem, SoftCriterion, SweepKind};
+use gssl::{
+    HardCriterion, HardSolver, LabelPropagation, Problem, SoftCriterion, SweepKind,
+    TransductiveModel,
+};
 use gssl_datasets::synthetic::{paper_dataset, PaperModel, PAPER_DIM};
 use gssl_graph::{affinity::affinity_matrix, bandwidth::paper_rate, Kernel};
 use gssl_linalg::{AmgOptions, CsrMatrix, Matrix, SolverPolicy, SparseStrategy};
@@ -65,20 +68,20 @@ fn bench_hard_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("hard_backends_n200_m100");
     group.sample_size(10);
     let problem = build_problem(200, 100);
-    let backends: Vec<(&str, HardCriterion)> = vec![
-        ("cholesky", HardCriterion::new()),
-        ("lu", HardCriterion::new().solver(HardSolver::Lu)),
+    let backends: Vec<(&str, Box<dyn TransductiveModel>)> = vec![
+        ("cholesky", Box::new(HardCriterion::new())),
+        ("lu", Box::new(HardCriterion::new().solver(HardSolver::Lu))),
         (
             "conjugate_gradient",
-            HardCriterion::new().solver(HardSolver::ConjugateGradient(Default::default())),
+            Box::new(forced(SparseStrategy::Jacobi)),
         ),
         (
             "propagation_jacobi",
-            HardCriterion::new().solver(HardSolver::Propagation(SweepKind::Simultaneous)),
+            Box::new(LabelPropagation::new().sweep(SweepKind::Simultaneous)),
         ),
         (
             "propagation_gauss_seidel",
-            HardCriterion::new().solver(HardSolver::Propagation(SweepKind::InPlace)),
+            Box::new(LabelPropagation::new().sweep(SweepKind::InPlace)),
         ),
     ];
     for (name, solver) in backends {
@@ -127,7 +130,7 @@ fn bench_dense_vs_sparse_cg_crossover(c: &mut Criterion) {
             b.iter(|| direct.fit(p).expect("dense direct fit"));
         });
         group.bench_with_input(BenchmarkId::new("sparse_cg", total), &sparse, |b, p| {
-            let cg = HardCriterion::new().solver(HardSolver::ConjugateGradient(Default::default()));
+            let cg = forced(SparseStrategy::Jacobi);
             b.iter(|| cg.fit(p).expect("sparse cg fit"));
         });
         group.bench_with_input(BenchmarkId::new("auto_dense", total), &dense, |b, p| {

@@ -12,18 +12,16 @@
 use crate::error::{Error, Result};
 use crate::multiclass::MulticlassScores;
 use crate::problem::{Problem, Scores};
-use crate::propagation::{LabelPropagation, SweepKind};
 use crate::traits::TransductiveModel;
 use crate::weights::Weights;
-use gssl_linalg::{
-    strict, CgOptions, Cholesky, Factorization, Lu, Matrix, PrecondCg, SolverBackend, SolverPolicy,
-};
+use gssl_linalg::{strict, Cholesky, Factorization, Lu, Matrix, SolverBackend, SolverPolicy};
 
 /// Numerical backend used to solve the `m × m` hard-criterion system.
 ///
-/// Each variant (except `Propagation`) is a thin policy alias resolving to
-/// a [`gssl_linalg::Factorization`] backend; the actual solve always runs
-/// through that shared layer.
+/// Each variant resolves to a [`gssl_linalg::Factorization`] backend; the
+/// actual solve always runs through that shared layer. Jacobi-preconditioned
+/// CG is `Auto` with [`gssl_linalg::SparseStrategy::Jacobi`]; label
+/// propagation is [`crate::LabelPropagation`].
 #[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub enum HardSolver {
@@ -34,13 +32,8 @@ pub enum HardSolver {
     /// LU with partial pivoting — slightly more robust to borderline
     /// conditioning, twice the work of Cholesky.
     Lu,
-    /// Jacobi-preconditioned conjugate gradient over the CSR-assembled
-    /// system — never densifies, whatever representation the problem holds.
-    ConjugateGradient(CgOptions),
-    /// Iterative label propagation (Jacobi or Gauss–Seidel sweeps).
-    Propagation(SweepKind),
     /// Let a [`SolverPolicy`] pick the backend from system size, symmetry,
-    /// and nonzero density.
+    /// and nonzero density, or force an iterative one.
     Auto(SolverPolicy),
 }
 
@@ -104,10 +97,9 @@ impl HardCriterion {
     }
 
     /// Resolves the configured solver to a factored backend for this
-    /// problem's `D₂₂ − W₂₂` system. Direct backends assemble densely, the
-    /// CG backend assembles in CSR (no densification), and `Auto` defers
-    /// to its [`SolverPolicy`] on whichever representation the problem
-    /// holds.
+    /// problem's `D₂₂ − W₂₂` system. Direct backends assemble densely, and
+    /// `Auto` defers to its [`SolverPolicy`] on whichever representation
+    /// the problem holds.
     fn factor_for(&self, problem: &Problem) -> Result<SolverBackend> {
         match &self.solver {
             HardSolver::Cholesky => Ok(SolverBackend::Cholesky(Cholesky::factor_with(
@@ -118,10 +110,6 @@ impl HardCriterion {
                 &problem.unlabeled_system()?,
                 &self.executor,
             )?)),
-            HardSolver::ConjugateGradient(options) => Ok(SolverBackend::Cg(
-                PrecondCg::factor_sparse(problem.unlabeled_system_csr()?, options.clone())?
-                    .with_executor(self.executor.clone()),
-            )),
             HardSolver::Auto(policy) => {
                 // The criterion's executor wins when one was set; otherwise
                 // the policy keeps whatever executor it was built with.
@@ -137,10 +125,6 @@ impl HardCriterion {
                     }
                 }
             }
-            HardSolver::Propagation(_) => Err(Error::InvalidParameter {
-                message: "the propagation backend solves iteratively and has no factorization"
-                    .to_owned(),
-            }),
         }
     }
 
@@ -159,9 +143,6 @@ impl HardCriterion {
         if problem.n_unlabeled() == 0 {
             return Ok(Scores::from_parts(problem.labels(), &[]));
         }
-        if let HardSolver::Propagation(sweep) = &self.solver {
-            return LabelPropagation::new().sweep(*sweep).fit(problem);
-        }
         let backend = self.factor_for(problem)?;
         let unlabeled = backend.solve(&problem.unlabeled_rhs()?)?;
         strict::check_finite("hard criterion output", unlabeled.as_slice())?;
@@ -178,9 +159,8 @@ impl HardCriterion {
     /// `0..class_count`. Produces the same scores as fitting
     /// [`crate::OneVsRest`] over this criterion class by class.
     ///
-    /// Every backend that resolves to a [`gssl_linalg::Factorization`]
-    /// (Cholesky, LU, CG, `Auto`) shares one handle across all classes;
-    /// only the propagation backend falls back to one fit per class.
+    /// Every backend (Cholesky, LU, `Auto`) shares one factored handle
+    /// across all classes.
     ///
     /// # Errors
     ///
@@ -238,26 +218,10 @@ impl HardCriterion {
             return Ok(MulticlassScores::from_matrix(scores, n));
         }
 
-        let unlabeled = match &self.solver {
-            HardSolver::Propagation(sweep) => {
-                let mut out = Matrix::zeros(m, class_count);
-                for c in 0..class_count {
-                    let class_problem =
-                        Problem::new(weights.clone(), indicators.col(c).into_inner())?;
-                    let fitted = LabelPropagation::new().sweep(*sweep).fit(&class_problem)?;
-                    for (a, &s) in fitted.unlabeled().iter().enumerate() {
-                        out.set(a, c, s);
-                    }
-                }
-                out
-            }
-            _ => {
-                // One shared factorization for every class: only the RHS
-                // block W₂₁ Y_ind changes per class.
-                let rhs = problem.weight_blocks()?.a21.matmul(&indicators)?;
-                self.factor_for(&problem)?.solve_matrix(&rhs)?
-            }
-        };
+        // One shared factorization for every class: only the RHS block
+        // W₂₁ Y_ind changes per class.
+        let rhs = problem.weight_blocks()?.a21.matmul(&indicators)?;
+        let unlabeled = self.factor_for(&problem)?.solve_matrix(&rhs)?;
         strict::check_finite_matrix("hard multiclass output", &unlabeled)?;
         for a in 0..m {
             for c in 0..class_count {
@@ -281,7 +245,16 @@ impl TransductiveModel for HardCriterion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gssl_linalg::Matrix;
+    use crate::propagation::{LabelPropagation, SweepKind};
+    use gssl_linalg::{CgOptions, Matrix, SparseStrategy};
+
+    /// Jacobi-preconditioned CG through the policy.
+    fn jacobi_cg(cg: CgOptions) -> HardSolver {
+        HardSolver::Auto(SolverPolicy {
+            sparse: SparseStrategy::Jacobi,
+            ..SolverPolicy::with_cg(cg)
+        })
+    }
 
     fn sample_problem() -> Problem {
         let w = Matrix::from_rows(&[
@@ -294,17 +267,29 @@ mod tests {
         Problem::new(w, vec![1.0, 0.0]).unwrap()
     }
 
-    fn all_backends() -> Vec<HardCriterion> {
+    fn all_backends() -> Vec<(&'static str, Box<dyn TransductiveModel>)> {
         vec![
-            HardCriterion::new(),
-            HardCriterion::new().solver(HardSolver::Lu),
-            HardCriterion::new().solver(HardSolver::ConjugateGradient(CgOptions {
-                tolerance: 1e-12,
-                ..CgOptions::default()
-            })),
-            HardCriterion::new().solver(HardSolver::Propagation(SweepKind::Simultaneous)),
-            HardCriterion::new().solver(HardSolver::Propagation(SweepKind::InPlace)),
-            HardCriterion::new().solver(HardSolver::Auto(SolverPolicy::default())),
+            ("cholesky", Box::new(HardCriterion::new())),
+            ("lu", Box::new(HardCriterion::new().solver(HardSolver::Lu))),
+            (
+                "jacobi-cg",
+                Box::new(HardCriterion::new().solver(jacobi_cg(CgOptions {
+                    tolerance: 1e-12,
+                    ..CgOptions::default()
+                }))),
+            ),
+            (
+                "propagation-jacobi",
+                Box::new(LabelPropagation::new().sweep(SweepKind::Simultaneous)),
+            ),
+            (
+                "propagation-gauss-seidel",
+                Box::new(LabelPropagation::new().sweep(SweepKind::InPlace)),
+            ),
+            (
+                "auto",
+                Box::new(HardCriterion::new().solver(HardSolver::Auto(SolverPolicy::default()))),
+            ),
         ]
     }
 
@@ -312,14 +297,10 @@ mod tests {
     fn all_backends_agree() {
         let p = sample_problem();
         let reference = HardCriterion::new().fit(&p).unwrap();
-        for backend in all_backends() {
+        for (name, backend) in all_backends() {
             let scores = backend.fit(&p).unwrap();
             for (a, b) in reference.unlabeled().iter().zip(scores.unlabeled()) {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "{:?} disagrees: {a} vs {b}",
-                    backend.solver_kind()
-                );
+                assert!((a - b).abs() < 1e-6, "{name} disagrees: {a} vs {b}");
             }
         }
     }
@@ -417,7 +398,7 @@ mod tests {
         for solver in [
             HardSolver::Cholesky,
             HardSolver::Lu,
-            HardSolver::ConjugateGradient(CgOptions::default()),
+            jacobi_cg(CgOptions::default()),
             HardSolver::Auto(SolverPolicy::default()),
         ] {
             let reference = HardCriterion::new().solver(solver.clone()).fit(&p).unwrap();
@@ -440,11 +421,14 @@ mod tests {
     fn rejects_unanchored_problems() {
         let w = Matrix::from_rows(&[&[1.0, 0.5, 0.0], &[0.5, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
         let p = Problem::new(w, vec![1.0]).unwrap();
-        for backend in all_backends() {
-            assert!(matches!(
-                backend.fit(&p),
-                Err(Error::UnanchoredUnlabeled { unlabeled_index: 1 })
-            ));
+        for (name, backend) in all_backends() {
+            assert!(
+                matches!(
+                    backend.fit(&p),
+                    Err(Error::UnanchoredUnlabeled { unlabeled_index: 1 })
+                ),
+                "{name}"
+            );
         }
     }
 
@@ -476,7 +460,7 @@ mod tests {
         let w = gssl_linalg::CsrMatrix::from_triplets(total, total, &triplets).unwrap();
         let p = Problem::new(w, vec![0.0, 1.0]).unwrap();
         let scores = HardCriterion::new()
-            .solver(HardSolver::ConjugateGradient(CgOptions {
+            .solver(jacobi_cg(CgOptions {
                 tolerance: 1e-13,
                 ..CgOptions::default()
             }))

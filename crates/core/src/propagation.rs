@@ -8,14 +8,14 @@
 //! f_U ← D₂₂⁻¹ (W₂₁ Y + W₂₂ f_U)
 //! ```
 //!
-//! which is exactly Jacobi iteration on `(D₂₂ − W₂₂) f_U = W₂₁ Y`. This
-//! backend scales to sparse graphs where direct solves are too expensive.
+//! which is exactly Jacobi iteration on `(D₂₂ − W₂₂) f_U = W₂₁ Y`. Each
+//! sweep walks the stored entries of the unlabeled rows of `W` through
+//! [`crate::Weights::row_entries`], so dense and CSR weights run the same
+//! matrix-free loop and the `m × m` system is never assembled.
 
 use crate::error::{Error, Result};
 use crate::problem::{Problem, Scores};
 use crate::traits::TransductiveModel;
-use gssl_linalg::stationary::{gauss_seidel, jacobi, IterationOptions};
-use gssl_linalg::CsrMatrix;
 
 /// Which sweep order the propagation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -45,10 +45,23 @@ pub enum SweepKind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabelPropagation {
     sweep: SweepKind,
-    options: IterationOptions,
+    /// Sweep budget; 0 means `100·m` clamped to `[1000, 100 000]`.
+    max_iterations: usize,
+    /// Largest max-norm change of a sweep that counts as converged.
+    tolerance: f64,
+}
+
+impl Default for LabelPropagation {
+    fn default() -> Self {
+        LabelPropagation {
+            sweep: SweepKind::default(),
+            max_iterations: 0,
+            tolerance: 1e-10,
+        }
+    }
 }
 
 impl LabelPropagation {
@@ -66,13 +79,13 @@ impl LabelPropagation {
 
     /// Sets the maximum number of sweeps (0 = automatic).
     pub fn max_iterations(mut self, max_iterations: usize) -> Self {
-        self.options.max_iterations = max_iterations;
+        self.max_iterations = max_iterations;
         self
     }
 
     /// Sets the convergence tolerance on the max-norm change per sweep.
     pub fn tolerance(mut self, tolerance: f64) -> Self {
-        self.options.tolerance = tolerance;
+        self.tolerance = tolerance;
         self
     }
 
@@ -92,36 +105,23 @@ impl LabelPropagation {
         if problem.n_unlabeled() == 0 {
             return Ok((Scores::from_parts(problem.labels(), &[]), 0));
         }
-        if let Some(w) = problem.weights().as_sparse() {
-            return self.fit_sparse(problem, w);
-        }
-        let system = problem.unlabeled_system()?;
-        let rhs = problem.unlabeled_rhs()?;
-        let outcome = match self.sweep {
-            SweepKind::Simultaneous => jacobi(&system, &rhs, None, &self.options),
-            SweepKind::InPlace => gauss_seidel(&system, &rhs, None, &self.options),
-        }
-        .map_err(Error::from)?;
-        Ok((
-            Scores::from_parts(problem.labels(), outcome.solution.as_slice()),
-            outcome.iterations,
-        ))
+        self.propagate(problem)
     }
 
-    /// Matrix-free sweeps over the CSR structure: the `m × m` system is
-    /// never assembled, each sweep walks the stored edges of the unlabeled
-    /// rows directly. An exhausted budget reports the last iterate's
-    /// residual `‖(D₂₂ − W₂₂) f − W₂₁ Y‖₂`, as the dense sweeps do, from
-    /// one product of the stored `W` with `[Y; f]`.
-    fn fit_sparse(&self, problem: &Problem, w: &CsrMatrix) -> Result<(Scores, usize)> {
+    /// Matrix-free sweeps over the stored entries of the unlabeled rows of
+    /// `W`, whichever representation holds them. An exhausted budget
+    /// reports the last iterate's residual `‖(D₂₂ − W₂₂) f − W₂₁ Y‖₂`,
+    /// from one product of those rows with `[Y; f]`.
+    fn propagate(&self, problem: &Problem) -> Result<(Scores, usize)> {
         let n = problem.n_labeled();
         let m = problem.n_unlabeled();
+        let w = problem.weights();
         let degrees = problem.degrees();
         let rhs = problem.unlabeled_rhs()?;
-        let budget = if self.options.max_iterations == 0 {
+        let budget = if self.max_iterations == 0 {
             (100 * m).clamp(1000, 100_000)
         } else {
-            self.options.max_iterations
+            self.max_iterations
         };
         let mut f = vec![0.0; m];
         let mut next = vec![0.0; m];
@@ -131,7 +131,7 @@ impl LabelPropagation {
                 let i = n + a;
                 let mut numerator = rhs[a];
                 let mut diagonal = degrees[i];
-                for (j, v) in w.row_iter(i) {
+                for (j, v) in w.row_entries(i) {
                     if j == i {
                         diagonal -= v;
                     } else if j >= n {
@@ -159,19 +159,21 @@ impl LabelPropagation {
                 next[a] = value;
             }
             std::mem::swap(&mut f, &mut next);
-            if change <= self.options.tolerance {
+            if change <= self.tolerance {
                 return Ok((Scores::from_parts(problem.labels(), &f), sweep));
             }
         }
         // Row i of W [Y; f] is W₂₁ Y + W₂₂ f, self-loop included, so the
         // residual row is d_i f_a minus it.
         let scores: Vec<f64> = problem.labels().iter().chain(&f).copied().collect();
-        let propagated = w.matvec(&scores);
-        let residual = degrees.as_slice()[n..]
-            .iter()
+        let residual = (n..n + m)
             .zip(&f)
-            .zip(&propagated[n..])
-            .map(|((d, fa), wf)| (d * fa - wf).powi(2))
+            .map(|(i, fa)| {
+                let wf = w
+                    .row_entries(i)
+                    .fold(0.0, |sum, (j, v)| sum + v * scores[j]);
+                (degrees[i] * fa - wf).powi(2)
+            })
             .sum::<f64>()
             .sqrt();
         Err(Error::Linalg(gssl_linalg::Error::NotConverged {
@@ -197,7 +199,48 @@ impl TransductiveModel for LabelPropagation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gssl_linalg::Matrix;
+    use gssl_graph::{affinity::affinity_matrix, Kernel};
+    use gssl_linalg::{CsrMatrix, Matrix};
+
+    /// The dense Jacobi / Gauss–Seidel loop over the assembled
+    /// `D₂₂ − W₂₂` system — the bitwise oracle for the one sweep. Returns
+    /// the unlabeled scores and the sweep count at the default tolerance
+    /// and budget.
+    fn dense_oracle(problem: &Problem, sweep: SweepKind) -> (Vec<f64>, usize) {
+        let a = problem.unlabeled_system().unwrap();
+        let b = problem.unlabeled_rhs().unwrap();
+        let m = a.rows();
+        let mut x = vec![0.0; m];
+        let mut next = vec![0.0; m];
+        for sweeps in 1..=(100 * m).clamp(1000, 100_000) {
+            let mut change: f64 = 0.0;
+            for i in 0..m {
+                let mut sum = b[i];
+                for (j, (&a_ij, &xj)) in a.row(i).iter().zip(&x).enumerate() {
+                    if j != i {
+                        sum -= a_ij * xj;
+                    }
+                }
+                let xi = sum / a.get(i, i);
+                change = change.max((xi - x[i]).abs());
+                match sweep {
+                    SweepKind::Simultaneous => next[i] = xi,
+                    SweepKind::InPlace => x[i] = xi,
+                }
+            }
+            if sweep == SweepKind::Simultaneous {
+                std::mem::swap(&mut x, &mut next);
+            }
+            if change <= 1e-10 {
+                return (x, sweeps);
+            }
+        }
+        panic!("the dense oracle did not converge");
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn chain_problem() -> Problem {
         let w = Matrix::from_rows(&[
@@ -288,8 +331,9 @@ mod tests {
                 .collect();
             let (dense_r, sparse_r) = (residuals[0], residuals[1]);
             assert!(dense_r.is_finite() && dense_r > 0.0, "{sweep:?}: {dense_r}");
-            assert!(
-                (sparse_r - dense_r).abs() <= 1e-9 * dense_r,
+            assert_eq!(
+                dense_r.to_bits(),
+                sparse_r.to_bits(),
                 "{sweep:?}: sparse {sparse_r} vs dense {dense_r}"
             );
         }
@@ -307,13 +351,50 @@ mod tests {
     #[test]
     fn sparse_representation_matches_dense() {
         let dense = chain_problem();
-        let csr = gssl_linalg::CsrMatrix::from_dense(dense.dense_weights().unwrap(), 0.0);
+        let csr = CsrMatrix::from_dense(dense.dense_weights().unwrap(), 0.0);
         let sparse = Problem::new(csr, dense.labels().to_vec()).unwrap();
         for sweep in [SweepKind::Simultaneous, SweepKind::InPlace] {
-            let a = LabelPropagation::new().sweep(sweep).fit(&dense).unwrap();
-            let b = LabelPropagation::new().sweep(sweep).fit(&sparse).unwrap();
-            for (x, y) in a.unlabeled().iter().zip(b.unlabeled()) {
-                assert!((x - y).abs() < 1e-7, "{sweep:?}: {x} vs {y}");
+            let propagation = LabelPropagation::new().sweep(sweep);
+            let (a, a_sweeps) = propagation.fit_with_iterations(&dense).unwrap();
+            let (b, b_sweeps) = propagation.fit_with_iterations(&sparse).unwrap();
+            assert_eq!(bits(a.all()), bits(b.all()), "{sweep:?}");
+            assert_eq!(a_sweeps, b_sweeps, "{sweep:?}");
+        }
+    }
+
+    #[test]
+    fn one_sweep_matches_the_dense_oracle_bitwise() {
+        for seed in 0..3 {
+            // The R2 low-discrepancy sequence: well spread over the square.
+            let pts = Matrix::from_fn(50, 2, |i, j| {
+                let step = [0.754_877_666_246_692_8, 0.569_840_290_998_053_3][j];
+                (0.5 + (i + 50 * seed) as f64 * step).fract()
+            });
+            let labels: Vec<f64> = (0..8).map(|i| f64::from(i % 2)).collect();
+            for kernel in [
+                Kernel::Gaussian,
+                Kernel::Epanechnikov,
+                Kernel::Boxcar,
+                Kernel::Tricube,
+            ] {
+                let w = affinity_matrix(&pts, kernel, 0.45).unwrap();
+                // Compact kernels leave exact zeros for the sweep to skip.
+                assert_eq!(
+                    kernel.is_compactly_supported(),
+                    w.as_slice().contains(&0.0),
+                    "{kernel}"
+                );
+                let problem = Problem::new(w, labels.clone()).unwrap();
+                for sweep in [SweepKind::Simultaneous, SweepKind::InPlace] {
+                    let (scores, sweeps) = LabelPropagation::new()
+                        .sweep(sweep)
+                        .fit_with_iterations(&problem)
+                        .unwrap();
+                    let (oracle, oracle_sweeps) = dense_oracle(&problem, sweep);
+                    let context = format!("seed {seed}, {kernel}, {sweep:?}");
+                    assert_eq!(bits(scores.unlabeled()), bits(&oracle), "{context}");
+                    assert_eq!(sweeps, oracle_sweeps, "{context}");
+                }
             }
         }
     }

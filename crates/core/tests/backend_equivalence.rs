@@ -76,18 +76,12 @@ fn assert_scores_close(got: &Scores, want: &Scores, tol: f64, context: &str) {
 }
 
 /// Every hard backend the factorization layer can dispatch to, including
-/// a forced-strategy `Auto` route per preconditioner family and AMG.
+/// a forced-strategy `Auto` route per preconditioner family and AMG (the
+/// forced Jacobi route is the Jacobi-preconditioned CG solver).
 fn hard_backends() -> Vec<(&'static str, HardSolver)> {
     let mut backends = vec![
         ("cholesky", HardSolver::Cholesky),
         ("lu", HardSolver::Lu),
-        (
-            "cg",
-            HardSolver::ConjugateGradient(CgOptions {
-                max_iterations: 0,
-                tolerance: 1e-12,
-            }),
-        ),
         ("auto", HardSolver::Auto(SolverPolicy::default())),
     ];
     for (name, policy) in forced_iterative_policies() {

@@ -10,7 +10,7 @@ use gssl::{
     HardCriterion, HardSolver, LabelPropagation, MeanPredictor, NadarayaWatson, Problem,
     SoftCriterion, SweepKind, TransductiveModel,
 };
-use gssl_linalg::Matrix;
+use gssl_linalg::{Matrix, SolverPolicy, SparseStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -159,11 +159,15 @@ fn all_hard_backends_agree() {
     for_cases(|rng| {
         let p = Problem::new(affinity(rng), labels(rng)).unwrap();
         let reference = HardCriterion::new().fit(&p).unwrap();
-        let backends = [
-            HardCriterion::new().solver(HardSolver::Lu),
-            HardCriterion::new().solver(HardSolver::ConjugateGradient(Default::default())),
-            HardCriterion::new().solver(HardSolver::Propagation(SweepKind::Simultaneous)),
-            HardCriterion::new().solver(HardSolver::Propagation(SweepKind::InPlace)),
+        let jacobi_cg = SolverPolicy {
+            sparse: SparseStrategy::Jacobi,
+            ..SolverPolicy::default()
+        };
+        let backends: [Box<dyn TransductiveModel>; 4] = [
+            Box::new(HardCriterion::new().solver(HardSolver::Lu)),
+            Box::new(HardCriterion::new().solver(HardSolver::Auto(jacobi_cg))),
+            Box::new(LabelPropagation::new().sweep(SweepKind::Simultaneous)),
+            Box::new(LabelPropagation::new().sweep(SweepKind::InPlace)),
         ];
         for backend in backends {
             let scores = backend.fit(&p).unwrap();

@@ -1,17 +1,16 @@
 //! Dense affinity (similarity) matrices: `W = [w_ij]` with
 //! `w_ij = K(‖x_i − x_j‖ / h)`.
+//!
+//! Each builder is one sequential loop over the upper triangle, mirrored
+//! into the lower one as it goes. A pooled assembly would have to carry
+//! every row's upper tail (`n²/2` extra `f64`) from the workers to the
+//! mirroring pass, and on a 2-core host it ran slower than this loop at
+//! every size from 500 to 4 000 points.
 
 use crate::bandwidth::{squared_distance, Bandwidth};
 use crate::error::{Error, Result};
 use crate::kernel::Kernel;
 use gssl_linalg::Matrix;
-use gssl_runtime::Executor;
-
-/// Row-block width used by the parallel assembly paths: a few blocks per
-/// worker so stragglers even out without shredding cache locality.
-fn row_block(rows: usize, executor: &Executor) -> usize {
-    rows.div_ceil(executor.workers().saturating_mul(4)).max(1)
-}
 
 /// Pairwise squared-distance matrix of a point set (rows are points).
 ///
@@ -53,54 +52,6 @@ pub fn pairwise_squared_distances(points: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// [`pairwise_squared_distances`] with the row loop sharded across
-/// `executor`, producing a matrix **bit-identical** to the sequential one.
-///
-/// Each worker computes the strict upper-triangle tail of a block of rows
-/// — every `d²(i, j)` by the same `squared_distance` call as the
-/// sequential path — and the tails are mirrored into the matrix in row
-/// order afterwards, so worker count never changes a single bit.
-///
-/// # Errors
-///
-/// Same as [`pairwise_squared_distances`].
-/// shape: (points.rows, points.rows)
-/// hot
-/// complexity: O(n^2 * d)
-/// deterministic
-pub fn pairwise_squared_distances_with(points: &Matrix, executor: &Executor) -> Result<Matrix> {
-    if executor.is_sequential() {
-        return pairwise_squared_distances(points);
-    }
-    let n = points.rows();
-    if n == 0 {
-        return Err(Error::EmptyInput {
-            required: "at least one point",
-        });
-    }
-    let tails: Vec<Vec<f64>> = executor.map_chunks(n, row_block(n, executor), |range| {
-        let mut rows = Vec::with_capacity(range.len());
-        for i in range {
-            let row_i = points.row(i);
-            let mut tail = Vec::with_capacity(n - i - 1);
-            for j in (i + 1)..n {
-                tail.push(squared_distance(row_i, points.row(j)));
-            }
-            rows.push(tail);
-        }
-        Ok::<_, Error>(rows)
-    })?;
-    let mut out = Matrix::zeros(n, n);
-    for (i, tail) in tails.iter().enumerate() {
-        for (offset, &d2) in tail.iter().enumerate() {
-            let j = i + 1 + offset;
-            out.set(i, j, d2);
-            out.set(j, i, d2);
-        }
-    }
-    Ok(out)
-}
-
 /// Builds the dense affinity matrix `W` for `points` (rows are points)
 /// using `kernel` at a concrete `bandwidth`.
 ///
@@ -125,29 +76,6 @@ pub fn affinity_matrix(points: &Matrix, kernel: Kernel, bandwidth: f64) -> Resul
     affinity_from_distances(&d2, kernel, bandwidth)
 }
 
-/// [`affinity_matrix`] with both the distance and kernel passes sharded
-/// across `executor`; output bit-identical to the sequential one.
-///
-/// # Errors
-///
-/// Same as [`affinity_matrix`].
-/// shape: (points.rows, points.rows)
-/// hot
-/// complexity: O(n^2 * d)
-/// deterministic
-pub fn affinity_matrix_with(
-    points: &Matrix,
-    kernel: Kernel,
-    bandwidth: f64,
-    executor: &Executor,
-) -> Result<Matrix> {
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
-    let d2 = pairwise_squared_distances_with(points, executor)?;
-    affinity_from_distances_with(&d2, kernel, bandwidth, executor)
-}
-
 /// Builds the affinity matrix from a precomputed squared-distance matrix.
 ///
 /// Useful when several bandwidths or kernels are swept over the same point
@@ -156,7 +84,8 @@ pub fn affinity_matrix_with(
 ///
 /// # Errors
 ///
-/// * [`Error::InvalidArgument`] when `squared_distances` is not square.
+/// * [`Error::InvalidArgument`] when `squared_distances` is not square,
+///   or when an upper-triangle entry is negative or NaN.
 /// * [`Error::InvalidBandwidth`] when `bandwidth <= 0`.
 ///
 /// shape: (squared_distances.rows, squared_distances.cols)
@@ -187,80 +116,12 @@ pub fn affinity_from_distances(
         w.set(i, i, diagonal);
         for j in (i + 1)..n {
             let d2 = squared_distances.get(i, j);
-            if d2 < 0.0 {
+            if !(d2 >= 0.0) {
                 return Err(Error::InvalidArgument {
                     message: format!("squared distance must be nonnegative, got {d2}"),
                 });
             }
             let weight = kernel.weight_unchecked(d2, bandwidth);
-            w.set(i, j, weight);
-            w.set(j, i, weight);
-        }
-    }
-    Ok(w)
-}
-
-/// [`affinity_from_distances`] with the kernel evaluation sharded across
-/// `executor`; output bit-identical to the sequential one.
-///
-/// Each worker evaluates `kernel.weight` over the upper-triangle tail of a
-/// block of rows (plus the row's diagonal `K(0)`), in the same order as
-/// the sequential double loop; the tails are then mirrored in row order.
-///
-/// # Errors
-///
-/// Same as [`affinity_from_distances`].
-/// shape: (squared_distances.rows, squared_distances.cols)
-/// hot
-/// complexity: O(n^2)
-/// deterministic
-pub fn affinity_from_distances_with(
-    squared_distances: &Matrix,
-    kernel: Kernel,
-    bandwidth: f64,
-    executor: &Executor,
-) -> Result<Matrix> {
-    if executor.is_sequential() {
-        return affinity_from_distances(squared_distances, kernel, bandwidth);
-    }
-    if !squared_distances.is_square() {
-        return Err(Error::InvalidArgument {
-            message: format!(
-                "squared-distance matrix must be square, got {}x{}",
-                squared_distances.rows(),
-                squared_distances.cols()
-            ),
-        });
-    }
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
-    let n = squared_distances.rows();
-    let diagonal = kernel.weight_unchecked(0.0, bandwidth);
-    // Per row: the diagonal weight K(0) followed by the strict upper tail.
-    let tails: Vec<Vec<f64>> = executor.map_chunks(n, row_block(n, executor), |range| {
-        let mut rows = Vec::with_capacity(range.len());
-        for i in range {
-            let mut tail = Vec::with_capacity(n - i);
-            tail.push(diagonal);
-            for j in (i + 1)..n {
-                let d2 = squared_distances.get(i, j);
-                if d2 < 0.0 {
-                    return Err(Error::InvalidArgument {
-                        message: format!("squared distance must be nonnegative, got {d2}"),
-                    });
-                }
-                tail.push(kernel.weight_unchecked(d2, bandwidth));
-            }
-            rows.push(tail);
-        }
-        Ok::<_, Error>(rows)
-    })?;
-    let mut w = Matrix::zeros(n, n);
-    for (i, tail) in tails.iter().enumerate() {
-        w.set(i, i, tail[0]);
-        for (offset, &weight) in tail[1..].iter().enumerate() {
-            let j = i + 1 + offset;
             w.set(i, j, weight);
             w.set(j, i, weight);
         }
@@ -353,6 +214,19 @@ mod tests {
             Err(Error::EmptyInput { .. })
         ));
         assert!(affinity_from_distances(&Matrix::zeros(2, 3), Kernel::Gaussian, 1.0).is_err());
+        for bad in [-1.0, f64::NAN] {
+            let mut d2 = pairwise_squared_distances(&triangle()).unwrap();
+            d2.set(0, 2, bad);
+            for kernel in Kernel::all() {
+                assert!(
+                    matches!(
+                        affinity_from_distances(&d2, kernel, 1.0),
+                        Err(Error::InvalidArgument { .. })
+                    ),
+                    "{kernel} accepted the squared distance {bad}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -362,46 +236,6 @@ mod tests {
         let w_direct = affinity_matrix(&pts, Kernel::Epanechnikov, 2.0).unwrap();
         let w_cached = affinity_from_distances(&d2, Kernel::Epanechnikov, 2.0).unwrap();
         assert!(w_direct.approx_eq(&w_cached, 0.0));
-    }
-
-    #[test]
-    fn parallel_assembly_is_bit_identical_to_sequential() {
-        use gssl_runtime::Executor;
-        // Enough rows for several chunks per worker.
-        let pts = Matrix::from_fn(60, 3, |i, j| ((i * 7 + j * 3) as f64 * 0.31).sin());
-        let d2 = pairwise_squared_distances(&pts).unwrap();
-        let w = affinity_matrix(&pts, Kernel::Gaussian, 0.7).unwrap();
-        for workers in [1, 2, 3, 4] {
-            let executor = Executor::with_workers(workers);
-            let d2_par = pairwise_squared_distances_with(&pts, &executor).unwrap();
-            assert_eq!(d2_par.as_slice(), d2.as_slice(), "d2 at {workers} workers");
-            let w_par = affinity_matrix_with(&pts, Kernel::Gaussian, 0.7, &executor).unwrap();
-            assert_eq!(w_par.as_slice(), w.as_slice(), "W at {workers} workers");
-            let w_cached =
-                affinity_from_distances_with(&d2, Kernel::Gaussian, 0.7, &executor).unwrap();
-            assert_eq!(w_cached.as_slice(), w.as_slice());
-        }
-    }
-
-    #[test]
-    fn parallel_assembly_propagates_validation_errors() {
-        use gssl_runtime::Executor;
-        let executor = Executor::with_workers(2);
-        assert!(matches!(
-            affinity_matrix_with(&triangle(), Kernel::Gaussian, 0.0, &executor),
-            Err(Error::InvalidBandwidth { .. })
-        ));
-        assert!(matches!(
-            pairwise_squared_distances_with(&Matrix::zeros(0, 2), &executor),
-            Err(Error::EmptyInput { .. })
-        ));
-        assert!(affinity_from_distances_with(
-            &Matrix::zeros(2, 3),
-            Kernel::Gaussian,
-            1.0,
-            &executor
-        )
-        .is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! w(x, x_N)]` evaluated with the same kernel and bandwidth the graph was
 //! fitted with — that is what [`KernelGraph::kernel_row`] provides.
 
-use crate::affinity::{affinity_matrix, affinity_matrix_with};
+use crate::affinity::affinity_matrix;
 use crate::components::{component_partition, UnionFind};
 use crate::error::{Error, Result};
 use crate::kernel::Kernel;
@@ -123,17 +123,18 @@ impl KernelGraph {
         affinity_matrix(&self.points, self.kernel, self.bandwidth)
     }
 
-    /// [`KernelGraph::weights`] assembled on `executor`: row blocks of the
-    /// affinity matrix are computed in parallel, with output bit-identical
-    /// to the sequential path at any worker count.
+    /// [`KernelGraph::weights`]; the executor is unused. Dense affinity
+    /// assembly has one sequential body (see [`crate::affinity`]), so the
+    /// matrix is the same at any worker count. The signature stays for
+    /// callers that pass the executor they run everything else on.
     ///
     /// # Errors
     ///
     /// Same as [`KernelGraph::weights`].
     /// shape: (n, n)
     /// deterministic
-    pub fn weights_with(&self, executor: &gssl_runtime::Executor) -> Result<Matrix> {
-        affinity_matrix_with(&self.points, self.kernel, self.bandwidth, executor)
+    pub fn weights_with(&self, _executor: &gssl_runtime::Executor) -> Result<Matrix> {
+        self.weights()
     }
 
     /// The connected components of the kernel graph in canonical order
@@ -357,18 +358,6 @@ mod tests {
             graph.kernel_row(&[1.0, f64::INFINITY]),
             Err(Error::InvalidArgument { .. })
         ));
-    }
-
-    #[test]
-    fn weights_with_matches_sequential_weights() {
-        let pts = Matrix::from_fn(40, 2, |i, j| ((i * 9 + j * 4) as f64 * 0.23).sin());
-        let graph = KernelGraph::fit(pts, Kernel::Gaussian, 0.6).unwrap();
-        let w = graph.weights().unwrap();
-        for workers in [1, 2, 4] {
-            let executor = gssl_runtime::Executor::with_workers(workers);
-            let w_par = graph.weights_with(&executor).unwrap();
-            assert_eq!(w_par.as_slice(), w.as_slice(), "{workers} workers");
-        }
     }
 
     #[test]

@@ -84,12 +84,13 @@ impl Kernel {
     /// # Errors
     ///
     /// Returns [`Error::InvalidBandwidth`] when `bandwidth <= 0` and
-    /// [`Error::InvalidArgument`] when `squared_distance < 0`.
+    /// [`Error::InvalidArgument`] when `squared_distance` is negative or
+    /// NaN.
     pub fn weight(self, squared_distance: f64, bandwidth: f64) -> Result<f64> {
         if !(bandwidth > 0.0) {
             return Err(Error::InvalidBandwidth { value: bandwidth });
         }
-        if squared_distance < 0.0 {
+        if !(squared_distance >= 0.0) {
             return Err(Error::InvalidArgument {
                 message: format!("squared distance must be nonnegative, got {squared_distance}"),
             });
@@ -307,10 +308,14 @@ mod tests {
             Kernel::Gaussian.weight(1.0, -1.0),
             Err(Error::InvalidBandwidth { .. })
         ));
-        assert!(matches!(
-            Kernel::Boxcar.weight(-0.1, 1.0),
-            Err(Error::InvalidArgument { .. })
-        ));
+        for k in Kernel::all() {
+            for bad in [-0.1, f64::NAN] {
+                assert!(
+                    matches!(k.weight(bad, 1.0), Err(Error::InvalidArgument { .. })),
+                    "{k} accepted the squared distance {bad}"
+                );
+            }
+        }
     }
 
     #[test]

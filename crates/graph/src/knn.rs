@@ -5,14 +5,13 @@
 //! the strongest edges. These builders produce [`CsrMatrix`] affinities
 //! compatible with the iterative solvers in `gssl`.
 
-use crate::bandwidth::squared_distance;
 use crate::error::{Error, Result};
 use crate::kernel::Kernel;
 use gssl_index::{
-    self_k_nearest_batch, self_within_radius_batch, BruteForce, NeighborRows, NeighborSearch,
-    SpatialIndex,
+    self_k_nearest_batch, self_within_radius_batch, NeighborRows, NeighborSearch, SpatialIndex,
 };
 use gssl_linalg::{CsrMatrix, Matrix};
+use gssl_runtime::Executor;
 
 /// How to symmetrize a directed kNN relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -26,62 +25,26 @@ pub enum Symmetrization {
     Mutual,
 }
 
-/// Shared argument validation for the kNN builders.
-fn check_knn_args(n: usize, k: usize, bandwidth: f64) -> Result<()> {
-    if n == 0 {
-        return Err(Error::EmptyInput {
-            required: "at least one point",
-        });
-    }
-    if k == 0 || k >= n {
-        return Err(Error::InvalidArgument {
-            message: format!("k must satisfy 1 <= k < n (= {n}), got {k}"),
-        });
-    }
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
-    Ok(())
-}
-
-/// Shared argument validation for the ε-graph builders.
-fn check_epsilon_args(n: usize, epsilon: f64, bandwidth: f64) -> Result<()> {
-    if n == 0 {
-        return Err(Error::EmptyInput {
-            required: "at least one point",
-        });
-    }
-    if !(epsilon > 0.0) {
-        return Err(Error::InvalidArgument {
-            message: format!("epsilon must be positive, got {epsilon}"),
-        });
-    }
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
-    Ok(())
-}
-
-/// Builds a symmetric k-nearest-neighbour affinity graph.
+/// Builds a symmetric k-nearest-neighbour affinity graph:
+/// [`knn_graph_with`] on [`Executor::Sequential`].
 ///
 /// Edge weights are `kernel.weight(dist², bandwidth)`. Self-loops are not
 /// included (the paper's dense `W` has them, but they cancel in `D − W`;
 /// sparse graphs conventionally omit them).
 ///
-/// The neighbour relation is resolved by the [`BruteForce`] backend of
-/// `gssl-index` — the exact linear scan this function always performed,
-/// now shared with the spatial trees as their test oracle. Ties at the
-/// k-th distance break by ascending index, exactly as the historical
-/// stable sort did.
+/// The neighbour relation is resolved by a `gssl-index` spatial index,
+/// which is exact: the graph is bitwise the one an `O(n²·d)` linear scan
+/// gives, with ties at the k-th distance broken by ascending index.
 ///
 /// # Errors
 ///
 /// * [`Error::EmptyInput`] when `points` has no rows.
-/// * [`Error::InvalidArgument`] when `k == 0` or `k >= points.rows()`.
+/// * [`Error::InvalidArgument`] when `k == 0` or `k >= points.rows()`,
+///   or when a coordinate is NaN or infinite.
 /// * [`Error::InvalidBandwidth`] when `bandwidth <= 0`.
 ///
 /// shape: (points.rows, points.rows)
-/// complexity: O(n^2 * d)
+/// complexity: O(n * k * d)
 /// deterministic
 pub fn knn_graph(
     points: &Matrix,
@@ -90,24 +53,25 @@ pub fn knn_graph(
     bandwidth: f64,
     symmetrization: Symmetrization,
 ) -> Result<CsrMatrix> {
-    check_knn_args(points.rows(), k, bandwidth)?;
-    let index = BruteForce::build(points)?;
-    let neighbors = self_k_nearest_batch(&index, k, &gssl_runtime::Executor::Sequential)?;
-    symmetrize_knn(&neighbors, kernel, bandwidth, symmetrization)
+    knn_graph_with(
+        points,
+        k,
+        kernel,
+        bandwidth,
+        symmetrization,
+        &Executor::Sequential,
+    )
 }
 
-/// [`knn_graph`] accelerated by a spatial index and sharded across
-/// `executor`, producing a graph **bit-identical** to the sequential
-/// brute-force one.
+/// [`knn_graph`] with the neighbour queries sharded across `executor`,
+/// producing the same graph bit for bit at any worker count.
 ///
 /// The point cloud is indexed once (`O(n log n)` for the KD-tree that
 /// low-dimensional data selects) and each vertex then resolves its k
-/// nearest in sublinear time — the `O(n²·d)` wall this crate used to hit
-/// at scale is gone even at one worker. Bit-identity to [`knn_graph`]
-/// holds because the trees are exact and canonicalize ties by index (see
-/// the `gssl-index` crate docs for the full argument), and the batched
-/// queries write each row back at its vertex id, whatever order the
-/// index runs them in and at any worker count.
+/// nearest in sublinear time. The trees are exact and canonicalize ties
+/// by index (see the `gssl-index` crate docs for the full argument), and
+/// the batched queries write each row back at its vertex id, whatever
+/// order the index runs them in and at any worker count.
 ///
 /// # Errors
 ///
@@ -122,23 +86,37 @@ pub fn knn_graph_with(
     kernel: Kernel,
     bandwidth: f64,
     symmetrization: Symmetrization,
-    executor: &gssl_runtime::Executor,
+    executor: &Executor,
 ) -> Result<CsrMatrix> {
-    check_knn_args(points.rows(), k, bandwidth)?;
+    let n = points.rows();
+    if n == 0 {
+        return Err(Error::EmptyInput {
+            required: "at least one point",
+        });
+    }
+    if k == 0 || k >= n {
+        return Err(Error::InvalidArgument {
+            message: format!("k must satisfy 1 <= k < n (= {n}), got {k}"),
+        });
+    }
+    if !(bandwidth > 0.0) {
+        return Err(Error::InvalidBandwidth { value: bandwidth });
+    }
     let index = SpatialIndex::build(points)?;
     let neighbors = self_k_nearest_batch(&index, k, executor)?;
     symmetrize_knn(&neighbors, kernel, bandwidth, symmetrization)
 }
 
-/// Shared tail of the kNN builders: turns the directed neighbour relation
-/// into a symmetric weighted CSR graph (sequentially, in row order).
+/// Turns the directed neighbour relation into a symmetric weighted CSR
+/// graph (sequentially, in row order).
 ///
 /// Weights reuse the squared distances the neighbour search already
 /// computed — `Neighbor::dist2` comes from the same `squared_distance`
-/// call, in the same argument order, as the historical recomputation, so
-/// edge weights are bitwise unchanged. Both callers validate the
-/// bandwidth, and a sum of squares is never negative, so the unchecked
-/// kernel evaluation is [`Kernel::weight`] without its error paths.
+/// call, in the same argument order, as a recomputation would, so edge
+/// weights are bitwise those of the pairwise formula. The caller
+/// validates the bandwidth, and a sum of squares is never negative, so
+/// the unchecked kernel evaluation is [`Kernel::weight`] without its
+/// error paths.
 ///
 /// The edges stream into the CSR constructor, which walks them twice
 /// (count, then fill); no triplet list is built.
@@ -178,13 +156,15 @@ fn symmetrize_knn(
     Ok(CsrMatrix::from_entries(n, n, entries)?)
 }
 
-/// Builds an ε-neighbourhood affinity graph: vertices within Euclidean
-/// distance `epsilon` are connected with kernel weights.
+/// Builds an ε-neighbourhood affinity graph — vertices within Euclidean
+/// distance `epsilon` are connected with kernel weights:
+/// [`epsilon_graph_with`] on [`Executor::Sequential`].
 ///
 /// # Errors
 ///
 /// * [`Error::EmptyInput`] when `points` has no rows.
-/// * [`Error::InvalidArgument`] when `epsilon <= 0`.
+/// * [`Error::InvalidArgument`] when `epsilon` is not positive and
+///   finite, or when a coordinate is NaN or infinite.
 /// * [`Error::InvalidBandwidth`] when `bandwidth <= 0`.
 ///
 /// shape: (points.rows, points.rows)
@@ -195,30 +175,14 @@ pub fn epsilon_graph(
     kernel: Kernel,
     bandwidth: f64,
 ) -> Result<CsrMatrix> {
-    let n = points.rows();
-    check_epsilon_args(n, epsilon, bandwidth)?;
-    let eps2 = epsilon * epsilon;
-    let mut triplets = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d2 = squared_distance(points.row(i), points.row(j));
-            if d2 <= eps2 {
-                let w = kernel.weight(d2, bandwidth)?;
-                if w > 0.0 {
-                    triplets.push((i, j, w));
-                    triplets.push((j, i, w));
-                }
-            }
-        }
-    }
-    Ok(CsrMatrix::from_triplets(n, n, &triplets)?)
+    epsilon_graph_with(points, epsilon, kernel, bandwidth, &Executor::Sequential)
 }
 
-/// [`epsilon_graph`] accelerated by a spatial index and sharded across
-/// `executor`: each vertex finds its ε-ball with a range query instead
-/// of scanning all n points, and the result is **bit-identical** to the
-/// sequential double loop (membership `dist² <= ε²` and the edge weights
-/// are computed by the very same expressions).
+/// [`epsilon_graph`] with the range queries sharded across `executor`:
+/// each vertex finds its ε-ball with one query against a spatial index
+/// instead of scanning all n points. Membership is `dist² <= ε²` on the
+/// pairwise squared distance, and the graph is the same bit for bit at
+/// any worker count.
 ///
 /// # Errors
 ///
@@ -232,10 +196,22 @@ pub fn epsilon_graph_with(
     epsilon: f64,
     kernel: Kernel,
     bandwidth: f64,
-    executor: &gssl_runtime::Executor,
+    executor: &Executor,
 ) -> Result<CsrMatrix> {
     let n = points.rows();
-    check_epsilon_args(n, epsilon, bandwidth)?;
+    if n == 0 {
+        return Err(Error::EmptyInput {
+            required: "at least one point",
+        });
+    }
+    if !(epsilon > 0.0) {
+        return Err(Error::InvalidArgument {
+            message: format!("epsilon must be positive, got {epsilon}"),
+        });
+    }
+    if !(bandwidth > 0.0) {
+        return Err(Error::InvalidBandwidth { value: bandwidth });
+    }
     let index = SpatialIndex::build(points)?;
     let balls = self_within_radius_batch(&index, epsilon, executor)?;
     // Each undirected pair appears in both endpoint balls and is emitted
@@ -258,6 +234,43 @@ pub fn epsilon_graph_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bandwidth::squared_distance;
+    use gssl_index::BruteForce;
+
+    /// The exact linear scan: brute-force neighbour rows through the same
+    /// symmetrization — the bitwise oracle for the indexed builders.
+    fn brute_force_knn(
+        points: &Matrix,
+        k: usize,
+        kernel: Kernel,
+        bandwidth: f64,
+        symmetrization: Symmetrization,
+    ) -> CsrMatrix {
+        let index = BruteForce::build(points).unwrap();
+        let neighbors = self_k_nearest_batch(&index, k, &Executor::Sequential).unwrap();
+        symmetrize_knn(&neighbors, kernel, bandwidth, symmetrization).unwrap()
+    }
+
+    /// The pairwise double loop over `dist² <= ε²` — the bitwise oracle
+    /// for the indexed ε-graph.
+    fn double_loop_epsilon(points: &Matrix, epsilon: f64, kernel: Kernel, h: f64) -> CsrMatrix {
+        let n = points.rows();
+        let eps2 = epsilon * epsilon;
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d2 = squared_distance(points.row(i), points.row(j));
+                if d2 <= eps2 {
+                    let w = kernel.weight(d2, h).unwrap();
+                    if w > 0.0 {
+                        triplets.push((i, j, w));
+                        triplets.push((j, i, w));
+                    }
+                }
+            }
+        }
+        CsrMatrix::from_triplets(n, n, &triplets).unwrap()
+    }
 
     /// Five points on a line at 0, 1, 2, 10, 11.
     fn line_points() -> Matrix {
@@ -378,34 +391,50 @@ mod tests {
     fn epsilon_graph_validates_arguments() {
         let pts = line_points();
         assert!(epsilon_graph(&pts, 0.0, Kernel::Gaussian, 1.0).is_err());
+        assert!(epsilon_graph(&pts, f64::INFINITY, Kernel::Gaussian, 1.0).is_err());
         assert!(epsilon_graph(&pts, 1.0, Kernel::Gaussian, -1.0).is_err());
         assert!(epsilon_graph(&Matrix::zeros(0, 1), 1.0, Kernel::Gaussian, 1.0).is_err());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut pts = line_points();
+            pts.set(3, 0, bad);
+            assert!(
+                matches!(
+                    epsilon_graph(&pts, 1.5, Kernel::Gaussian, 1.0),
+                    Err(Error::InvalidArgument { .. })
+                ),
+                "a {bad} coordinate was accepted"
+            );
+        }
     }
 
     #[test]
-    fn parallel_knn_is_bit_identical_to_sequential() {
-        use gssl_runtime::Executor;
-        let pts = Matrix::from_fn(48, 2, |i, j| ((i * 13 + j * 5) as f64 * 0.47).cos());
-        for symmetrization in [Symmetrization::Union, Symmetrization::Mutual] {
-            let sequential = knn_graph(&pts, 4, Kernel::Gaussian, 0.9, symmetrization).unwrap();
-            for workers in [1, 2, 4] {
-                let executor = Executor::with_workers(workers);
-                let parallel =
-                    knn_graph_with(&pts, 4, Kernel::Gaussian, 0.9, symmetrization, &executor)
-                        .unwrap();
-                assert_eq!(parallel.nnz(), sequential.nnz());
-                assert_eq!(
-                    parallel.to_dense().as_slice(),
-                    sequential.to_dense().as_slice(),
-                    "kNN graph differs at {workers} workers ({symmetrization:?})"
-                );
+    fn knn_graph_matches_the_brute_force_oracle() {
+        // 2-d points route to the KD-tree, 20-d points to the cover tree.
+        let clouds = [
+            Matrix::from_fn(48, 2, |i, j| ((i * 13 + j * 5) as f64 * 0.47).cos()),
+            Matrix::from_fn(40, 20, |i, j| ((i * 17 + j * 7) as f64 * 0.31).sin()),
+        ];
+        for pts in &clouds {
+            for symmetrization in [Symmetrization::Union, Symmetrization::Mutual] {
+                let oracle = brute_force_knn(pts, 4, Kernel::Gaussian, 0.9, symmetrization);
+                let graph = knn_graph(pts, 4, Kernel::Gaussian, 0.9, symmetrization).unwrap();
+                assert_eq!(graph, oracle, "{symmetrization:?}");
+                for workers in [1, 2, 4] {
+                    let executor = Executor::with_workers(workers);
+                    let parallel =
+                        knn_graph_with(pts, 4, Kernel::Gaussian, 0.9, symmetrization, &executor)
+                            .unwrap();
+                    assert_eq!(
+                        parallel, oracle,
+                        "kNN graph differs at {workers} workers ({symmetrization:?})"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn parallel_knn_validates_arguments() {
-        use gssl_runtime::Executor;
         let pts = line_points();
         let executor = Executor::with_workers(2);
         for bad_k in [0, 5] {
@@ -422,25 +451,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_epsilon_graph_is_bit_identical_to_sequential() {
-        use gssl_runtime::Executor;
+    fn epsilon_graph_matches_the_double_loop_oracle() {
         let pts = Matrix::from_fn(48, 2, |i, j| ((i * 13 + j * 5) as f64 * 0.47).cos());
-        let sequential = epsilon_graph(&pts, 0.6, Kernel::Gaussian, 0.9).unwrap();
-        for workers in [1, 2, 4] {
-            let executor = Executor::with_workers(workers);
-            let indexed = epsilon_graph_with(&pts, 0.6, Kernel::Gaussian, 0.9, &executor).unwrap();
-            assert_eq!(indexed.nnz(), sequential.nnz());
-            assert_eq!(
-                indexed.to_dense().as_slice(),
-                sequential.to_dense().as_slice(),
-                "epsilon graph differs at {workers} workers"
-            );
+        for kernel in [Kernel::Gaussian, Kernel::Boxcar] {
+            let oracle = double_loop_epsilon(&pts, 0.6, kernel, 0.5);
+            assert_eq!(epsilon_graph(&pts, 0.6, kernel, 0.5).unwrap(), oracle);
+            for workers in [1, 2, 4] {
+                let executor = Executor::with_workers(workers);
+                let indexed = epsilon_graph_with(&pts, 0.6, kernel, 0.5, &executor).unwrap();
+                assert_eq!(
+                    indexed, oracle,
+                    "{kernel} epsilon graph differs at {workers} workers"
+                );
+            }
         }
     }
 
     #[test]
     fn parallel_epsilon_graph_validates_arguments() {
-        use gssl_runtime::Executor;
         let pts = line_points();
         let executor = Executor::with_workers(2);
         assert!(epsilon_graph_with(&pts, 0.0, Kernel::Gaussian, 1.0, &executor).is_err());
@@ -448,28 +476,6 @@ mod tests {
         assert!(
             epsilon_graph_with(&Matrix::zeros(0, 1), 1.0, Kernel::Gaussian, 1.0, &executor)
                 .is_err()
-        );
-    }
-
-    #[test]
-    fn knn_graph_with_handles_high_dimension_via_cover_tree() {
-        use gssl_runtime::Executor;
-        // 20-dimensional points route to the cover tree backend; the
-        // result must still equal the brute-force oracle bit for bit.
-        let pts = Matrix::from_fn(40, 20, |i, j| ((i * 17 + j * 7) as f64 * 0.31).sin());
-        let sequential = knn_graph(&pts, 5, Kernel::Gaussian, 1.4, Symmetrization::Union).unwrap();
-        let indexed = knn_graph_with(
-            &pts,
-            5,
-            Kernel::Gaussian,
-            1.4,
-            Symmetrization::Union,
-            &Executor::Sequential,
-        )
-        .unwrap();
-        assert_eq!(
-            indexed.to_dense().as_slice(),
-            sequential.to_dense().as_slice()
         );
     }
 

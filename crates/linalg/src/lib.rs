@@ -14,7 +14,6 @@
 //!   criteria produce on connected graphs (Eq. 5).
 //! * [`PrecondCg`] / [`AmgCg`] — conjugate gradient on a CSR system,
 //!   preconditioned by Jacobi, IC(0) or an AMG V-cycle.
-//! * [`stationary`] — Jacobi and Gauss–Seidel sweeps on a dense system.
 //! * [`CsrMatrix`] — compressed sparse rows for kNN / ε-threshold graphs.
 //! * [`Factorization`] / [`SolverPolicy`] — the unified backend layer:
 //!   factor once (Cholesky, LU, Jacobi- or IC(0)-preconditioned CG, or
@@ -50,7 +49,6 @@ mod error;
 mod factor;
 /// Named helpers for the rare exact floating-point comparisons.
 pub mod float;
-mod iterative;
 mod lu;
 mod matrix;
 mod ops;
@@ -76,11 +74,6 @@ pub use ops::LinearOperator;
 pub use precond::{Ic0, JacobiPrecond, Precond, PrecondKind, Preconditioner};
 pub use sparse::CsrMatrix;
 pub use vector::Vector;
-
-/// Stationary iterative solvers (Jacobi, Gauss–Seidel).
-pub mod stationary {
-    pub use crate::iterative::{gauss_seidel, jacobi, IterationOptions, IterationOutcome};
-}
 
 #[cfg(test)]
 /// Test-only bitwise oracles for the dense kernels, and what the

@@ -171,15 +171,10 @@ pub(crate) struct ShardModel {
 }
 
 impl ShardModel {
-    /// The dense kernel weights among `points`, assembled on `executor`
-    /// (bit-identical at any worker count).
-    pub(crate) fn weights(
-        points: Matrix,
-        config: &EngineConfig,
-        executor: &Executor,
-    ) -> Result<Matrix> {
+    /// The dense kernel weights among `points`.
+    pub(crate) fn weights(points: Matrix, config: &EngineConfig) -> Result<Matrix> {
         let graph = KernelGraph::fit(points, config.kernel, config.bandwidth)?;
-        Ok(graph.weights_with(executor)?)
+        Ok(graph.weights()?)
     }
 
     /// Fits one shard: `points` are its members' coordinates, labeled
@@ -192,7 +187,7 @@ impl ShardModel {
     ) -> Result<Self> {
         let n = initial_targets.rows();
         let total = points.rows();
-        let weights = Self::weights(points, step.config, step.executor)?;
+        let weights = Self::weights(points, step.config)?;
         // Reuse the core crate's problem validation (symmetry, finiteness)
         // and its anchoring check: every component must contain a labeled
         // vertex or the criterion system is singular. Labeling only ever

@@ -43,7 +43,6 @@ use crate::shard::ShardPlan;
 use crate::sharded::ShardedEngine;
 use gssl_graph::Kernel;
 use gssl_linalg::Matrix;
-use gssl_runtime::Executor;
 
 /// Magic prefix identifying a serving-engine snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GSSLSNAP";
@@ -368,10 +367,8 @@ fn read_shard(
     let scores = r.matrix()?;
     let updates_since_refactor = r.usize()?;
     // The weights are assembled once the cached matrices are decoded, so
-    // their block never coexists with the decoder's scratch copy. They
-    // are assembled sequentially, as at fit time under a component plan
-    // (the bits are the same either way).
-    let weights = ShardModel::weights(points, config, &Executor::sequential())?;
+    // their block never coexists with the decoder's scratch copy.
+    let weights = ShardModel::weights(points, config)?;
     let shard = ShardModel {
         // Same reduction as `Problem::degrees` on a dense weight matrix,
         // so restored degrees are bit-identical to the fitted ones.

@@ -214,8 +214,8 @@ fn deterministic_annotation_inventory_is_pinned() {
         }
     }
     assert_eq!(
-        markers, 60,
-        "the `/// deterministic` inventory drifted from the pinned 60 \
+        markers, 57,
+        "the `/// deterministic` inventory drifted from the pinned 57 \
          entry points; update tests/determinism.rs coverage alongside"
     );
 }
@@ -232,8 +232,8 @@ fn analyze_real_workspace_is_baseline_clean() {
     // Every committed baseline entry must still be live — the ratchet
     // reports both regressions (counts up) and staleness (counts down).
     assert_eq!(
-        report.suppressed, 92,
-        "baseline drifted from the committed 92 entries"
+        report.suppressed, 59,
+        "baseline drifted from the committed 59 entries"
     );
 }
 

@@ -40,6 +40,13 @@ echo "== cargo clippy --all-targets (warnings are errors)"
 # target, the Criterion benches included, which `cargo test` never builds.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo clippy --all-targets --all-features (warnings are errors)"
+# The same gate over the code behind `cfg(feature = "strict-checks")`,
+# which the featureless step never compiles. Both steps stay: the
+# featureless `cfg(not(feature = "strict-checks"))` bodies in
+# gssl-linalg's `strict` module compile only in the step above.
+cargo clippy --workspace --all-targets --all-features --offline -- -D warnings
+
 echo "== cargo doc (warnings are errors)"
 # Broken or private intra-doc links fail here, so a removed or renamed
 # item cannot leave a dangling link in the docs.

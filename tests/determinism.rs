@@ -24,9 +24,7 @@ use gssl::cmn::argsort_scores;
 use gssl::{HardCriterion, OneVsRest, Problem, SoftCriterion};
 use gssl_graph::{
     affinity::{
-        affinity_from_distances, affinity_from_distances_with, affinity_matrix,
-        affinity_matrix_with, affinity_with_rule, pairwise_squared_distances,
-        pairwise_squared_distances_with,
+        affinity_from_distances, affinity_matrix, affinity_with_rule, pairwise_squared_distances,
     },
     component_partition, epsilon_graph, epsilon_graph_with, knn_graph, knn_graph_with, Bandwidth,
     Kernel, KernelGraph, Symmetrization,
@@ -58,12 +56,14 @@ fn points(n: usize, d: usize) -> Matrix {
 
 #[test]
 fn kernel_assembly_is_bit_identical_across_worker_counts() {
+    // Dense assembly has one sequential body; its executor-taking entry
+    // point must reproduce the free function at every worker count.
     let pts = points(61, 5);
     let reference = affinity_matrix(&pts, Kernel::Gaussian, 0.7).expect("sequential affinity");
+    let graph = KernelGraph::fit(pts, Kernel::Gaussian, 0.7).expect("graph fit");
     for workers in WORKER_COUNTS {
         let executor = Executor::with_workers(workers);
-        let parallel = affinity_matrix_with(&pts, Kernel::Gaussian, 0.7, &executor)
-            .expect("parallel affinity");
+        let parallel = graph.weights_with(&executor).expect("parallel affinity");
         assert_eq!(
             reference.as_slice(),
             parallel.as_slice(),
@@ -283,25 +283,14 @@ fn predict_batch_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn distance_and_affinity_pipeline_is_bit_identical_across_worker_counts() {
+    // The distance and kernel passes take no executor, so the worker
+    // count cannot enter them; the cached-distance route must be the
+    // direct assembly bit for bit.
     let pts = points(57, 4);
     let d2 = pairwise_squared_distances(&pts).expect("sequential distances");
     let w = affinity_from_distances(&d2, Kernel::Gaussian, 0.7).expect("sequential affinity");
-    for workers in WORKER_COUNTS {
-        let executor = Executor::with_workers(workers);
-        let d2_par = pairwise_squared_distances_with(&pts, &executor).expect("parallel distances");
-        assert_eq!(
-            d2.as_slice(),
-            d2_par.as_slice(),
-            "pairwise distances diverged at {workers} workers"
-        );
-        let w_par = affinity_from_distances_with(&d2, Kernel::Gaussian, 0.7, &executor)
-            .expect("parallel affinity");
-        assert_eq!(
-            w.as_slice(),
-            w_par.as_slice(),
-            "affinity-from-distances diverged at {workers} workers"
-        );
-    }
+    let direct = affinity_matrix(&pts, Kernel::Gaussian, 0.7).expect("direct");
+    assert_eq!(w.as_slice(), direct.as_slice());
     // The bandwidth-rule front end is a pure function of its inputs: two
     // invocations agree bitwise, and the matrix equals a direct assembly
     // at the resolved bandwidth.
@@ -1425,27 +1414,12 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         ),
         (
             "crates/graph/src/affinity.rs",
-            "pairwise_squared_distances_with",
-            "distance_and_affinity_pipeline_is_bit_identical_across_worker_counts",
-        ),
-        (
-            "crates/graph/src/affinity.rs",
             "affinity_matrix",
             "kernel_assembly_is_bit_identical_across_worker_counts",
         ),
         (
             "crates/graph/src/affinity.rs",
-            "affinity_matrix_with",
-            "kernel_assembly_is_bit_identical_across_worker_counts",
-        ),
-        (
-            "crates/graph/src/affinity.rs",
             "affinity_from_distances",
-            "distance_and_affinity_pipeline_is_bit_identical_across_worker_counts",
-        ),
-        (
-            "crates/graph/src/affinity.rs",
-            "affinity_from_distances_with",
             "distance_and_affinity_pipeline_is_bit_identical_across_worker_counts",
         ),
         (
@@ -1744,7 +1718,7 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         stale.is_empty(),
         "coverage rows whose `/// deterministic` marker is gone: {stale:?}"
     );
-    assert_eq!(annotated.len(), 60, "inventory drifted from the pinned 60");
+    assert_eq!(annotated.len(), 57, "inventory drifted from the pinned 57");
 
     // Every covering test named above must actually exist in this file.
     let this_file = std::fs::read_to_string(root.join("tests").join("determinism.rs"))

@@ -1,11 +1,13 @@
-//! Golden digests: the output bits of the CSR assembly and solver routes,
-//! pinned across commits.
+//! Golden digests: the output bits of the graph assembly, solver and
+//! serving routes, pinned across commits.
 //!
 //! `tests/determinism.rs` pins bit identity across worker counts within
 //! one build; this suite pins it against a committed record. Each route
 //! runs on a small seeded input and is hashed with FNV-1a-64: a CSR over
-//! its shape, row pointers, column ids and value bits; a solve over its
-//! output bits (and iteration count); a symmetry check over its verdicts.
+//! its shape, row pointers, column ids and value bits; a dense matrix
+//! over its entry bits; a solve over its output bits (and iteration
+//! count); a symmetry check over its verdicts; a serving fit over its
+//! scores and predictions.
 //! The digests live in `tests/golden.digests`, one `name digest` pair per
 //! line. A mismatch lists every changed, missing and new name, with the
 //! old and new digest, and prints the full recomputed file.
@@ -19,13 +21,21 @@
     reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
 )]
 
-use gssl::{HardCriterion, HardSolver, Problem, SoftCriterion};
-use gssl_graph::{epsilon_graph_with, knn_graph, knn_graph_with, Kernel, Symmetrization};
+use gssl::{
+    Error, HardCriterion, HardSolver, LabelPropagation, OneVsRest, Problem, SoftCriterion,
+    SweepKind, TransductiveModel,
+};
+use gssl_graph::affinity::{affinity_from_distances, affinity_matrix, pairwise_squared_distances};
+use gssl_graph::{
+    epsilon_graph, epsilon_graph_with, knn_graph, knn_graph_with, Kernel, KernelGraph,
+    Symmetrization,
+};
 use gssl_linalg::{
     AmgCg, AmgOptions, CgOptions, CsrMatrix, Factorization, Matrix, PrecondCg, PrecondKind,
-    SolverPolicy, Vector,
+    SolverPolicy, SparseStrategy, Vector,
 };
 use gssl_runtime::Executor;
+use gssl_serve::{EngineConfig, QueryPoint, ServingEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -204,6 +214,8 @@ fn digests() -> BTreeMap<String, u64> {
             let g = epsilon_graph_with(&points, 0.12, kernel, 0.1, &ex).expect("epsilon graph");
             put(format!("epsilon.{tag}.w{w}"), csr_digest(&g));
         }
+        let g = epsilon_graph(&points, 0.12, kernel, 0.1).expect("epsilon graph");
+        put(format!("epsilon.{tag}.sequential"), csr_digest(&g));
     }
 
     // The Eq. 5 and Eq. 3 systems of the kNN problem.
@@ -315,7 +327,173 @@ fn digests() -> BTreeMap<String, u64> {
             .expect("soft fit");
         put(format!("soft.knn.w{w}"), bits_digest(soft.all()));
     }
+
+    // Dense affinity assembly with a smooth and a compact kernel: the
+    // free functions and the kernel graph, at each worker count.
+    let points = cloud(0x601D_0007, 90, 3);
+    let d2 = pairwise_squared_distances(&points).expect("distances");
+    put("affinity.distances".to_owned(), bits_digest(d2.as_slice()));
+    for (tag, kernel, h) in [
+        ("gaussian", Kernel::Gaussian, 0.4),
+        ("epanechnikov", Kernel::Epanechnikov, 0.35),
+    ] {
+        let w = affinity_from_distances(&d2, kernel, h).expect("affinity");
+        put(
+            format!("affinity.from_distances.{tag}"),
+            bits_digest(w.as_slice()),
+        );
+        let w = affinity_matrix(&points, kernel, h).expect("affinity");
+        put(format!("affinity.matrix.{tag}"), bits_digest(w.as_slice()));
+        let graph = KernelGraph::fit(points.clone(), kernel, h).expect("graph");
+        let w = graph.weights().expect("weights");
+        put(
+            format!("kernel_graph.weights.{tag}"),
+            bits_digest(w.as_slice()),
+        );
+        for workers in WORKERS {
+            let w = graph
+                .weights_with(&Executor::with_workers(workers))
+                .expect("weights");
+            put(
+                format!("kernel_graph.weights_with.{tag}.w{workers}"),
+                bits_digest(w.as_slice()),
+            );
+        }
+    }
+
+    // Label propagation on a compact-kernel graph, whose dense weights
+    // hold exact zeros, in both representations, and on the kNN graph;
+    // both sweeps, hashing the scores and the sweep count.
+    let points = cloud(0x601D_0008, 120, 2);
+    let dense = affinity_matrix(&points, Kernel::Epanechnikov, 0.25).expect("affinity");
+    let labels: Vec<f64> = (0..20).map(|i| (i % 2) as f64).collect();
+    let problems = [
+        (
+            "dense",
+            Problem::new(dense.clone(), labels.clone()).expect("problem"),
+        ),
+        (
+            "csr",
+            Problem::new(CsrMatrix::from_dense(&dense, 0.0), labels).expect("problem"),
+        ),
+        ("knn", knn_problem()),
+    ];
+    let sweeps = [
+        ("jacobi", SweepKind::Simultaneous),
+        ("gauss_seidel", SweepKind::InPlace),
+    ];
+    for (rep, problem) in &problems {
+        for (tag, sweep) in sweeps {
+            let (scores, sweeps_run) = LabelPropagation::new()
+                .sweep(sweep)
+                .fit_with_iterations(problem)
+                .expect("propagation");
+            let mut h = Fnv::new();
+            h.f64s(scores.all());
+            h.usize(sweeps_run);
+            put(format!("propagation.{rep}.{tag}"), h.0);
+        }
+    }
+    // An exhausted budget on CSR weights reports the residual of the
+    // last iterate.
+    for (tag, sweep) in sweeps {
+        let outcome = LabelPropagation::new()
+            .sweep(sweep)
+            .max_iterations(7)
+            .fit_with_iterations(&problems[2].1);
+        let (iterations, residual) = match outcome {
+            Err(Error::Linalg(gssl_linalg::Error::NotConverged {
+                iterations,
+                residual,
+            })) => Some((iterations, residual)),
+            _ => None,
+        }
+        .expect("an exhausted sweep budget");
+        let mut h = Fnv::new();
+        h.usize(iterations);
+        h.u64(residual.to_bits());
+        put(format!("propagation.knn.exhausted.{tag}"), h.0);
+    }
+
+    // The hard fit through the Jacobi-CG and propagation routes, on both
+    // representations, and the multiclass fit over the dense weights.
+    for workers in WORKERS {
+        let ex = Executor::with_workers(workers);
+        for (rep, problem) in &problems[..2] {
+            let scores = hard_jacobi_cg(ex.clone()).fit(problem).expect("cg fit");
+            put(
+                format!("hard.jacobi_cg.{rep}.w{workers}"),
+                bits_digest(scores.all()),
+            );
+        }
+    }
+    for (rep, problem) in &problems[..2] {
+        for (tag, sweep) in sweeps {
+            let scores = LabelPropagation::new()
+                .sweep(sweep)
+                .fit(problem)
+                .expect("propagation fit");
+            put(
+                format!("hard.propagation.{rep}.{tag}"),
+                bits_digest(scores.all()),
+            );
+        }
+    }
+    let classes: Vec<usize> = (0..20).map(|i| i % 3).collect();
+    let scores = hard_jacobi_cg(Executor::Sequential)
+        .fit_multiclass(&dense, &classes, 3)
+        .expect("multiclass cg");
+    put(
+        "multiclass.jacobi_cg".to_owned(),
+        bits_digest(scores.scores().as_slice()),
+    );
+    for (tag, sweep) in sweeps {
+        let scores = OneVsRest::new(LabelPropagation::new().sweep(sweep), 3)
+            .expect("three classes")
+            .fit(&dense, &classes)
+            .expect("multiclass propagation");
+        put(
+            format!("multiclass.propagation.{tag}"),
+            bits_digest(scores.scores().as_slice()),
+        );
+    }
+
+    // A one-shard serving fit at two workers: its fitted scores, then
+    // out-of-sample predictions.
+    let points = cloud(0x601D_0009, 150, 2);
+    let labels: Vec<f64> = (0..30).map(|i| (i % 2) as f64).collect();
+    for (tag, kernel, h) in [
+        ("gaussian", Kernel::Gaussian, 0.3),
+        ("epanechnikov", Kernel::Epanechnikov, 0.3),
+    ] {
+        let config = EngineConfig::new(kernel, h).workers(2);
+        let engine = ServingEngine::fit(&points, &labels, config).expect("engine fit");
+        let queries: Vec<QueryPoint> = cloud(0x601D_000A, 25, 2)
+            .as_slice()
+            .chunks(2)
+            .map(|q| QueryPoint::new(q.to_vec()))
+            .collect();
+        let predictions = engine.predict_batch(&queries).expect("predictions");
+        let mut h = Fnv::new();
+        h.f64s(engine.scores().as_slice());
+        for p in &predictions {
+            h.usize(p.class);
+            h.u64(p.score.to_bits());
+            h.f64s(&p.per_class);
+        }
+        put(format!("serve.single.{tag}.w2"), h.0);
+    }
     out
+}
+
+/// The hard criterion on the Jacobi-preconditioned CG route.
+fn hard_jacobi_cg(executor: Executor) -> HardCriterion {
+    HardCriterion::new()
+        .solver(HardSolver::Auto(SolverPolicy {
+            sparse: SparseStrategy::Jacobi,
+            ..SolverPolicy::with_cg(cg(1e-10))
+        }))
+        .with_executor(executor)
 }
 
 fn render(digests: &BTreeMap<String, u64>) -> String {

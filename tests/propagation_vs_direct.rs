@@ -7,9 +7,10 @@
     reason = "helpers outside #[test] functions build known-valid fixtures; a failure fails the test"
 )]
 
-use gssl::{HardCriterion, HardSolver, LabelPropagation, Problem, SweepKind};
+use gssl::{HardCriterion, HardSolver, LabelPropagation, Problem, SweepKind, TransductiveModel};
 use gssl_datasets::synthetic::two_moons;
 use gssl_graph::{affinity::affinity_matrix, knn_graph, Kernel, Symmetrization};
+use gssl_linalg::{SolverPolicy, SparseStrategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,13 +28,26 @@ fn moons_problem(seed: u64) -> Problem {
 fn all_backends_agree_on_two_moons() {
     let problem = moons_problem(1);
     let reference = HardCriterion::new().fit(&problem).expect("cholesky");
-    let others = [
-        HardCriterion::new().solver(HardSolver::Lu),
-        HardCriterion::new().solver(HardSolver::ConjugateGradient(Default::default())),
-        HardCriterion::new().solver(HardSolver::Propagation(SweepKind::Simultaneous)),
-        HardCriterion::new().solver(HardSolver::Propagation(SweepKind::InPlace)),
+    let jacobi_cg = SolverPolicy {
+        sparse: SparseStrategy::Jacobi,
+        ..SolverPolicy::default()
+    };
+    let others: [(&str, Box<dyn TransductiveModel>); 4] = [
+        ("lu", Box::new(HardCriterion::new().solver(HardSolver::Lu))),
+        (
+            "jacobi-cg",
+            Box::new(HardCriterion::new().solver(HardSolver::Auto(jacobi_cg))),
+        ),
+        (
+            "propagation-jacobi",
+            Box::new(LabelPropagation::new().sweep(SweepKind::Simultaneous)),
+        ),
+        (
+            "propagation-gauss-seidel",
+            Box::new(LabelPropagation::new().sweep(SweepKind::InPlace)),
+        ),
     ];
-    for backend in others {
+    for (name, backend) in others {
         let scores = backend.fit(&problem).expect("backend fits");
         let gap = reference
             .unlabeled()
@@ -41,7 +55,7 @@ fn all_backends_agree_on_two_moons() {
             .zip(scores.unlabeled())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
-        assert!(gap < 1e-5, "{:?} diverges by {gap}", backend.solver_kind());
+        assert!(gap < 1e-5, "{name} diverges by {gap}");
     }
 }
 

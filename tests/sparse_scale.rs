@@ -10,7 +10,7 @@
 use gssl::{HardCriterion, HardSolver, LabelPropagation, Problem};
 use gssl_datasets::synthetic::two_moons;
 use gssl_graph::{knn_graph, Kernel, Symmetrization};
-use gssl_linalg::CgOptions;
+use gssl_linalg::{CgOptions, SolverPolicy, SparseStrategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,7 +28,10 @@ fn moons_sparse(total: usize, k: usize) -> (Problem, Vec<bool>) {
 }
 
 fn cg_solver(options: CgOptions) -> HardCriterion {
-    HardCriterion::new().solver(HardSolver::ConjugateGradient(options))
+    HardCriterion::new().solver(HardSolver::Auto(SolverPolicy {
+        sparse: SparseStrategy::Jacobi,
+        ..SolverPolicy::with_cg(options)
+    }))
 }
 
 #[test]
