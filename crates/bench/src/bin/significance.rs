@@ -1,12 +1,32 @@
 //! Statistical backing for the paper's headline claim: across paired
 //! Monte-Carlo repetitions, is the hard criterion's RMSE significantly
 //! smaller than each soft criterion's? Reports a paired t-test and an
-//! exact sign test per (λ, n) cell.
+//! exact sign test per (λ, n) cell. A test the cell has too few pairs for
+//! prints `n/a` in its columns.
 
 use gssl_bench::experiment::{SyntheticConfig, SYNTHETIC_LAMBDAS};
 use gssl_bench::runner::CliArgs;
 use gssl_datasets::synthetic::PaperModel;
 use gssl_stats::inference::{paired_t_test, sign_test, wilcoxon_signed_rank};
+
+/// One test's columns: `show` of its result, or `n/a` right-aligned in
+/// each of the columns of `widths` when the cell has too few pairs for
+/// the test. Any other error ends the run.
+fn columns<T>(
+    outcome: gssl_stats::Result<T>,
+    widths: &[usize],
+    show: impl FnOnce(T) -> String,
+) -> gssl_stats::Result<String> {
+    match outcome {
+        Ok(result) => Ok(show(result)),
+        Err(gssl_stats::Error::EmptyInput { .. }) => Ok(widths
+            .iter()
+            .map(|&width| format!("{:>width$}", "n/a"))
+            .collect::<Vec<_>>()
+            .join(" ")),
+        Err(error) => Err(error),
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = match CliArgs::parse(std::env::args().skip(1)) {
@@ -53,13 +73,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let hard: Vec<f64> = per_rep.iter().map(|v| v[0]).collect();
         for (k, &lambda) in SYNTHETIC_LAMBDAS.iter().enumerate().skip(1) {
             let soft: Vec<f64> = per_rep.iter().map(|v| v[k]).collect();
-            let t = paired_t_test(&hard, &soft)?;
-            let s = sign_test(&hard, &soft)?;
-            let w = wilcoxon_signed_rank(&hard, &soft)?;
-            println!(
-                "{n:>6} {lambda:>8} {:>14.5} {:>12.2e} {:>8}/{:<5} {:>14.2e} {:>14.2e}",
-                t.mean_difference, t.p_value, s.wins, s.losses, s.p_value, w.p_value
-            );
+            let t = columns(paired_t_test(&hard, &soft), &[14, 12], |t| {
+                format!("{:>14.5} {:>12.2e}", t.mean_difference, t.p_value)
+            })?;
+            let s = columns(sign_test(&hard, &soft), &[14, 14], |s| {
+                format!("{:>8}/{:<5} {:>14.2e}", s.wins, s.losses, s.p_value)
+            })?;
+            let w = columns(wilcoxon_signed_rank(&hard, &soft), &[14], |w| {
+                format!("{:>14.2e}", w.p_value)
+            })?;
+            println!("{n:>6} {lambda:>8} {t} {s} {w}");
         }
     }
 

@@ -6,29 +6,39 @@
 //! [`AmgCg`] builds a *geometry-free* multigrid hierarchy from the matrix
 //! alone:
 //!
-//! 1. **Coarsening** — greedy heavy-edge matching in row order: each
-//!    unmatched vertex pairs with its heaviest (largest `|a_ij|`) unmatched
+//! 1. **Coarsening** — double pairwise aggregation (Notay, ETNA 2010).
+//!    One pass is greedy heavy-edge matching in row order: each unmatched
+//!    vertex pairs with its heaviest (largest `|a_ij|`) unmatched
 //!    neighbor; union-find merges the pairs and aggregate ids are assigned
-//!    in first-seen order, so the result is independent of thread count
-//!    and identical on every run.
+//!    in first-seen order. Each coarsening step runs two passes, on the
+//!    level and then on that level's Galerkin product, and composes the
+//!    two maps, so an aggregate holds about four rows and the ratio per
+//!    level is near ¼. The result is independent of thread count and
+//!    identical on every run.
 //! 2. **Galerkin coarse operators** — with the piecewise-constant
 //!    prolongation `P` (each fine vertex injects into its aggregate), the
 //!    coarse matrix is the triple product `Aᶜ = Pᵀ A P`: the fine entries
 //!    `(agg[i], agg[j], a_ij)` are streamed in fine row order into the
 //!    CSR constructor, which sums duplicates in that order, with no
-//!    triplet list in between.
-//! 3. **V-cycle** — damped-Jacobi pre/post smoothing (simultaneous update,
-//!    `x ← x + ω D⁻¹ (r − A x)`), restriction of the residual, recursion,
-//!    prolongation of the correction, and a dense direct solve on the
-//!    coarsest level. Equal pre/post sweeps with the (symmetric) damped
-//!    Jacobi smoother make the cycle a symmetric positive-definite
-//!    operator, so it is a valid PCG preconditioner.
+//!    triplet list in between. A step's coarse operator is the product of
+//!    its second pass, taken over the first pass's product.
+//! 3. **K-cycle** (Notay & Vassilevski, NLAA 2008) — damped-Jacobi
+//!    pre/post smoothing (simultaneous update, `x ← x + ω D⁻¹ (r − A x)`),
+//!    restriction of the residual, a coarse correction, prolongation,
+//!    and a dense direct solve on the coarsest level. The coarse
+//!    correction is up to two flexible-CG steps on the coarse system, each
+//!    preconditioned by the coarse level's own K-cycle; the second step is
+//!    skipped when the first already cuts the coarse residual to a
+//!    quarter. When the next level is the directly factored one, the
+//!    correction is that exact solve alone, which Krylov steps could not
+//!    improve.
 //!
-//! Rather than iterate V-cycles alone, [`AmgCg::solve`] runs CG
-//! preconditioned by one V-cycle per iteration — the standard AMG-PCG
-//! combination, which inherits CG's guaranteed convergence on SPD systems
-//! while the hierarchy removes the mesh-size dependence of the iteration
-//! count.
+//! The Krylov steps make the cycle a nonlinear operator, so
+//! [`AmgCg::solve`] runs the flexible CG loop (FCG(1)) preconditioned by
+//! one K-cycle per iteration. The coarse steps keep the iteration count
+//! from growing with the mesh, and the ¼ ratio keeps a cycle's cost a
+//! bounded multiple of the finest level's although each coarse level
+//! runs up to twice per cycle above it.
 //!
 //! The solve does no work it can skip:
 //!
@@ -55,30 +65,35 @@ use crate::lu::Lu;
 use crate::precond::{JacobiPrecond, Preconditioner};
 use crate::sparse::CsrMatrix;
 use crate::strict;
-use crate::vector::Vector;
+use crate::vector::{dot_slices, Vector};
 use gssl_runtime::Executor;
 use std::borrow::Cow;
 use std::cell::RefCell;
 
+/// A coarse level takes its second Krylov step only when the first leaves
+/// more than this fraction of the coarse residual norm (Notay's value).
+const KCYCLE_EXIT: f64 = 0.25;
+
 /// Options controlling hierarchy construction and the outer PCG run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AmgOptions {
-    /// Maximum number of coarsening steps (hierarchy depth bound).
+    /// Maximum number of coarsening steps (hierarchy depth bound); each
+    /// step runs two matching passes.
     pub max_levels: usize,
     /// Stop coarsening once a level has at most this many rows; that level
     /// is densified and factored directly.
     pub coarsest_dim: usize,
-    /// Damped-Jacobi sweeps before *and* after each coarse correction
-    /// (equal counts keep the cycle symmetric).
+    /// Damped-Jacobi sweeps before *and* after each coarse correction.
     pub smoothing_sweeps: usize,
     /// Jacobi damping factor `ω` in `(0, 1]`.
     pub damping: f64,
-    /// Coarsening is considered stalled (and stops) when a step retains
-    /// more than this fraction of the rows. Heavy-edge matching halves
-    /// well-connected graphs, so a stalled step means the level has
-    /// (almost) no off-diagonal mass left to aggregate.
+    /// A matching pass is stalled when it retains more than this fraction
+    /// of its rows. A stalled first pass stops coarsening; a stalled
+    /// second pass leaves the step with the first pass alone. One pass
+    /// halves a well-connected graph, so a stalled pass means the level
+    /// has (almost) no off-diagonal mass left to aggregate.
     pub min_coarsening_ratio: f64,
-    /// Options for the outer V-cycle-preconditioned CG run of
+    /// Options for the outer K-cycle-preconditioned CG run of
     /// [`AmgCg::factor_sparse`]. A [`crate::SolverPolicy`] replaces them
     /// with its own [`crate::SolverPolicy::cg`].
     pub cg: CgOptions,
@@ -133,8 +148,9 @@ impl CoarseSolve {
     }
 }
 
-/// Algebraic-multigrid [`Factorization`] backend: V-cycle-preconditioned
-/// conjugate gradient over a heavy-edge-matched Galerkin hierarchy.
+/// Algebraic-multigrid [`Factorization`] backend: flexible conjugate
+/// gradient preconditioned by a K-cycle over a double-pairwise Galerkin
+/// hierarchy.
 #[derive(Debug, Clone)]
 pub struct AmgCg {
     /// `grids[0]` holds the finest operator; the coarsest matrix lives in
@@ -152,7 +168,8 @@ impl AmgCg {
     /// Builds the multigrid hierarchy for an SPD CSR system.
     ///
     /// Coarsening stops at `coarsest_dim` rows, after `max_levels` steps,
-    /// or when a step stalls (see [`AmgOptions::min_coarsening_ratio`]);
+    /// or when a step's first pass stalls (see
+    /// [`AmgOptions::min_coarsening_ratio`]);
     /// whatever level remains is densified and factored directly
     /// (Cholesky, falling back to LU if rounding spoiled definiteness).
     ///
@@ -183,15 +200,25 @@ impl AmgCg {
         strict::check_finite("amg.factor input", a.values())?;
         validate_options(&options)?;
 
+        let stalled = |coarse_n: usize, n: usize| {
+            (coarse_n as f64) > options.min_coarsening_ratio * (n as f64)
+        };
         let mut grids = Vec::with_capacity(options.max_levels);
         let mut current = a.into_owned();
         while current.rows() > options.coarsest_dim && grids.len() < options.max_levels {
             let inv_diag = JacobiPrecond::from_csr(&current)?.into_inv_diag();
-            let (agg, coarse_n) = heavy_edge_aggregates(&current);
-            if (coarse_n as f64) > options.min_coarsening_ratio * (current.rows() as f64) {
+            let (mut agg, first_n) = heavy_edge_aggregates(&current);
+            if stalled(first_n, current.rows()) {
                 break;
             }
-            let coarse = galerkin(&current, &agg, coarse_n)?;
+            let mut coarse = galerkin(&current, &agg, first_n)?;
+            let (second, second_n) = heavy_edge_aggregates(&coarse);
+            if !stalled(second_n, first_n) {
+                coarse = galerkin(&coarse, &second, second_n)?;
+                for g in agg.iter_mut() {
+                    *g = second[*g];
+                }
+            }
             grids.push(Grid {
                 a: current,
                 inv_diag,
@@ -259,15 +286,15 @@ impl AmgCg {
         self.grids.first().map(|g| &g.a).unwrap_or(&self.coarse_a)
     }
 
-    /// One V-cycle: `x ≈ A⁻¹ r` starting from `x = 0` at level `depth`;
+    /// One K-cycle: `x ≈ A⁻¹ r` starting from `x = 0` at level `depth`;
     /// `buffers` holds the scratch of grid `depth` and of every coarser grid.
     ///
-    /// Restriction, prolongation, and smoothing updates are elementwise
-    /// sequential (only matvecs shard), so the cycle is bit-identical at
-    /// every worker count. Every entry of `x` is overwritten, so `x` needs
-    /// no zeroing.
+    /// Restriction, prolongation, smoothing updates and the coarse steps'
+    /// dot products are sequential (only matvecs shard), so the cycle is
+    /// bit-identical at every worker count. Every entry of `x` is
+    /// overwritten, so `x` needs no zeroing.
     /// complexity: O(iters * nnz)
-    fn vcycle(&self, depth: usize, r: &[f64], x: &mut [f64], buffers: &mut [LevelBuffers]) {
+    fn kcycle(&self, depth: usize, r: &[f64], x: &mut [f64], buffers: &mut [LevelBuffers]) {
         let (Some(grid), Some((level, coarser))) =
             (self.grids.get(depth), buffers.split_first_mut())
         else {
@@ -281,19 +308,77 @@ impl AmgCg {
         };
         self.presmooth(grid, r, x, &mut level.tmp);
         // Coarse-grid correction: restrict the residual (Pᵀ is "sum over
-        // the aggregate"), recurse, prolong (P is "copy to every member").
+        // the aggregate"), correct, prolong (P is "copy to every member").
         grid.a.matvec_into_with(x, &mut level.tmp, &self.executor);
         level.rc.fill(0.0);
         for ((ri, ti), &aggi) in r.iter().zip(&level.tmp).zip(&grid.agg) {
             level.rc[aggi] += ri - ti;
         }
-        self.vcycle(depth + 1, &level.rc, &mut level.xc, coarser);
+        match self.grids.get(depth + 1) {
+            Some(next) => self.coarse_krylov(depth + 1, &next.a, level, coarser),
+            None => self.kcycle(depth + 1, &level.rc, &mut level.xc, coarser),
+        }
         for (xi, &aggi) in x.iter_mut().zip(&grid.agg) {
             *xi += level.xc[aggi];
         }
-        // Post-smooth with the same sweeps, keeping the cycle symmetric.
         for _ in 0..self.options.smoothing_sweeps {
             self.smooth(grid, r, x, &mut level.tmp);
+        }
+    }
+
+    /// Up to two flexible-CG steps on the coarse system `a_c x_c = r_c`
+    /// from `x_c = 0`, each preconditioned by the K-cycle of level `depth`
+    /// (`a_c`'s level), leaving `x_c` in `level.xc`. The second step runs
+    /// only when the first leaves more than `KCYCLE_EXIT` of `‖r_c‖`. A
+    /// step whose curvature is not positive is not taken: without the
+    /// first, `x_c` is the unscaled cycle output; without the second, it
+    /// is the one-step correction.
+    /// complexity: O(iters * nnz)
+    fn coarse_krylov(
+        &self,
+        depth: usize,
+        a_c: &CsrMatrix,
+        level: &mut LevelBuffers,
+        coarser: &mut [LevelBuffers],
+    ) {
+        let LevelBuffers {
+            rc,
+            xc: c1,
+            v1,
+            rt,
+            c2,
+            v2,
+            ..
+        } = level;
+        self.kcycle(depth, rc, c1, coarser);
+        a_c.matvec_into_with(c1, v1, &self.executor);
+        let rho1 = dot_slices(c1, v1);
+        if rho1.is_nan() || rho1 <= 0.0 {
+            return;
+        }
+        let alpha1 = dot_slices(c1, rc);
+        let step1 = alpha1 / rho1;
+        for ((ti, ri), vi) in rt.iter_mut().zip(rc.iter()).zip(v1.iter()) {
+            *ti = ri - step1 * vi;
+        }
+        if dot_slices(rt, rt).sqrt() > KCYCLE_EXIT * dot_slices(rc, rc).sqrt() {
+            self.kcycle(depth, rt, c2, coarser);
+            a_c.matvec_into_with(c2, v2, &self.executor);
+            let gamma = dot_slices(c2, v1);
+            let beta = dot_slices(c2, v2);
+            let alpha2 = dot_slices(c2, rt);
+            let rho2 = beta - gamma * gamma / rho1;
+            if rho2 > 0.0 {
+                let first = step1 - gamma * alpha2 / (rho1 * rho2);
+                let second = alpha2 / rho2;
+                for (xi, ci) in c1.iter_mut().zip(c2.iter()) {
+                    *xi = first * *xi + second * ci;
+                }
+                return;
+            }
+        }
+        for xi in c1.iter_mut() {
+            *xi *= step1;
         }
     }
 
@@ -328,25 +413,34 @@ impl AmgCg {
     }
 }
 
-/// Scratch vectors of one grid level, allocated once per solve.
+/// Scratch vectors of one grid level, allocated once per solve. Every
+/// vector but `tmp` lives on the next coarser level.
 struct LevelBuffers {
     /// `A x` on this level.
     tmp: Vec<f64>,
-    /// The residual restricted to the next coarser level.
+    /// The restricted residual `r_c`.
     rc: Vec<f64>,
-    /// The correction solved on the next coarser level.
+    /// The coarse correction `x_c`; during the Krylov steps, `c₁` first.
     xc: Vec<f64>,
+    /// `v₁ = A_c c₁`.
+    v1: Vec<f64>,
+    /// `r̃ = r_c − (α₁/ρ₁) v₁`, the residual after the first step.
+    rt: Vec<f64>,
+    /// `c₂`, the cycle applied to `r̃`.
+    c2: Vec<f64>,
+    /// `v₂ = A_c c₂`.
+    v2: Vec<f64>,
 }
 
-/// The V-cycle viewed as a PCG preconditioner (`z = Vcycle(r)`). Each
+/// The K-cycle viewed as a PCG preconditioner (`z = Kcycle(r)`). Each
 /// solve builds its own, so the level buffers live for one solve and
 /// concurrent solves on one [`AmgCg`] never share them.
-struct VCyclePrecond<'a> {
+struct KCyclePrecond<'a> {
     amg: &'a AmgCg,
     buffers: RefCell<Vec<LevelBuffers>>,
 }
 
-impl<'a> VCyclePrecond<'a> {
+impl<'a> KCyclePrecond<'a> {
     fn new(amg: &'a AmgCg) -> Self {
         let coarser_rows = amg
             .grids
@@ -362,22 +456,26 @@ impl<'a> VCyclePrecond<'a> {
                 tmp: vec![0.0; grid.a.rows()],
                 rc: vec![0.0; coarse_n],
                 xc: vec![0.0; coarse_n],
+                v1: vec![0.0; coarse_n],
+                rt: vec![0.0; coarse_n],
+                c2: vec![0.0; coarse_n],
+                v2: vec![0.0; coarse_n],
             })
             .collect();
-        VCyclePrecond {
+        KCyclePrecond {
             amg,
             buffers: RefCell::new(buffers),
         }
     }
 }
 
-impl Preconditioner for VCyclePrecond<'_> {
+impl Preconditioner for KCyclePrecond<'_> {
     fn dim(&self) -> usize {
         self.amg.finest().rows()
     }
 
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.amg.vcycle(0, r, z, &mut self.buffers.borrow_mut());
+        self.amg.kcycle(0, r, z, &mut self.buffers.borrow_mut());
     }
 }
 
@@ -388,7 +486,7 @@ impl Factorization for AmgCg {
 
     /// shape: (b.len,)
     fn solve(&self, b: &Vector) -> Result<Vector> {
-        let precond = VCyclePrecond::new(self);
+        let precond = KCyclePrecond::new(self);
         let op = CsrOnExecutor {
             matrix: self.finest(),
             executor: &self.executor,
@@ -633,7 +731,7 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The sequential matvec the V-cycle ran before the row kernel.
+    /// A sequential row-iterator matvec, independent of the row kernel.
     fn row_iter_matvec(a: &CsrMatrix, x: &[f64], out: &mut [f64]) {
         for (i, o) in out.iter_mut().enumerate() {
             let mut sum = 0.0;
@@ -658,10 +756,10 @@ mod tests {
         }
     }
 
-    /// The V-cycle this crate shipped before the per-solve buffers, run
-    /// sequentially: `x` zeroed, the `A·0` matvec, fresh vectors on every
-    /// level.
-    fn reference_vcycle(amg: &AmgCg, depth: usize, r: &[f64], x: &mut [f64]) {
+    /// The K-cycle run sequentially with fresh vectors on every level:
+    /// `x` zeroed, the `A·0` matvec, and the coarse steps' formulas
+    /// written out.
+    fn reference_kcycle(amg: &AmgCg, depth: usize, r: &[f64], x: &mut [f64]) {
         if depth == amg.grids.len() {
             if amg.coarse.solve_into(r, x).is_err() {
                 x.copy_from_slice(r);
@@ -682,8 +780,14 @@ mod tests {
         for (i, (ri, ti)) in r.iter().zip(&tmp).enumerate() {
             rc[grid.agg[i]] += ri - ti;
         }
-        let mut xc = vec![0.0; coarse_n];
-        reference_vcycle(amg, depth + 1, &rc, &mut xc);
+        let xc = match amg.grids.get(depth + 1) {
+            Some(next) => reference_coarse_steps(amg, depth + 1, &next.a, &rc),
+            None => {
+                let mut xc = vec![0.0; coarse_n];
+                reference_kcycle(amg, depth + 1, &rc, &mut xc);
+                xc
+            }
+        };
         for (xi, &aggi) in x.iter_mut().zip(&grid.agg) {
             *xi += xc[aggi];
         }
@@ -695,6 +799,47 @@ mod tests {
         }
     }
 
+    /// The two flexible-CG steps on `a_c x_c = r_c`, each preconditioned
+    /// by the reference K-cycle of level `depth`.
+    fn reference_coarse_steps(amg: &AmgCg, depth: usize, a_c: &CsrMatrix, rc: &[f64]) -> Vec<f64> {
+        let n = rc.len();
+        let mut c1 = vec![0.0; n];
+        reference_kcycle(amg, depth, rc, &mut c1);
+        let mut v1 = vec![0.0; n];
+        row_iter_matvec(a_c, &c1, &mut v1);
+        let rho1 = dot_slices(&c1, &v1);
+        if !(rho1 > 0.0) {
+            return c1;
+        }
+        let alpha1 = dot_slices(&c1, rc);
+        let rt: Vec<f64> = rc
+            .iter()
+            .zip(&v1)
+            .map(|(ri, vi)| ri - (alpha1 / rho1) * vi)
+            .collect();
+        let one_step: Vec<f64> = c1.iter().map(|ci| (alpha1 / rho1) * ci).collect();
+        if dot_slices(&rt, &rt).sqrt() <= 0.25 * dot_slices(rc, rc).sqrt() {
+            return one_step;
+        }
+        let mut c2 = vec![0.0; n];
+        reference_kcycle(amg, depth, &rt, &mut c2);
+        let mut v2 = vec![0.0; n];
+        row_iter_matvec(a_c, &c2, &mut v2);
+        let gamma = dot_slices(&c2, &v1);
+        let beta = dot_slices(&c2, &v2);
+        let alpha2 = dot_slices(&c2, &rt);
+        let rho2 = beta - gamma * gamma / rho1;
+        if !(rho2 > 0.0) {
+            return one_step;
+        }
+        c1.iter()
+            .zip(&c2)
+            .map(|(a, b)| {
+                (alpha1 / rho1 - gamma * alpha2 / (rho1 * rho2)) * a + (alpha2 / rho2) * b
+            })
+            .collect()
+    }
+
     struct ReferencePrecond<'a>(&'a AmgCg);
 
     impl Preconditioner for ReferencePrecond<'_> {
@@ -703,7 +848,7 @@ mod tests {
         }
 
         fn apply(&self, r: &[f64], z: &mut [f64]) {
-            reference_vcycle(self.0, 0, r, z);
+            reference_kcycle(self.0, 0, r, z);
         }
     }
 
@@ -719,7 +864,34 @@ mod tests {
         }
     }
 
-    /// Grids smoothed with 1, 2 and 3 sweeps, a system at or below
+    /// The Dirichlet 5-point lattice: every vertex keeps degree 4, the
+    /// missing in-grid neighbors being a labeled boundary ring.
+    fn dirichlet_lattice(side: usize) -> CsrMatrix {
+        let n = side * side;
+        let mut triplets = Vec::with_capacity(5 * n);
+        for r in 0..side {
+            for c in 0..side {
+                let i = r * side + c;
+                triplets.push((i, i, 4.0));
+                if r > 0 {
+                    triplets.push((i, i - side, -1.0));
+                }
+                if r + 1 < side {
+                    triplets.push((i, i + side, -1.0));
+                }
+                if c > 0 {
+                    triplets.push((i, i - 1, -1.0));
+                }
+                if c + 1 < side {
+                    triplets.push((i, i + 1, -1.0));
+                }
+            }
+        }
+        CsrMatrix::from_triplets(n, n, &triplets).unwrap()
+    }
+
+    /// Grids smoothed with 1, 2 and 3 sweeps, a Dirichlet lattice deep
+    /// enough for coarse Krylov steps on two levels, a system at or below
     /// `coarsest_dim` (no grids), and a diagonal one whose coarsening
     /// stalls at once (no grids either).
     fn oracle_systems() -> Vec<(String, CsrMatrix, AmgOptions)> {
@@ -736,6 +908,11 @@ mod tests {
                 )
             })
             .collect();
+        systems.push((
+            "dirichlet 40x40".to_owned(),
+            dirichlet_lattice(40),
+            AmgOptions::default(),
+        ));
         systems.push((
             "coarse only".to_owned(),
             grid_laplacian(4),
@@ -776,20 +953,20 @@ mod tests {
     }
 
     #[test]
-    fn vcycle_is_bitwise_the_reference_cycle() {
+    fn kcycle_is_bitwise_the_reference_cycle() {
         for (name, a, options) in oracle_systems() {
             let amg = AmgCg::factor_sparse(&a, options).unwrap();
             let n = a.rows();
             // One preconditioner runs every cycle, so its buffers carry
             // over from one cycle to the next as they do within a solve.
-            let precond = VCyclePrecond::new(&amg);
+            let precond = KCyclePrecond::new(&amg);
             for r in [
                 signed_zero_rhs(n),
                 rhs(n).as_slice().to_vec(),
                 vec![-0.0; n],
             ] {
                 let mut want = vec![0.0; n];
-                reference_vcycle(&amg, 0, &r, &mut want);
+                reference_kcycle(&amg, 0, &r, &mut want);
                 let mut got = vec![f64::NAN; n];
                 precond.apply(&r, &mut got);
                 assert_eq!(bits(&got), bits(&want), "{name}");
@@ -819,6 +996,70 @@ mod tests {
                 assert_eq!(amg.last_iterations(), Some(want.iterations), "{name}");
             }
         }
+    }
+
+    /// Iterations of a default-hierarchy solve at tolerance 1e-8.
+    fn lattice_iterations(side: usize) -> usize {
+        let a = dirichlet_lattice(side);
+        let options = AmgOptions {
+            cg: CgOptions {
+                tolerance: 1e-8,
+                ..CgOptions::default()
+            },
+            ..AmgOptions::default()
+        };
+        let amg = AmgCg::factor_sparse(&a, options).unwrap();
+        amg.solve(&rhs(a.rows())).unwrap();
+        amg.last_iterations().unwrap()
+    }
+
+    #[test]
+    fn iteration_count_does_not_grow_with_the_lattice() {
+        let small = lattice_iterations(32);
+        let large = lattice_iterations(128);
+        assert!(
+            4 * large <= 5 * small,
+            "side 128 took {large} iterations against {small} at side 32"
+        );
+    }
+
+    #[test]
+    fn double_pairwise_steps_quarter_the_lattice() {
+        let a = dirichlet_lattice(64);
+        let amg = AmgCg::factor_sparse(&a, AmgOptions::default()).unwrap();
+        // 4 096 → about 1 024 → 256 → 64 rows: three steps, four levels.
+        assert_eq!(amg.levels(), 4);
+        assert!(amg.coarse_dim() <= 64);
+        for pair in amg.grids.windows(2) {
+            let (fine, coarse) = (pair[0].a.rows(), pair[1].a.rows());
+            assert!(3 * coarse <= fine, "{fine} rows coarsened only to {coarse}");
+        }
+        // Each aggregate id indexes the next level.
+        for (depth, grid) in amg.grids.iter().enumerate() {
+            let coarse_n = amg
+                .grids
+                .get(depth + 1)
+                .map(|g| g.a.rows())
+                .unwrap_or_else(|| amg.coarse.dim());
+            assert!(grid.agg.iter().all(|&g| g < coarse_n));
+        }
+    }
+
+    #[test]
+    fn a_stalled_second_pass_keeps_the_first() {
+        // A perfect matching of 2-vertex components: the first pass halves
+        // the system and leaves a diagonal product, which cannot coarsen.
+        let n = 200;
+        let triplets: Vec<_> = (0..n)
+            .flat_map(|i| [(i, i, 3.0), (i, i ^ 1, -1.0)])
+            .collect();
+        let a = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+        let amg = AmgCg::factor_sparse(&a, AmgOptions::default()).unwrap();
+        assert_eq!(amg.levels(), 2);
+        assert_eq!(amg.coarse_dim(), n / 2);
+        let b = rhs(n);
+        let x = amg.solve(&b).unwrap();
+        assert!(amg.residual(&x, &b).unwrap() < 1e-9);
     }
 
     #[test]
@@ -896,7 +1137,7 @@ mod tests {
         assert_eq!(amg.levels(), 1);
         assert_eq!(amg.coarse_dim(), 16);
         let x = amg.solve(&b).unwrap();
-        // The V-cycle is an exact solve here, so PCG converges immediately.
+        // The cycle is an exact solve here, so PCG converges immediately.
         assert!(amg.last_iterations().unwrap() <= 2);
         let exact = crate::lu::solve(&a.to_dense(), &b).unwrap();
         assert!(x.approx_eq(&exact, 1e-8));

@@ -139,12 +139,19 @@ impl Clone for LastSolve {
     }
 }
 
-/// Solves `A x = b` by the preconditioned conjugate-gradient method with an
-/// arbitrary SPD [`Preconditioner`] `M⁻¹`.
+/// Solves `A x = b` by the flexible preconditioned conjugate-gradient
+/// method, FCG(1) (Notay, SISC 2000), with any [`Preconditioner`].
 ///
-/// `A` must be symmetric positive definite and the preconditioner must be
-/// SPD; neither is checked here (the [`crate::PrecondCg`] backend validates
-/// at factor time, and breakdown is reported as non-convergence).
+/// Each new direction is made A-conjugate to the previous one explicitly,
+/// `β = −⟨z_{k+1}, A p_k⟩ / ⟨p_k, A p_k⟩`. For a fixed SPD preconditioner
+/// that equals the classical `⟨r_{k+1}, z_{k+1}⟩ / ⟨r_k, z_k⟩` in exact
+/// arithmetic. A preconditioner that varies between calls, such as AMG's
+/// K-cycle, needs the explicit form: with the classical ratio its
+/// directions lose conjugacy and CG converges more slowly.
+/// `A` must be symmetric positive definite and the preconditioner
+/// positive; neither is checked here (the [`crate::PrecondCg`] backend
+/// validates at factor time, and breakdown is reported as
+/// non-convergence).
 /// Convergence is measured on the *true* residual `‖b − A x‖₂ / ‖b‖₂`.
 /// With a Jacobi preconditioner of unit diagonal, `z = r` bit for bit and
 /// the iteration is plain CG.
@@ -210,7 +217,7 @@ pub(crate) fn preconditioned_cg_with(
     precond.apply(&r, &mut z);
     let mut p = z.clone();
     let mut ap = vec![0.0; n];
-    let mut rz_old = dot_slices(&r, &z);
+    let mut rz = dot_slices(&r, &z);
     let mut r_norm2 = dot_slices(&r, &r);
 
     for k in 0..max_iterations {
@@ -224,7 +231,7 @@ pub(crate) fn preconditioned_cg_with(
         }
         op.apply(&p, &mut ap);
         let p_ap = dot_slices(&p, &ap);
-        if p_ap <= 0.0 || !p_ap.is_finite() || rz_old <= 0.0 {
+        if p_ap <= 0.0 || !p_ap.is_finite() || rz <= 0.0 {
             // Non-positive curvature or an indefinite preconditioned system:
             // A (or M) is not SPD, or we hit numerical breakdown.
             return Err(Error::NotConverged {
@@ -232,18 +239,20 @@ pub(crate) fn preconditioned_cg_with(
                 residual: r_norm2.sqrt(),
             });
         }
-        let alpha = rz_old / p_ap;
+        let alpha = rz / p_ap;
         for ((xi, pi), (ri, api)) in x.iter_mut().zip(&p).zip(r.iter_mut().zip(&ap)) {
             *xi += alpha * pi;
             *ri -= alpha * api;
         }
         precond.apply(&r, &mut z);
-        let rz_new = dot_slices(&r, &z);
-        let beta = rz_new / rz_old;
+        rz = dot_slices(&r, &z);
+        // FCG(1): make the new direction A-conjugate to the last one
+        // explicitly, so a preconditioner that varies between calls
+        // keeps CG's local optimality.
+        let beta = -dot_slices(&z, &ap) / p_ap;
         for (pi, zi) in p.iter_mut().zip(&z) {
             *pi = zi + beta * *pi;
         }
-        rz_old = rz_new;
         r_norm2 = dot_slices(&r, &r);
     }
 
@@ -267,6 +276,7 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::precond::JacobiPrecond;
+    use std::cell::Cell;
 
     /// The identity preconditioner: plain, unpreconditioned CG.
     fn unit(n: usize) -> JacobiPrecond {
@@ -372,6 +382,52 @@ mod tests {
         let pcg = preconditioned_cg_with(&a, &b, &jacobi, &CgOptions::default()).unwrap();
         assert!(pcg.solution.approx_eq(&plain.solution, 1e-7));
         assert!(pcg.iterations <= plain.iterations);
+    }
+
+    /// Alternates between two diagonal scalings from one call to the next,
+    /// so it is no fixed linear operator.
+    struct Alternating {
+        calls: Cell<usize>,
+    }
+
+    impl Preconditioner for Alternating {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            let call = self.calls.get();
+            self.calls.set(call + 1);
+            let scale = if call.is_multiple_of(2) {
+                [1.0, 1.0]
+            } else {
+                [1.0, 10.0]
+            };
+            for ((zi, ri), si) in z.iter_mut().zip(r).zip(scale) {
+                *zi = ri * si;
+            }
+        }
+    }
+
+    #[test]
+    fn a_varying_preconditioner_keeps_two_step_convergence() {
+        // FCG(1) makes the second direction A-conjugate to the first, so in
+        // two dimensions the second step lands on the solution whatever the
+        // preconditioner returned. The fixed-preconditioner β = ⟨r₁, z₁⟩ /
+        // ⟨r₀, z₀⟩ loses that conjugacy here and needs more steps.
+        let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
+        let b = Vector::from(vec![1.0, 2.0]);
+        let precond = Alternating {
+            calls: Cell::new(0),
+        };
+        let options = CgOptions {
+            tolerance: 1e-12,
+            ..CgOptions::default()
+        };
+        let out = preconditioned_cg_with(&a, &b, &precond, &options).unwrap();
+        assert_eq!(out.iterations, 2);
+        let exact = crate::lu::solve(&a, &b).unwrap();
+        assert!(out.solution.approx_eq(&exact, 1e-12));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! backends ([`Cholesky`], [`Lu`]), by [`PrecondCg`] — a preconditioned
 //! conjugate-gradient backend that keeps its system in CSR form and pairs
 //! it with a [`crate::Precond`] (Jacobi or incomplete Cholesky) — and by
-//! [`crate::AmgCg`], an algebraic-multigrid V-cycle PCG for the largest
+//! [`crate::AmgCg`], an algebraic-multigrid K-cycle PCG for the largest
 //! graph Laplacians.
 //! [`SolverPolicy`] picks among them from size, symmetry, nonzero density,
 //! and bandwidth, so callers can stay representation-agnostic.
@@ -150,8 +150,9 @@ pub enum BackendKind {
     /// the pattern of `tril(A)` — exact on banded systems, and the default
     /// iterative choice for sparse SPD systems.
     SparseIcCg,
-    /// Algebraic-multigrid V-cycle-preconditioned CG over a heavy-edge
-    /// matched Galerkin hierarchy; for the largest wide-band Laplacians.
+    /// Algebraic-multigrid K-cycle-preconditioned flexible CG over a
+    /// double-pairwise Galerkin hierarchy; for the largest wide-band
+    /// Laplacians.
     Amg,
 }
 
@@ -483,7 +484,7 @@ pub enum SolverBackend {
     Lu(Lu),
     /// Preconditioned CG (no stored dense factor).
     Cg(PrecondCg),
-    /// Algebraic-multigrid V-cycle PCG.
+    /// Algebraic-multigrid K-cycle PCG.
     Amg(AmgCg),
 }
 

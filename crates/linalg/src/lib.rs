@@ -13,7 +13,7 @@
 //! * [`Cholesky`] — for the symmetric positive-definite systems that both
 //!   criteria produce on connected graphs (Eq. 5).
 //! * [`PrecondCg`] / [`AmgCg`] — conjugate gradient on a CSR system,
-//!   preconditioned by Jacobi, IC(0) or an AMG V-cycle.
+//!   preconditioned by Jacobi, IC(0) or an AMG K-cycle.
 //! * [`CsrMatrix`] — compressed sparse rows for kNN / ε-threshold graphs.
 //! * [`Factorization`] / [`SolverPolicy`] — the unified backend layer:
 //!   factor once (Cholesky, LU, Jacobi- or IC(0)-preconditioned CG, or

@@ -12,7 +12,7 @@
 //!   matrices (no fill-in discarded) it is *exact* and PCG converges in a
 //!   handful of iterations.
 //!
-//! [`crate::AmgCg`]'s V-cycle is the third [`Preconditioner`]. All of
+//! [`crate::AmgCg`]'s K-cycle is the third [`Preconditioner`]. All of
 //! them are deterministic: building and applying them performs the same
 //! floating-point operations in the same order on every run and at every
 //! worker count.
@@ -23,9 +23,11 @@ use crate::strict;
 
 /// Application side of a preconditioner: `z = M⁻¹ r`.
 ///
-/// Implementations must be symmetric positive definite for PCG to remain
-/// valid; the concrete types in this module guarantee that by
-/// construction (positive diagonals, `L Lᵀ` products).
+/// The CG loop is flexible (FCG(1)), so an application need not be one
+/// fixed linear operator: AMG's K-cycle runs Krylov steps inside and is
+/// nonlinear in `r`. It should still be positive (`⟨r, z⟩ > 0` whenever
+/// `r ≠ 0`); the concrete types in this module are SPD by construction
+/// (positive diagonals, `L Lᵀ` products).
 pub trait Preconditioner {
     /// Dimension of the preconditioned system.
     fn dim(&self) -> usize;

@@ -865,7 +865,7 @@ fn amg_hierarchy_and_solves_are_bit_identical_across_worker_counts() {
     // sequential function of the matrix, so two independent hierarchies
     // must be identical. A solve shards the outer CG matvec and each
     // level's matvec only when that matrix stores SHARDING_GATE_NNZ
-    // entries, and everything else in the V-cycle is sequential, so
+    // entries, and everything else in the K-cycle is sequential, so
     // solves must match the sequential run bitwise at any worker count.
     // The small system stays below the gate on every level; the grid's
     // finest level sits above it and its coarser levels below.

@@ -300,7 +300,7 @@ fn digests() -> BTreeMap<String, u64> {
         put(format!("amg.lattice66.w{w}"), h.0);
     }
 
-    // IC(0)-PCG and the hard and soft fits on the kNN problem.
+    // IC(0)-PCG, AMG-PCG and the hard and soft fits on the kNN problem.
     let rhs = problem.unlabeled_rhs().expect("rhs");
     for w in WORKERS {
         let ex = Executor::with_workers(w);
@@ -312,6 +312,20 @@ fn digests() -> BTreeMap<String, u64> {
         h.f64s(x.as_slice());
         h.usize(pcg.last_iterations().unwrap_or(0));
         put(format!("ic0_pcg.knn.w{w}"), h.0);
+
+        let options = AmgOptions {
+            cg: cg(1e-10),
+            ..AmgOptions::default()
+        };
+        let amg = AmgCg::factor_sparse(&eq5, options)
+            .expect("amg")
+            .with_executor(ex.clone());
+        let x = amg.solve(&rhs).expect("amg solve");
+        let mut h = Fnv::new();
+        h.f64s(x.as_slice());
+        h.usize(amg.levels());
+        h.usize(amg.last_iterations().unwrap_or(0));
+        put(format!("amg.knn.w{w}"), h.0);
 
         let policy = SolverPolicy::with_cg(cg(1e-10)).with_executor(ex.clone());
         let hard = HardCriterion::new()
