@@ -152,10 +152,8 @@ fn forced(strategy: SparseStrategy) -> HardCriterion {
     }))
 }
 
-/// Preconditioner ablation on the banded graph: plain Jacobi-CG vs
-/// IC(0) PCG vs AMG through the forced-strategy policy routes. IC(0) is
-/// exact on banded matrices, so its iteration advantage over Jacobi
-/// translates directly into wall time here; AMG pays a hierarchy setup
+/// Preconditioner ablation on the banded graph: plain Jacobi-CG vs AMG
+/// through the forced-strategy policy routes. AMG pays a hierarchy setup
 /// that only amortizes at larger sizes (the committed `BENCH_solver.json`
 /// sweep shows where).
 fn bench_preconditioner_ablation(c: &mut Criterion) {
@@ -169,7 +167,6 @@ fn bench_preconditioner_ablation(c: &mut Criterion) {
             Problem::new(CsrMatrix::from_dense(&w, 0.0), labels.clone()).expect("sparse problem");
         let strategies: Vec<(&str, HardCriterion)> = vec![
             ("jacobi_cg", forced(SparseStrategy::Jacobi)),
-            ("ic0_pcg", forced(SparseStrategy::Ic0)),
             (
                 "amg_pcg",
                 forced(SparseStrategy::Amg(AmgOptions::default())),

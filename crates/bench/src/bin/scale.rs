@@ -237,12 +237,11 @@ fn run_size(n: usize, quiet: bool) -> Result<SizeReport, Box<dyn Error>> {
 
     // End-to-end hard-criterion fit through the policy-selected sparse
     // path (the dense solvers would need an n × n matrix — 8 TB at a
-    // million points; the CSR route runs in O(nnz) memory). The kNN
-    // graph's CSR bandwidth is ~n (spatial neighbors are scattered in
-    // index order), which the policy's locality guard reads as "the
-    // bandwidth signal is uninformative" — these anchored systems are
-    // well-conditioned, so every rung routes to IC(0) PCG, which halves
-    // the iteration count of the old plain Jacobi-CG path.
+    // million points; the CSR route runs in O(nnz) memory). Every rung
+    // routes to AMG. The kNN graph's CSR bandwidth is ~n (spatial
+    // neighbors are scattered in index order), which the K-cycle does not
+    // mind: at 10⁶ points it takes 13 iterations on 8 levels, against 48
+    // for incomplete-Cholesky PCG on the same system (DESIGN.md §6h).
     let labels: Vec<f64> = (0..labeled).map(|i| f64::from(i as u8 % 2)).collect();
     let start = Instant::now();
     let problem = Problem::new(graph, labels)?;

@@ -1,9 +1,9 @@
 //! Solver-crossover benchmark for the sparse-first factorization stack:
 //! sweeps 2-D grid-Laplacian systems of increasing size through every
 //! backend the [`gssl_linalg::SolverPolicy`] can dispatch to — dense
-//! Cholesky, Jacobi-CG, IC(0) PCG, and graph-coarsened AMG — and records the dense → IC-PCG → AMG crossover curve (time,
-//! iterations, residual, nnz, bandwidth per point) into
-//! `BENCH_solver.json`.
+//! Cholesky, Jacobi-CG and graph-coarsened AMG — and records the dense →
+//! AMG crossover curve (time, iterations, residual, nnz, bandwidth per
+//! point) into `BENCH_solver.json`.
 //!
 //! ```text
 //! cargo run --release -p gssl-bench --bin solver_crossover [-- --ci] [-- --quiet]
@@ -15,21 +15,21 @@
 //!
 //! Timing is reported as measured and never gates the exit code. What
 //! gates is what survives any host: every solver's relative residual
-//! must meet [`RESIDUAL_GATE`], and IC(0) PCG must need no more
-//! iterations than plain Jacobi-CG at every sparse size (a deterministic
-//! property of the preconditioner, not a timing claim). Whether AMG wins
-//! the largest solve on wall clock is recorded in the JSON, not gated.
+//! must meet [`RESIDUAL_GATE`], and AMG must need no more iterations
+//! than plain Jacobi-CG at every sparse size (a deterministic property of
+//! the preconditioner, not a timing claim). Whether AMG wins the largest
+//! solve on wall clock is recorded in the JSON, not gated.
 
 use gssl_linalg::{
-    AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, PrecondCg, PrecondKind,
-    SolverPolicy, Vector,
+    AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, PrecondCg, SolverPolicy,
+    Vector,
 };
 use std::error::Error;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Grid sides for the full sweep: n = side² runs 256 → 65 536, crossing
-/// both the dense cutoff (128) and the AMG dimension cutoff (4096).
+/// Grid sides for the full sweep: n = side² runs 256 → 65 536, past the
+/// dense cutoff (128).
 const FULL_SIDES: [usize; 5] = [16, 32, 64, 128, 256];
 /// CI grid sides: same code path, milliseconds not minutes.
 const CI_SIDES: [usize; 3] = [8, 16, 24];
@@ -48,8 +48,7 @@ const RESIDUAL_GATE: f64 = 1e-6;
 /// the side×side interior, diagonal 4 everywhere, `-1` to in-grid
 /// neighbors. Its condition number grows like side², so iteration
 /// counts genuinely separate the preconditioners as n grows. Bandwidth
-/// is `side`, so the policy's IC-vs-AMG bandwidth test sees a genuinely
-/// 2-D structure.
+/// is `side`.
 fn grid_laplacian(side: usize) -> gssl_linalg::Result<CsrMatrix> {
     let n = side * side;
     let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(5 * n);
@@ -192,18 +191,13 @@ fn run_size(side: usize, quiet: bool) -> gssl_linalg::Result<SizeReport> {
             |_| None,
         )?);
     }
-    for (name, kind) in [
-        ("jacobi-cg", PrecondKind::Jacobi),
-        ("ic0-pcg", PrecondKind::Ic0),
-    ] {
-        solvers.push(run_backend(
-            name,
-            || PrecondCg::factor_sparse_with(&a, kind, cg_options()),
-            &a,
-            &b,
-            |f| f.last_iterations(),
-        )?);
-    }
+    solvers.push(run_backend(
+        "jacobi-cg",
+        || PrecondCg::factor_sparse(&a, cg_options()),
+        &a,
+        &b,
+        |f| f.last_iterations(),
+    )?);
     solvers.push(run_backend(
         "amg-pcg",
         || {
@@ -291,15 +285,15 @@ fn main() -> Result<ExitCode, Box<dyn Error>> {
     std::fs::write(out_path, &json)?;
 
     // Exit gates: correctness only. Every backend must actually solve
-    // the system, and IC(0) must not need more CG iterations than plain
+    // the system, and AMG must not need more CG iterations than plain
     // Jacobi — both deterministic on any host.
     let residuals_ok = reports
         .iter()
         .all(|r| r.solvers.iter().all(|p| p.residual <= RESIDUAL_GATE));
-    let ic_ok = reports
+    let amg_ok = reports
         .iter()
-        .all(|r| match (r.point("ic0-pcg"), r.point("jacobi-cg")) {
-            (Some(ic), Some(jacobi)) => ic.iterations <= jacobi.iterations,
+        .all(|r| match (r.point("amg-pcg"), r.point("jacobi-cg")) {
+            (Some(amg), Some(jacobi)) => amg.iterations <= jacobi.iterations,
             _ => false,
         });
 
@@ -309,12 +303,12 @@ fn main() -> Result<ExitCode, Box<dyn Error>> {
             largest.n, fastest_large.solver, fastest_large.seconds
         );
         println!(
-            "correctness gates: residuals {} | ic ≤ jacobi iterations {}",
+            "correctness gates: residuals {} | amg ≤ jacobi iterations {}",
             if residuals_ok { "passed" } else { "FAILED" },
-            if ic_ok { "passed" } else { "FAILED" },
+            if amg_ok { "passed" } else { "FAILED" },
         );
     }
-    Ok(if residuals_ok && ic_ok {
+    Ok(if residuals_ok && amg_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -110,11 +110,10 @@ fn force_cg_policy() -> SolverPolicy {
 }
 
 /// One forced-iterative policy per solver family the sparse-first stack
-/// can dispatch to: Jacobi PCG, IC(0) PCG, and AMG.
+/// can dispatch to: Jacobi PCG and AMG.
 fn forced_iterative_policies() -> Vec<(&'static str, SolverPolicy)> {
     vec![
         ("forced-jacobi", force_cg_policy()),
-        ("forced-ic0", force_strategy_policy(SparseStrategy::Ic0)),
         (
             "forced-amg",
             force_strategy_policy(SparseStrategy::Amg(AmgOptions::default())),

@@ -2,9 +2,9 @@
 //!
 //! The hard/soft criteria of the paper solve systems in kNN-graph
 //! Laplacians whose condition number grows with graph diameter — exactly
-//! the regime where one-level preconditioners (Jacobi, IC(0)) degrade.
-//! [`AmgCg`] builds a *geometry-free* multigrid hierarchy from the matrix
-//! alone:
+//! the regime where one-level preconditioners such as Jacobi degrade.
+//! [`AmgCg`] is the solver policy's iterative route. It builds a
+//! *geometry-free* multigrid hierarchy from the matrix alone:
 //!
 //! 1. **Coarsening** — double pairwise aggregation (Notay, ETNA 2010).
 //!    One pass is greedy heavy-edge matching in row order: each unmatched
@@ -17,11 +17,15 @@
 //!    identical on every run.
 //! 2. **Galerkin coarse operators** — with the piecewise-constant
 //!    prolongation `P` (each fine vertex injects into its aggregate), the
-//!    coarse matrix is the triple product `Aᶜ = Pᵀ A P`: the fine entries
-//!    `(agg[i], agg[j], a_ij)` are streamed in fine row order into the
-//!    CSR constructor, which sums duplicates in that order, with no
-//!    triplet list in between. A step's coarse operator is the product of
-//!    its second pass, taken over the first pass's product.
+//!    coarse matrix is the triple product `Aᶜ = Pᵀ A P`, built by coarse
+//!    row: row `I` sums the fine rows of aggregate `I` in increasing fine
+//!    id into a dense accumulator, and is written at its exact size. Rows
+//!    are sharded across the executor in one block per worker once the
+//!    fine matrix stores `PARALLEL_MIN_NNZ` entries. The result is
+//!    bitwise the fine entries `(agg[i], agg[j], a_ij)` streamed in fine
+//!    row order through [`CsrMatrix::from_entries`]. A step's coarse
+//!    operator is the product of its second pass, taken over the first
+//!    pass's product.
 //! 3. **K-cycle** (Notay & Vassilevski, NLAA 2008) — damped-Jacobi
 //!    pre/post smoothing (simultaneous update, `x ← x + ω D⁻¹ (r − A x)`),
 //!    restriction of the residual, a coarse correction, prolongation,
@@ -61,9 +65,10 @@ use crate::cg::{preconditioned_cg_with, CgOptions, CsrOnExecutor, LastSolve};
 use crate::cholesky::Cholesky;
 use crate::error::{Error, Result};
 use crate::factor::{BackendKind, FactorReport, Factorization};
+use crate::float::is_exactly_zero;
 use crate::lu::Lu;
 use crate::precond::{JacobiPrecond, Preconditioner};
-use crate::sparse::CsrMatrix;
+use crate::sparse::{widen, CsrMatrix, PARALLEL_MIN_NNZ};
 use crate::strict;
 use crate::vector::{dot_slices, Vector};
 use gssl_runtime::Executor;
@@ -165,7 +170,25 @@ pub struct AmgCg {
 }
 
 impl AmgCg {
-    /// Builds the multigrid hierarchy for an SPD CSR system.
+    /// Builds the multigrid hierarchy for an SPD CSR system on the calling
+    /// thread: [`AmgCg::factor_sparse_with`] on the sequential executor.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`AmgCg::factor_sparse_with`].
+    ///
+    /// deterministic
+    pub fn factor_sparse<'a>(
+        a: impl Into<Cow<'a, CsrMatrix>>,
+        options: AmgOptions,
+    ) -> Result<Self> {
+        AmgCg::factor_sparse_with(a, options, &Executor::Sequential)
+    }
+
+    /// Builds the multigrid hierarchy for an SPD CSR system, its Galerkin
+    /// products sharded across `executor`, and keeps `executor` for the
+    /// matvecs of every solve. The hierarchy and every solve are
+    /// bit-identical at any worker count.
     ///
     /// Coarsening stops at `coarsest_dim` rows, after `max_levels` steps,
     /// or when a step's first pass stalls (see
@@ -187,9 +210,10 @@ impl AmgCg {
     /// * [`Error::Singular`] when the coarsest system cannot be factored.
     ///
     /// deterministic
-    pub fn factor_sparse<'a>(
+    pub fn factor_sparse_with<'a>(
         a: impl Into<Cow<'a, CsrMatrix>>,
         options: AmgOptions,
+        executor: &Executor,
     ) -> Result<Self> {
         let a = a.into();
         if a.rows() != a.cols() {
@@ -211,10 +235,10 @@ impl AmgCg {
             if stalled(first_n, current.rows()) {
                 break;
             }
-            let mut coarse = galerkin(&current, &agg, first_n)?;
+            let mut coarse = galerkin(&current, &agg, first_n, executor);
             let (second, second_n) = heavy_edge_aggregates(&coarse);
             if !stalled(second_n, first_n) {
-                coarse = galerkin(&coarse, &second, second_n)?;
+                coarse = galerkin(&coarse, &second, second_n, executor);
                 for g in agg.iter_mut() {
                     *g = second[*g];
                 }
@@ -238,19 +262,9 @@ impl AmgCg {
             coarse_a: current,
             coarse,
             options,
-            executor: Executor::default(),
+            executor: executor.clone(),
             last: LastSolve::new(),
         })
-    }
-
-    /// Runs every solve's matvecs on `executor`: each level storing at
-    /// least `PARALLEL_MIN_NNZ` entries is row-sharded, smaller ones stay on
-    /// the calling thread (bit-identical to the sequential backend at any
-    /// worker count).
-    #[must_use]
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
-        self
     }
 
     /// Number of levels in the hierarchy, counting the directly-factored
@@ -353,7 +367,7 @@ impl AmgCg {
         self.kcycle(depth, rc, c1, coarser);
         a_c.matvec_into_with(c1, v1, &self.executor);
         let rho1 = dot_slices(c1, v1);
-        if rho1.is_nan() || rho1 <= 0.0 {
+        if !(rho1 > 0.0) {
             return;
         }
         let alpha1 = dot_slices(c1, rc);
@@ -660,16 +674,237 @@ fn heavy_edge_aggregates(a: &CsrMatrix) -> (Vec<usize>, usize) {
 }
 
 /// Galerkin triple product `Aᶜ = Pᵀ A P` for the piecewise-constant `P`
-/// induced by `agg`: every fine entry `a_ij` lands on coarse coordinate
-/// `(agg[i], agg[j])`, streamed in fine row order into the CSR
-/// constructor, which sums duplicates in that order.
+/// induced by `agg`, built by coarse row: row `I` of `Aᶜ` sums the fine
+/// rows of aggregate `I`, visited in increasing fine id and each in
+/// stored order, with fine column `j` landing on coarse column `agg[j]`.
+///
+/// A symbolic pass counts the columns of each coarse row; their prefix
+/// sums are the row starts, and the column ids and values are allocated
+/// once, at their exact size. A numeric pass then sums each row into a
+/// dense accumulator indexed by coarse column. A column opens on its
+/// first value that is not exactly zero, so an opening zero is dropped;
+/// later values add in visiting order, zeros included. The opened
+/// columns are sorted and written with their sums. That is bitwise the
+/// product streamed as `(agg[i], agg[j], a_ij)` in fine row order through
+/// [`CsrMatrix::from_entries`]: its stable sort keeps each column's values
+/// in that visiting order, and its merge sums them the same way.
+///
+/// Coarse rows are independent. Once `a` stores `PARALLEL_MIN_NNZ`
+/// entries, both passes run one contiguous block of coarse rows per
+/// worker of `executor`; below that, one block runs on the calling
+/// thread. Each block's accumulator and markers are allocated here, on
+/// the calling thread. A row's bits do not depend on its block, so the
+/// product is the same at any worker count.
 /// shape: (coarse_n, coarse_n)
-fn galerkin(a: &CsrMatrix, agg: &[usize], coarse_n: usize) -> Result<CsrMatrix> {
-    let entries = agg
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &ai)| a.row_iter(i).map(move |(j, v)| (ai, agg[j], v)));
-    CsrMatrix::from_entries(coarse_n, coarse_n, entries)
+fn galerkin(a: &CsrMatrix, agg: &[usize], coarse_n: usize, executor: &Executor) -> CsrMatrix {
+    let groups = Aggregates::group(agg, coarse_n);
+    let product = Product {
+        a,
+        agg,
+        groups: &groups,
+    };
+    let workers = if a.nnz() < PARALLEL_MIN_NNZ {
+        1
+    } else {
+        executor.workers()
+    };
+    let block_rows = coarse_n.div_ceil(workers).max(1);
+    let mut scratch: Vec<RowScratch> = (0..coarse_n.div_ceil(block_rows))
+        .map(|_| RowScratch {
+            acc: vec![0.0; coarse_n],
+            marker: vec![usize::MAX; coarse_n],
+        })
+        .collect();
+
+    // Symbolic pass: the count of row `r` lands at `indptr[r + 1]`.
+    let mut indptr = vec![0usize; coarse_n + 1];
+    let mut counting: Vec<_> = scratch
+        .iter_mut()
+        .zip(indptr[1..].chunks_mut(block_rows))
+        .zip((0..).step_by(block_rows))
+        .collect();
+    on_blocks(executor, &mut counting, |((scratch, counts), start)| {
+        product.count_rows(*start, scratch, counts);
+    });
+    let mut total = 0;
+    for start in &mut indptr {
+        total += *start;
+        *start = total;
+    }
+
+    // Numeric pass, into each block's slice of the exact-size arrays.
+    let mut indices = vec![0u32; total];
+    let mut values = vec![0.0f64; total];
+    let mut filling = Vec::with_capacity(scratch.len());
+    let (mut rest_indices, mut rest_values) = (indices.as_mut_slice(), values.as_mut_slice());
+    for (start, scratch) in (0..).step_by(block_rows).zip(scratch.iter_mut()) {
+        let row_ptr = indptr
+            .get(start..=(start + block_rows).min(coarse_n))
+            .unwrap_or_default();
+        let len = row_ptr.last().map_or(0, |end| end - row_ptr[0]);
+        let (block_indices, tail) = std::mem::take(&mut rest_indices).split_at_mut(len);
+        rest_indices = tail;
+        let (block_values, tail) = std::mem::take(&mut rest_values).split_at_mut(len);
+        rest_values = tail;
+        filling.push(FillBlock {
+            start,
+            row_ptr,
+            scratch,
+            indices: block_indices,
+            values: block_values,
+        });
+    }
+    on_blocks(executor, &mut filling, |block| product.fill_rows(block));
+    CsrMatrix::from_raw_parts(coarse_n, coarse_n, indptr, indices, values)
+}
+
+/// Runs `task` on every block, one block per executor task; a single
+/// block runs on the calling thread.
+fn on_blocks<T: Send>(executor: &Executor, blocks: &mut [T], task: impl Fn(&mut T) + Sync) {
+    let sharded =
+        executor.for_each_chunk_mut(blocks, 1, |_, chunk| chunk.iter_mut().for_each(&task));
+    if sharded.is_err() {
+        // Unreachable: the width is 1. Run the blocks here rather than
+        // panic if it ever fires.
+        blocks.iter_mut().for_each(&task);
+    }
+}
+
+/// Fine rows grouped by aggregate with a counting sort:
+/// `rows[ptr[g]..ptr[g + 1]]` are the fine ids of aggregate `g`, in
+/// increasing order.
+struct Aggregates {
+    ptr: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl Aggregates {
+    /// complexity: O(n)
+    fn group(agg: &[usize], coarse_n: usize) -> Self {
+        // Each aggregate's size at `ptr[g + 1]`; the running sums make
+        // `ptr[g]` its start.
+        let mut ptr = vec![0usize; coarse_n + 1];
+        for &g in agg {
+            if let Some(count) = ptr.get_mut(g + 1) {
+                *count += 1;
+            }
+        }
+        let mut total = 0;
+        for start in &mut ptr {
+            total += *start;
+            *start = total;
+        }
+        // `ptr[g]` is aggregate g's cursor: it walks from g's start to its
+        // end, which is the start of g + 1. Shift the starts back after.
+        let mut rows = vec![0u32; agg.len()];
+        for (i, &g) in (0..=u32::MAX).zip(agg) {
+            rows[ptr[g]] = i;
+            ptr[g] += 1;
+        }
+        ptr.copy_within(..coarse_n, 1);
+        ptr[0] = 0;
+        Aggregates { ptr, rows }
+    }
+
+    /// The fine ids of aggregate `g`, increasing.
+    fn members(&self, g: usize) -> &[u32] {
+        match self.ptr.get(g..g + 2) {
+            Some(&[lo, hi]) => self.rows.get(lo..hi).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+}
+
+/// The dense scratch of one block of coarse rows, indexed by coarse
+/// column.
+struct RowScratch {
+    /// The running sum of each column opened in the current row.
+    acc: Vec<f64>,
+    /// The last row that opened each column (`usize::MAX`: none yet).
+    marker: Vec<usize>,
+}
+
+/// One block of the numeric pass: rows from `start`, their row pointers
+/// (offsets into the whole product, the block's end included), and the
+/// block's slices of the product's column ids and values.
+struct FillBlock<'a> {
+    start: usize,
+    row_ptr: &'a [usize],
+    scratch: &'a mut RowScratch,
+    indices: &'a mut [u32],
+    values: &'a mut [f64],
+}
+
+/// What both passes of [`galerkin`] read.
+struct Product<'a> {
+    a: &'a CsrMatrix,
+    agg: &'a [usize],
+    groups: &'a Aggregates,
+}
+
+impl Product<'_> {
+    /// Calls `f(coarse column, value)` on the fine entries of coarse row
+    /// `row`: its member rows by increasing fine id, each in stored order.
+    /// complexity: O(nnz)
+    #[inline]
+    fn for_each_entry(&self, row: usize, mut f: impl FnMut(usize, f64)) {
+        for &i in self.groups.members(row) {
+            let (cols, vals) = self.a.row(widen(i));
+            for (&j, &v) in cols.iter().zip(vals) {
+                f(self.agg[widen(j)], v);
+            }
+        }
+    }
+
+    /// Symbolic pass over the rows from `start`: `counts[k]` becomes the
+    /// number of columns row `start + k` opens.
+    /// complexity: O(nnz)
+    fn count_rows(&self, start: usize, scratch: &mut RowScratch, counts: &mut [usize]) {
+        let marker = &mut scratch.marker;
+        for (row, count) in (start..).zip(counts.iter_mut()) {
+            let mut opened = 0;
+            self.for_each_entry(row, |c, v| {
+                if marker[c] != row && !is_exactly_zero(v) {
+                    marker[c] = row;
+                    opened += 1;
+                }
+            });
+            *count = opened;
+        }
+    }
+
+    /// Numeric pass over one block: sums each row's columns in the dense
+    /// accumulator, then writes them sorted into the row's span.
+    /// complexity: O(nnz)
+    fn fill_rows(&self, block: &mut FillBlock<'_>) {
+        let RowScratch { acc, marker } = &mut *block.scratch;
+        // The symbolic pass left its own marks.
+        marker.fill(usize::MAX);
+        let (mut indices, mut values) = (&mut *block.indices, &mut *block.values);
+        for (row, span) in (block.start..).zip(block.row_ptr.windows(2)) {
+            let len = span[1] - span[0];
+            let (cols, tail) = std::mem::take(&mut indices).split_at_mut(len);
+            indices = tail;
+            let (vals, tail) = std::mem::take(&mut values).split_at_mut(len);
+            values = tail;
+            let mut slots = cols.iter_mut();
+            self.for_each_entry(row, |c, v| {
+                if marker[c] == row {
+                    acc[c] += v;
+                } else if !is_exactly_zero(v) {
+                    marker[c] = row;
+                    acc[c] = v;
+                    if let Some(slot) = slots.next() {
+                        *slot = u32::try_from(c).unwrap_or(u32::MAX);
+                    }
+                }
+            });
+            cols.sort_unstable();
+            for (v, &c) in vals.iter_mut().zip(cols.iter()) {
+                *v = acc[widen(c)];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -677,6 +912,8 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::ops::LinearOperator;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// 2D grid-graph Laplacian plus a diagonal anchor: the canonical
     /// "hard criterion on a mesh" system, SPD with bandwidth ~side.
@@ -1081,11 +1318,125 @@ mod tests {
         }
     }
 
+    /// The streamed Galerkin product this crate shipped before the product
+    /// by coarse row, logic unchanged, as the bitwise oracle: every fine
+    /// entry `a_ij` streamed as `(agg[i], agg[j], a_ij)` in fine row order
+    /// into the CSR constructor.
+    fn streamed_galerkin(a: &CsrMatrix, agg: &[usize], coarse_n: usize) -> CsrMatrix {
+        let entries = agg
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &ai)| a.row_iter(i).map(move |(j, v)| (ai, agg[j], v)));
+        CsrMatrix::from_entries(coarse_n, coarse_n, entries).unwrap()
+    }
+
+    /// Shape, structure and every value bit (so `-0.0 != 0.0`) agree.
+    fn assert_csr_bitwise(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}"
+        );
+        for i in 0..want.rows() {
+            let ((got_cols, got_vals), (want_cols, want_vals)) = (got.row(i), want.row(i));
+            assert_eq!(got_cols, want_cols, "{what}, row {i}");
+            assert_eq!(bits(got_vals), bits(want_vals), "{what}, row {i}");
+        }
+    }
+
+    /// Values whose sums depend on their order, signed zeros, and values
+    /// that cancel exactly.
+    const PALETTE: [f64; 8] = [1e16, -1e16, 1.0, -1.0, 0.0, -0.0, 0.5, 3.25];
+
+    /// A seeded `n × n` matrix whose rows store up to `per_row` distinct
+    /// columns within `band` of the diagonal, in order, with palette
+    /// values (stored zeros of both signs included); one row in eight is
+    /// empty.
+    fn seeded_fine(rng: &mut StdRng, n: usize, per_row: usize, band: usize) -> CsrMatrix {
+        let mut indptr = vec![0];
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        for i in 0..n {
+            if rng.gen_range(0..8usize) > 0 {
+                let (lo, hi) = (i.saturating_sub(band), (i + band + 1).min(n));
+                let mut cols: Vec<u32> = (0..rng.gen_range(1..per_row + 1))
+                    .map(|_| u32::try_from(rng.gen_range(lo..hi)).unwrap())
+                    .collect();
+                cols.sort_unstable();
+                cols.dedup();
+                values.extend(
+                    cols.iter()
+                        .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())]),
+                );
+                indices.extend(cols);
+            }
+            indptr.push(indices.len());
+        }
+        CsrMatrix::from_raw_parts(n, n, indptr, indices, values)
+    }
+
+    /// Aggregates of 1 to 6 consecutive rows, singletons included, with
+    /// ids in row order and, in `shuffled`, the same aggregates under
+    /// seeded ids.
+    fn seeded_aggregates(rng: &mut StdRng, n: usize) -> ((Vec<usize>, usize), Vec<usize>) {
+        let mut agg = Vec::with_capacity(n);
+        let mut coarse_n = 0;
+        while agg.len() < n {
+            let size = rng.gen_range(1..7usize).min(n - agg.len());
+            agg.extend(std::iter::repeat_n(coarse_n, size));
+            coarse_n += 1;
+        }
+        let mut ids: Vec<usize> = (0..coarse_n).collect();
+        for k in (1..coarse_n).rev() {
+            ids.swap(k, rng.gen_range(0..k + 1));
+        }
+        let shuffled = agg.iter().map(|&g| ids[g]).collect();
+        ((agg, coarse_n), shuffled)
+    }
+
+    #[test]
+    fn galerkin_is_bitwise_the_streamed_product() {
+        let mut rng = StdRng::seed_from_u64(0xA3_0001);
+        let mut cases = Vec::new();
+        for _ in 0..300 {
+            let n = rng.gen_range(1..40usize);
+            let (per_row, band) = (rng.gen_range(1..12usize), rng.gen_range(0..n));
+            cases.push(seeded_fine(&mut rng, n, per_row, band));
+        }
+        // Just below and well above the sharding gate.
+        let below = seeded_fine(&mut rng, 30_000, 34, 20);
+        assert!(below.nnz() < PARALLEL_MIN_NNZ, "{}", below.nnz());
+        let above = seeded_fine(&mut rng, 60_000, 34, 20);
+        assert!(above.nnz() >= PARALLEL_MIN_NNZ, "{}", above.nnz());
+        cases.extend([below, above]);
+        let mut cancelled = 0;
+        for (case, a) in cases.iter().enumerate() {
+            let ((agg, coarse_n), shuffled) = seeded_aggregates(&mut rng, a.rows());
+            for (order, agg) in [("row-order", agg), ("seeded-order", shuffled)] {
+                let want = streamed_galerkin(a, &agg, coarse_n);
+                cancelled += want
+                    .values()
+                    .iter()
+                    .filter(|&&v| is_exactly_zero(v))
+                    .count();
+                for workers in [1, 2, 3, 4, 8] {
+                    let got = galerkin(a, &agg, coarse_n, &Executor::with_workers(workers));
+                    let what = format!("case {case}, {order} ids, {workers} workers");
+                    assert_csr_bitwise(&got, &want, &what);
+                }
+            }
+        }
+        assert!(
+            cancelled > 0,
+            "no aggregate group cancelled to a stored zero"
+        );
+    }
+
     #[test]
     fn galerkin_preserves_symmetry_and_row_sums() {
         let a = grid_laplacian(8);
         let (agg, coarse_n) = heavy_edge_aggregates(&a);
-        let coarse = galerkin(&a, &agg, coarse_n).unwrap();
+        let coarse = galerkin(&a, &agg, coarse_n, &Executor::Sequential);
         assert_eq!(coarse.rows(), coarse_n);
         assert!(coarse.is_symmetric(1e-12));
         // P 1 = 1, so 1ᵀ Aᶜ 1 = 1ᵀ A 1 (total mass is conserved).
@@ -1152,9 +1503,8 @@ mod tests {
             .solve(&b)
             .unwrap();
         for workers in [2, 4, 8] {
-            let parallel = AmgCg::factor_sparse(&a, AmgOptions::default())
-                .unwrap()
-                .with_executor(Executor::with_workers(workers));
+            let executor = Executor::with_workers(workers);
+            let parallel = AmgCg::factor_sparse_with(&a, AmgOptions::default(), &executor).unwrap();
             assert_eq!(
                 parallel.solve(&b).unwrap().as_slice(),
                 sequential.as_slice(),

@@ -4,13 +4,12 @@
 //! soft criterion's `V + λL`, and the serving engine's cached systems —
 //! reduces to "factor once, solve many". [`Factorization`] captures that
 //! contract behind one object-safe trait, implemented by the dense direct
-//! backends ([`Cholesky`], [`Lu`]), by [`PrecondCg`] — a preconditioned
-//! conjugate-gradient backend that keeps its system in CSR form and pairs
-//! it with a [`crate::Precond`] (Jacobi or incomplete Cholesky) — and by
-//! [`crate::AmgCg`], an algebraic-multigrid K-cycle PCG for the largest
-//! graph Laplacians.
-//! [`SolverPolicy`] picks among them from size, symmetry, nonzero density,
-//! and bandwidth, so callers can stay representation-agnostic.
+//! backends ([`Cholesky`], [`Lu`]), by [`PrecondCg`] — a Jacobi-
+//! preconditioned conjugate-gradient backend that keeps its system in CSR
+//! form — and by [`crate::AmgCg`], an algebraic-multigrid K-cycle PCG,
+//! the iterative route for large sparse systems.
+//! [`SolverPolicy`] picks among them from size, symmetry and nonzero
+//! density, so callers can stay representation-agnostic.
 
 use crate::amg::{AmgCg, AmgOptions};
 use crate::cg::{preconditioned_cg_with, CgOptions, CsrOnExecutor, LastSolve};
@@ -18,7 +17,7 @@ use crate::cholesky::Cholesky;
 use crate::error::{Error, Result};
 use crate::lu::Lu;
 use crate::matrix::Matrix;
-use crate::precond::{Precond, PrecondKind};
+use crate::precond::JacobiPrecond;
 use crate::sparse::CsrMatrix;
 use crate::strict;
 use crate::vector::Vector;
@@ -143,16 +142,12 @@ pub enum BackendKind {
     DenseCholesky,
     /// Dense LU with partial pivoting; general nonsingular systems.
     DenseLu,
-    /// Jacobi-preconditioned conjugate gradient over a CSR system; SPD
-    /// systems too large or too sparse to factor densely.
+    /// Jacobi-preconditioned conjugate gradient over a CSR system; only
+    /// through [`SparseStrategy::Jacobi`].
     SparseCg,
-    /// Incomplete-Cholesky IC(0)-preconditioned CG: a zero-fill factor on
-    /// the pattern of `tril(A)` — exact on banded systems, and the default
-    /// iterative choice for sparse SPD systems.
-    SparseIcCg,
     /// Algebraic-multigrid K-cycle-preconditioned flexible CG over a
-    /// double-pairwise Galerkin hierarchy; for the largest wide-band
-    /// Laplacians.
+    /// double-pairwise Galerkin hierarchy; the iterative route for SPD
+    /// systems too large and sparse to factor densely.
     Amg,
 }
 
@@ -163,17 +158,13 @@ impl BackendKind {
             BackendKind::DenseCholesky => "dense-cholesky",
             BackendKind::DenseLu => "dense-lu",
             BackendKind::SparseCg => "sparse-cg",
-            BackendKind::SparseIcCg => "sparse-ic-cg",
             BackendKind::Amg => "amg",
         }
     }
 
     /// Whether the backend solves iteratively (no stored dense factor).
     pub fn is_iterative(self) -> bool {
-        matches!(
-            self,
-            BackendKind::SparseCg | BackendKind::SparseIcCg | BackendKind::Amg
-        )
+        matches!(self, BackendKind::SparseCg | BackendKind::Amg)
     }
 }
 
@@ -302,85 +293,52 @@ impl Factorization for Lu {
     }
 }
 
-/// Preconditioned conjugate-gradient backend over a CSR system.
+/// Jacobi-preconditioned conjugate-gradient backend over a CSR system.
 ///
-/// "Factoring" validates the system and builds the chosen
-/// [`PrecondKind`] (Jacobi diagonal scaling by default, or incomplete
-/// Cholesky IC(0)); every [`PrecondCg::solve`] call then runs CG against
-/// the stored system, its matvecs on the stored executor. The system must
-/// be symmetric positive definite — CG reports [`Error::NotConverged`]
-/// otherwise. The most recent solve's iteration count and residual are
-/// recorded for [`Factorization::report`].
+/// "Factoring" validates the system and inverts its diagonal; every
+/// [`PrecondCg::solve`] call then runs CG against the stored system, its
+/// matvecs on the stored executor. The system must be symmetric positive
+/// definite — CG reports [`Error::NotConverged`] otherwise. The most
+/// recent solve's iteration count and residual are recorded for
+/// [`Factorization::report`].
 #[derive(Debug, Clone)]
 pub struct PrecondCg {
     system: CsrMatrix,
-    precond: Precond,
+    precond: JacobiPrecond,
     options: CgOptions,
     executor: Executor,
     last: LastSolve,
 }
 
 impl PrecondCg {
-    /// Builds the iterative backend around a CSR system with the
-    /// historical Jacobi (diagonal) preconditioner.
-    ///
-    /// Takes the system by value (stored as is) or by reference (copied
-    /// once), like [`PrecondCg::factor_sparse_with`].
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NotSquare`] when `a` is not square.
-    /// * [`Error::NotPositiveDefinite`] when a diagonal entry is `<= 0` or
-    ///   non-finite.
-    pub fn factor_sparse<'a>(a: impl Into<Cow<'a, CsrMatrix>>, options: CgOptions) -> Result<Self> {
-        PrecondCg::factor_sparse_with(a, PrecondKind::Jacobi, options)
-    }
-
-    /// Builds the iterative backend around a CSR system with an explicit
-    /// preconditioner choice.
+    /// Builds the iterative backend around a CSR system.
     ///
     /// The backend stores the system. Pass it by value to move it in; a
-    /// borrowed system is copied once, after the preconditioner is built.
+    /// borrowed system is copied once, after the diagonal is inverted.
     ///
     /// # Errors
     ///
     /// * [`Error::NotSquare`] when `a` is not square.
     /// * [`Error::NonFiniteValue`] under `strict-checks` when a stored value
     ///   is non-finite (the index is the stored-entry position).
-    /// * [`Error::NotPositiveDefinite`] when the preconditioner cannot be
-    ///   built (non-positive diagonal, IC(0) breakdown).
-    ///
-    /// deterministic
-    pub fn factor_sparse_with<'a>(
-        a: impl Into<Cow<'a, CsrMatrix>>,
-        kind: PrecondKind,
-        options: CgOptions,
-    ) -> Result<Self> {
+    /// * [`Error::NotPositiveDefinite`] when a diagonal entry is `<= 0` or
+    ///   non-finite.
+    pub fn factor_sparse<'a>(a: impl Into<Cow<'a, CsrMatrix>>, options: CgOptions) -> Result<Self> {
         let a = a.into();
-        let precond = PrecondCg::precond_for(&a, &kind)?;
-        Ok(PrecondCg::with_precond(a.into_owned(), precond, options))
-    }
-
-    /// Validates `a` and builds the preconditioner `kind` for it.
-    fn precond_for(a: &CsrMatrix, kind: &PrecondKind) -> Result<Precond> {
         if a.rows() != a.cols() {
             return Err(Error::NotSquare {
                 shape: (a.rows(), a.cols()),
             });
         }
         strict::check_finite("precond_cg.factor input", a.values())?;
-        Precond::build(a, kind)
-    }
-
-    /// The backend over a system and the preconditioner built for it.
-    fn with_precond(system: CsrMatrix, precond: Precond, options: CgOptions) -> Self {
-        PrecondCg {
-            system,
+        let precond = JacobiPrecond::from_csr(&a)?;
+        Ok(PrecondCg {
+            system: a.into_owned(),
             precond,
             options,
             executor: Executor::default(),
             last: LastSolve::new(),
-        }
+        })
     }
 
     /// Runs every solve's matvecs on `executor` (row-sharded once the
@@ -399,7 +357,7 @@ impl PrecondCg {
     }
 
     /// The preconditioner built at factor time.
-    pub fn precond(&self) -> &Precond {
+    pub fn precond(&self) -> &JacobiPrecond {
         &self.precond
     }
 
@@ -457,10 +415,7 @@ impl Factorization for PrecondCg {
     }
 
     fn kind(&self) -> BackendKind {
-        match self.precond {
-            Precond::Jacobi(_) => BackendKind::SparseCg,
-            Precond::Ic0(_) => BackendKind::SparseIcCg,
-        }
+        BackendKind::SparseCg
     }
 
     fn report(&self) -> FactorReport {
@@ -482,7 +437,7 @@ pub enum SolverBackend {
     Cholesky(Cholesky),
     /// Dense LU factorization.
     Lu(Lu),
-    /// Preconditioned CG (no stored dense factor).
+    /// Jacobi-preconditioned CG (no stored dense factor).
     Cg(PrecondCg),
     /// Algebraic-multigrid K-cycle PCG.
     Amg(AmgCg),
@@ -554,21 +509,15 @@ impl Factorization for SolverBackend {
 #[non_exhaustive]
 pub enum SparseStrategy {
     /// Factor systems below 128 rows, or denser than 25 % nonzeros,
-    /// directly. Cost-model the rest: AMG when the system has at least
-    /// 4096 rows and is mesh-like — bandwidth (max stored `|i − j|`) at
-    /// least 128 but at most an eighth of the dimension — and IC(0)-PCG
-    /// otherwise. On a narrow band IC(0) discards little or no fill-in,
-    /// so a hierarchy has nothing to add; a 2-D mesh of n rows has
-    /// bandwidth ≈ √n. Bandwidth ≈ dim means an ordering with no
-    /// locality (a kNN graph in spatial-index order): there the measure
-    /// says nothing about conditioning, and IC-PCG's cheaper iterations
-    /// are the robust default.
+    /// directly, and solve the rest with AMG under default
+    /// [`AmgOptions`]. Its K-cycle keeps the iteration count flat
+    /// whatever the ordering: a kNN graph in spatial-index order, whose
+    /// bandwidth is about its dimension, takes as few iterations as a
+    /// mesh in row order.
     #[default]
     Auto,
     /// Always plain Jacobi (diagonal) PCG.
     Jacobi,
-    /// Always incomplete-Cholesky IC(0) PCG.
-    Ic0,
     /// Always algebraic multigrid with the given hierarchy options. The
     /// outer CG run uses [`SolverPolicy::cg`]; the options' own
     /// [`AmgOptions::cg`] is ignored here.
@@ -583,13 +532,6 @@ const DENSITY_THRESHOLD: f64 = 0.25;
 /// Absolute entrywise tolerance under which a directly factored system
 /// counts as symmetric, and so goes to Cholesky.
 const SYMMETRY_TOLERANCE: f64 = 1e-9;
-/// [`SparseStrategy::Auto`] picks AMG only from this many rows.
-const AMG_DIM_CUTOFF: usize = 4096;
-/// [`SparseStrategy::Auto`] picks AMG only from this bandwidth.
-const AMG_BANDWIDTH_FLOOR: usize = 128;
-/// [`SparseStrategy::Auto`] picks AMG only when
-/// `bandwidth * AMG_LOCALITY_FACTOR <= dim`.
-const AMG_LOCALITY_FACTOR: usize = 8;
 
 /// Auto-selection policy: dense Cholesky vs dense LU vs the iterative
 /// sparse backends (see [`SolverPolicy::select_dense`] /
@@ -599,12 +541,13 @@ const AMG_LOCALITY_FACTOR: usize = 8;
 /// otherwise.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolverPolicy {
-    /// Which iterative backend to build, and whether the route is
-    /// cost-modelled ([`SparseStrategy::Auto`]) or forced.
+    /// Which iterative backend to build, and whether a system takes the
+    /// iterative route by its size and density ([`SparseStrategy::Auto`])
+    /// or always.
     pub sparse: SparseStrategy,
     /// Options for the outer CG run of every iterative backend the policy
-    /// builds — Jacobi and IC(0) PCG, and AMG whether auto-selected or
-    /// forced through [`SparseStrategy::Amg`].
+    /// builds — Jacobi PCG, and AMG whether auto-selected or forced
+    /// through [`SparseStrategy::Amg`].
     pub cg: CgOptions,
     /// Executor every selected backend factors (and, for CG, solves) on.
     /// Sequential by default; parallel executors leave results bit-identical.
@@ -631,21 +574,6 @@ fn density(nnz: usize, rows: usize, cols: usize) -> f64 {
         return 1.0;
     }
     nnz as f64 / (rows as f64 * cols as f64)
-}
-
-/// Maximum `|i − j|` over entries of a dense matrix with magnitude above
-/// zero — the same bandwidth [`CsrMatrix::bandwidth`] reports after
-/// `CsrMatrix::from_dense(a, 0.0)`.
-fn dense_bandwidth(a: &Matrix) -> usize {
-    let mut band = 0usize;
-    for i in 0..a.rows() {
-        for (j, v) in a.row(i).iter().enumerate() {
-            if v.abs() > 0.0 {
-                band = band.max(i.abs_diff(j));
-            }
-        }
-    }
-    band
 }
 
 impl SolverPolicy {
@@ -680,33 +608,21 @@ impl SolverPolicy {
         }
     }
 
-    /// Which iterative backend the [`SparseStrategy`] yields for a system
-    /// of `dim` rows with the given bandwidth.
-    fn select_iterative(&self, dim: usize, bandwidth: usize) -> BackendKind {
+    /// Which iterative backend the [`SparseStrategy`] yields.
+    fn select_iterative(&self) -> BackendKind {
         match &self.sparse {
-            SparseStrategy::Auto => {
-                if dim >= AMG_DIM_CUTOFF
-                    && bandwidth >= AMG_BANDWIDTH_FLOOR
-                    && bandwidth.saturating_mul(AMG_LOCALITY_FACTOR) <= dim
-                {
-                    BackendKind::Amg
-                } else {
-                    BackendKind::SparseIcCg
-                }
-            }
+            SparseStrategy::Auto | SparseStrategy::Amg(_) => BackendKind::Amg,
             SparseStrategy::Jacobi => BackendKind::SparseCg,
-            SparseStrategy::Ic0 => BackendKind::SparseIcCg,
-            SparseStrategy::Amg(_) => BackendKind::Amg,
         }
     }
 
     /// Which backend [`SolverPolicy::factor_dense`] would pick for `a`.
     ///
-    /// A breakdown-driven fallback (IC(0) → Jacobi, Cholesky → LU) can
-    /// still land on a different backend at factor time.
+    /// The Cholesky → LU fallback can still land on a different backend
+    /// at factor time.
     pub fn select_dense(&self, a: &Matrix) -> BackendKind {
         if self.routes_iterative(a.rows(), a.cols(), || dense_nnz(a)) {
-            return self.select_iterative(a.rows(), dense_bandwidth(a));
+            return self.select_iterative();
         }
         if a.is_symmetric(SYMMETRY_TOLERANCE) {
             BackendKind::DenseCholesky
@@ -717,11 +633,11 @@ impl SolverPolicy {
 
     /// Which backend [`SolverPolicy::factor_sparse`] would pick for `a`.
     ///
-    /// A breakdown-driven fallback (IC(0) → Jacobi, Cholesky → LU) can
-    /// still land on a different backend at factor time.
+    /// The Cholesky → LU fallback can still land on a different backend
+    /// at factor time.
     pub fn select_sparse(&self, a: &CsrMatrix) -> BackendKind {
         if self.routes_iterative(a.rows(), a.cols(), || a.nnz()) {
-            return self.select_iterative(a.rows(), a.bandwidth());
+            return self.select_iterative();
         }
         if a.is_symmetric(SYMMETRY_TOLERANCE) {
             BackendKind::DenseCholesky
@@ -730,47 +646,29 @@ impl SolverPolicy {
         }
     }
 
-    /// Builds the iterative backend `kind`, which the caller picked for
-    /// the CSR system `a` through [`SolverPolicy::select_iterative`].
-    ///
-    /// Every backend it builds runs its outer CG with [`SolverPolicy::cg`].
-    /// IC(0) can break down on SPD systems that are far from diagonally
-    /// dominant even though the exact factorization exists; in that case
-    /// the policy falls back to the always-buildable Jacobi
-    /// preconditioner instead of failing the solve. The fallback depends
-    /// only on the matrix values, never on timing or thread count.
-    fn factor_iterative(&self, a: Cow<'_, CsrMatrix>, kind: BackendKind) -> Result<SolverBackend> {
-        match kind {
-            BackendKind::Amg => {
-                let hierarchy = match &self.sparse {
-                    SparseStrategy::Amg(options) => options.clone(),
-                    _ => AmgOptions::default(),
-                };
-                let options = AmgOptions {
-                    cg: self.cg.clone(),
-                    ..hierarchy
-                };
-                Ok(SolverBackend::Amg(
-                    AmgCg::factor_sparse(a, options)?.with_executor(self.executor.clone()),
-                ))
-            }
-            kind => {
-                let precond = if kind == BackendKind::SparseCg {
-                    PrecondCg::precond_for(&a, &PrecondKind::Jacobi)?
-                } else {
-                    match PrecondCg::precond_for(&a, &PrecondKind::Ic0) {
-                        Err(Error::NotPositiveDefinite { .. }) => {
-                            PrecondCg::precond_for(&a, &PrecondKind::Jacobi)?
-                        }
-                        built => built?,
-                    }
-                };
-                Ok(SolverBackend::Cg(
-                    PrecondCg::with_precond(a.into_owned(), precond, self.cg.clone())
+    /// Builds the iterative backend [`SolverPolicy::select_iterative`]
+    /// names for the CSR system `a`, on the policy's executor. Every
+    /// backend it builds runs its outer CG with [`SolverPolicy::cg`].
+    fn factor_iterative(&self, a: Cow<'_, CsrMatrix>) -> Result<SolverBackend> {
+        let hierarchy = match &self.sparse {
+            SparseStrategy::Jacobi => {
+                return Ok(SolverBackend::Cg(
+                    PrecondCg::factor_sparse(a, self.cg.clone())?
                         .with_executor(self.executor.clone()),
-                ))
+                ));
             }
-        }
+            SparseStrategy::Auto => AmgOptions::default(),
+            SparseStrategy::Amg(options) => options.clone(),
+        };
+        let options = AmgOptions {
+            cg: self.cg.clone(),
+            ..hierarchy
+        };
+        Ok(SolverBackend::Amg(AmgCg::factor_sparse_with(
+            a,
+            options,
+            &self.executor,
+        )?))
     }
 
     /// Factors a dense system with the auto-selected backend.
@@ -789,7 +687,7 @@ impl SolverPolicy {
     pub fn factor_dense(&self, a: &Matrix) -> Result<SolverBackend> {
         match self.select_dense(a) {
             kind if kind.is_iterative() => {
-                self.factor_iterative(Cow::Owned(CsrMatrix::from_dense(a, 0.0)), kind)
+                self.factor_iterative(Cow::Owned(CsrMatrix::from_dense(a, 0.0)))
             }
             BackendKind::DenseCholesky => match Cholesky::factor_with(a, &self.executor) {
                 Ok(f) => Ok(SolverBackend::Cholesky(f)),
@@ -815,7 +713,7 @@ impl SolverPolicy {
     pub fn factor_sparse<'a>(&self, a: impl Into<Cow<'a, CsrMatrix>>) -> Result<SolverBackend> {
         let a = a.into();
         match self.select_sparse(&a) {
-            kind if kind.is_iterative() => self.factor_iterative(a, kind),
+            kind if kind.is_iterative() => self.factor_iterative(a),
             _ => self.factor_dense(&a.to_dense()),
         }
     }
@@ -832,9 +730,7 @@ impl SolverPolicy {
     /// deterministic
     pub fn factor_spd(&self, a: &Matrix) -> Result<SolverBackend> {
         if self.routes_iterative(a.rows(), a.cols(), || dense_nnz(a)) {
-            let csr = CsrMatrix::from_dense(a, 0.0);
-            let kind = self.select_iterative(csr.rows(), csr.bandwidth());
-            return self.factor_iterative(Cow::Owned(csr), kind);
+            return self.factor_iterative(Cow::Owned(CsrMatrix::from_dense(a, 0.0)));
         }
         match Cholesky::factor_with(a, &self.executor) {
             Ok(f) => Ok(SolverBackend::Cholesky(f)),
@@ -877,14 +773,11 @@ mod tests {
         let lu = Lu::factor(&a).unwrap();
         let csr = CsrMatrix::from_dense(&a, 0.0);
         let cg = PrecondCg::factor_sparse(&csr, CgOptions::default()).unwrap();
-        let ic =
-            PrecondCg::factor_sparse_with(&csr, PrecondKind::Ic0, CgOptions::default()).unwrap();
         let amg = AmgCg::factor_sparse(&csr, AmgOptions::default()).unwrap();
         for backend in [
             SolverBackend::Cholesky(chol),
             SolverBackend::Lu(lu),
             SolverBackend::Cg(cg),
-            SolverBackend::Cg(ic),
             SolverBackend::Amg(amg),
         ] {
             let x = backend.solve(&b).unwrap();
@@ -968,23 +861,28 @@ mod tests {
     #[test]
     fn report_carries_iteration_diagnostics_for_iterative_backends() {
         let n = 32;
-        let a = spd_sample(n);
+        let csr = CsrMatrix::from_dense(&spd_sample(n), 0.0);
         let b = rhs(n);
-        let cg = PrecondCg::factor_sparse_with(
-            CsrMatrix::from_dense(&a, 0.0),
-            PrecondKind::Ic0,
-            CgOptions::default(),
-        )
-        .unwrap();
-        // Before any solve the diagnostics are unset.
-        assert_eq!(cg.report().iterations, None);
-        assert_eq!(cg.report().final_residual, None);
-        let _ = cg.solve(&b).unwrap();
-        let report = cg.report();
-        assert_eq!(report.backend, BackendKind::SparseIcCg);
-        // IC(0) is exact on tridiagonal systems: PCG converges immediately.
-        assert!(report.iterations.unwrap() <= 2, "{report:?}");
-        assert!(report.final_residual.unwrap() < 1e-8);
+        let cg = PrecondCg::factor_sparse(&csr, CgOptions::default()).unwrap();
+        let amg = AmgCg::factor_sparse(&csr, AmgOptions::default()).unwrap();
+        for (backend, kind) in [
+            (SolverBackend::Cg(cg), BackendKind::SparseCg),
+            (SolverBackend::Amg(amg), BackendKind::Amg),
+        ] {
+            // Before any solve the diagnostics are unset.
+            assert_eq!(backend.report().iterations, None);
+            assert_eq!(backend.report().final_residual, None);
+            let _ = backend.solve(&b).unwrap();
+            let report = backend.report();
+            assert_eq!(report.backend, kind);
+            assert!(report.iterations.is_some(), "{report:?}");
+            assert!(report.final_residual.unwrap() < 1e-8);
+        }
+        // 32 rows are below AMG's coarsest_dim: its cycle is an exact
+        // solve, so PCG converges at once.
+        let amg = AmgCg::factor_sparse(&csr, AmgOptions::default()).unwrap();
+        let _ = amg.solve(&b).unwrap();
+        assert!(amg.last_iterations().unwrap() <= 2);
 
         // Direct backends never report iteration counts.
         let chol = SolverPolicy::default()
@@ -994,8 +892,7 @@ mod tests {
         assert_eq!(chol.report().iterations, None);
     }
 
-    /// 2D grid Laplacian plus anchor on a `side × side` grid: sparse, not
-    /// IC-exact.
+    /// 2D grid Laplacian plus anchor on a `side × side` grid.
     fn grid_sample(side: usize) -> Matrix {
         Matrix::from_fn(side * side, side * side, |i, j| {
             let (ri, ci) = (i / side, i % side);
@@ -1008,25 +905,6 @@ mod tests {
                 0.0
             }
         })
-    }
-
-    #[test]
-    fn ic_pcg_needs_no_more_iterations_than_jacobi_pcg() {
-        let side = 16;
-        let csr = CsrMatrix::from_dense(&grid_sample(side), 0.0);
-        let b = rhs(side * side);
-        let jacobi = PrecondCg::factor_sparse(&csr, CgOptions::default()).unwrap();
-        let ic =
-            PrecondCg::factor_sparse_with(&csr, PrecondKind::Ic0, CgOptions::default()).unwrap();
-        let xj = jacobi.solve(&b).unwrap();
-        let xi = ic.solve(&b).unwrap();
-        assert!(xj.approx_eq(&xi, 1e-6));
-        assert!(
-            ic.last_iterations().unwrap() <= jacobi.last_iterations().unwrap(),
-            "ic={:?} jacobi={:?}",
-            ic.last_iterations(),
-            jacobi.last_iterations()
-        );
     }
 
     #[test]
@@ -1063,22 +941,33 @@ mod tests {
     }
 
     #[test]
-    fn policy_picks_ic_pcg_for_large_narrow_band_sparse() {
-        let n = 200;
-        let a = spd_sample(n); // tridiagonal: density ~ 3/n << 0.25, bandwidth 1
+    fn policy_picks_amg_for_large_sparse_in_any_order() {
+        // A tridiagonal band (bandwidth 1), and the 16 × 16 grid with its
+        // vertices scattered by i ↦ 101 i mod 256, as a kNN graph in
+        // spatial-index order is (bandwidth about n).
+        let side = 16;
+        let n = side * side;
+        let grid = grid_sample(side);
+        let scatter = |i: usize| (i * 101) % n;
+        let scattered = Matrix::from_fn(n, n, |i, j| grid.get(scatter(i), scatter(j)));
         let policy = SolverPolicy::default();
-        assert_eq!(policy.select_dense(&a), BackendKind::SparseIcCg);
-        let backend = policy.factor_dense(&a).unwrap();
-        assert_eq!(backend.kind(), BackendKind::SparseIcCg);
-        let b = rhs(n);
-        let x = backend.solve(&b).unwrap();
-        assert!(backend.residual(&x, &b).unwrap() < 1e-7);
-
-        let csr = CsrMatrix::from_dense(&a, 0.0);
-        assert_eq!(policy.select_sparse(&csr), BackendKind::SparseIcCg);
-        let sparse_backend = policy.factor_sparse(&csr).unwrap();
-        let xs = sparse_backend.solve(&b).unwrap();
-        assert!(xs.approx_eq(&x, 1e-8));
+        for (what, a) in [("narrow band", spd_sample(200)), ("scattered", scattered)] {
+            let csr = CsrMatrix::from_dense(&a, 0.0);
+            if what == "scattered" {
+                assert!(2 * csr.bandwidth() > a.rows(), "{}", csr.bandwidth());
+            }
+            assert_eq!(policy.select_dense(&a), BackendKind::Amg, "{what}");
+            assert_eq!(policy.select_sparse(&csr), BackendKind::Amg, "{what}");
+            let backend = policy.factor_dense(&a).unwrap();
+            assert_eq!(backend.kind(), BackendKind::Amg, "{what}");
+            let b = rhs(a.rows());
+            let x = backend.solve(&b).unwrap();
+            assert!(backend.residual(&x, &b).unwrap() < 1e-7, "{what}");
+            let exact = crate::lu::solve(&a, &b).unwrap();
+            assert!(x.approx_eq(&exact, 1e-7), "{what}");
+            let xs = policy.factor_sparse(&csr).unwrap().solve(&b).unwrap();
+            assert_eq!(xs.as_slice(), x.as_slice(), "{what}");
+        }
     }
 
     #[test]
@@ -1092,7 +981,6 @@ mod tests {
             let reference = crate::lu::solve(&a, &b).unwrap();
             for (strategy, expected) in [
                 (SparseStrategy::Jacobi, BackendKind::SparseCg),
-                (SparseStrategy::Ic0, BackendKind::SparseIcCg),
                 (SparseStrategy::Amg(AmgOptions::default()), BackendKind::Amg),
             ] {
                 let policy = SolverPolicy {
@@ -1152,22 +1040,9 @@ mod tests {
         CsrMatrix::from_triplets(n, n, &triplets).unwrap()
     }
 
-    /// A tridiagonal `dim`-row CSR matrix plus one mirrored pair at
-    /// distance `band`, so its bandwidth is `band`.
-    fn with_bandwidth(dim: usize, band: usize) -> CsrMatrix {
-        let mut triplets = vec![(0, band, -0.5), (band, 0, -0.5)];
-        for i in 0..dim {
-            triplets.push((i, i, 4.0));
-            if i + 1 < dim {
-                triplets.extend([(i, i + 1, -1.0), (i + 1, i, -1.0)]);
-            }
-        }
-        CsrMatrix::from_triplets(dim, dim, &triplets).unwrap()
-    }
-
     #[test]
     fn routes_flip_exactly_at_each_threshold() {
-        use BackendKind::{Amg, DenseCholesky, DenseLu, SparseIcCg};
+        use BackendKind::{Amg, DenseCholesky, DenseLu};
         let auto = SolverPolicy::default();
         // 2 × 2, with one off-diagonal entry 0 and its mirror `delta`.
         let skewed = |delta: f64| {
@@ -1176,9 +1051,9 @@ mod tests {
         let cases = [
             // DIRECT_DIM_CUTOFF = 128 (tridiagonal).
             ("127 rows", banded_pairs(127, 126), DenseCholesky),
-            ("128 rows", banded_pairs(128, 127), SparseIcCg),
+            ("128 rows", banded_pairs(128, 127), Amg),
             // DENSITY_THRESHOLD = 0.25 at 128 rows: 4096 vs 4098 entries.
-            ("density 0.25", banded_pairs(128, 1984), SparseIcCg),
+            ("density 0.25", banded_pairs(128, 1984), Amg),
             ("density 0.2501", banded_pairs(128, 1985), DenseCholesky),
             // SYMMETRY_TOLERANCE = 1e-9, absolute.
             ("asymmetry 1e-9", skewed(1e-9), DenseCholesky),
@@ -1188,26 +1063,13 @@ mod tests {
             assert_eq!(auto.select_sparse(&csr), want, "{what}, CSR");
             assert_eq!(auto.select_dense(&csr.to_dense()), want, "{what}, dense");
         }
-        // AMG_DIM_CUTOFF = 4096, AMG_BANDWIDTH_FLOOR = 128 and
-        // AMG_LOCALITY_FACTOR = 8, on CSR only: a dense 4096-row copy
-        // would take 134 MB, and both routes share `select_iterative`.
-        for (dim, band, want) in [
-            (4096, 128, Amg),
-            (4095, 128, SparseIcCg),
-            (4096, 127, SparseIcCg),
-            (4096, 512, Amg),
-            (4096, 513, SparseIcCg),
-        ] {
-            let got = auto.select_sparse(&with_bandwidth(dim, band));
-            assert_eq!(got, want, "{dim} rows, bandwidth {band}");
-        }
     }
 
     #[test]
-    fn ic_breakdown_falls_back_to_jacobi_pcg() {
-        // Kershaw's matrix: SPD (leading minors 3, 5, 3, 1) yet IC(0) hits
-        // a negative last pivot because the zero pattern drops the fill-in
-        // that exact Cholesky would have used.
+    fn forced_amg_solves_kershaws_matrix() {
+        // Kershaw's matrix: SPD (leading minors 3, 5, 3, 1) yet far from
+        // diagonally dominant, the classic breakdown of incomplete
+        // Cholesky. AMG needs only its positive diagonal.
         let a = Matrix::from_rows(&[
             &[3.0, -2.0, 0.0, 2.0],
             &[-2.0, 3.0, -2.0, 0.0],
@@ -1216,17 +1078,12 @@ mod tests {
         ])
         .unwrap();
         let csr = CsrMatrix::from_dense(&a, 0.0);
-        assert!(matches!(
-            PrecondCg::factor_sparse_with(&csr, PrecondKind::Ic0, CgOptions::default()),
-            Err(Error::NotPositiveDefinite { .. })
-        ));
         let policy = SolverPolicy {
-            sparse: SparseStrategy::Ic0,
+            sparse: SparseStrategy::Amg(AmgOptions::default()),
             ..SolverPolicy::default()
         };
         let backend = policy.factor_sparse(&csr).unwrap();
-        // The policy recovered with the always-buildable Jacobi PCG.
-        assert_eq!(backend.kind(), BackendKind::SparseCg);
+        assert_eq!(backend.kind(), BackendKind::Amg);
         let b = Vector::from(vec![1.0, 0.5, -0.25, 0.75]);
         let x = backend.solve(&b).unwrap();
         assert!(backend.residual(&x, &b).unwrap() < 1e-8);

@@ -13,12 +13,12 @@
 //! * [`Cholesky`] — for the symmetric positive-definite systems that both
 //!   criteria produce on connected graphs (Eq. 5).
 //! * [`PrecondCg`] / [`AmgCg`] — conjugate gradient on a CSR system,
-//!   preconditioned by Jacobi, IC(0) or an AMG K-cycle.
+//!   preconditioned by Jacobi or by an AMG K-cycle.
 //! * [`CsrMatrix`] — compressed sparse rows for kNN / ε-threshold graphs.
 //! * [`Factorization`] / [`SolverPolicy`] — the unified backend layer:
-//!   factor once (Cholesky, LU, Jacobi- or IC(0)-preconditioned CG, or
-//!   AMG), solve many, with auto-selection from size, symmetry, nonzero
-//!   density and bandwidth.
+//!   factor once (Cholesky, LU, Jacobi-preconditioned CG, or AMG), solve
+//!   many, with auto-selection from size, symmetry and nonzero density:
+//!   large sparse systems go to AMG.
 //! * [`LinearOperator`] — `x ↦ A x` for dense and CSR matrices, the
 //!   interface the CG kernel and `gssl_graph`'s power iteration run on.
 //! * [`BlockPartition`] — the labeled/unlabeled 2×2 split the paper's
@@ -71,7 +71,7 @@ pub use factor::{
 pub use lu::{inverse, solve, solve_matrix, Lu};
 pub use matrix::Matrix;
 pub use ops::LinearOperator;
-pub use precond::{Ic0, JacobiPrecond, Precond, PrecondKind, Preconditioner};
+pub use precond::{JacobiPrecond, Preconditioner};
 pub use sparse::CsrMatrix;
 pub use vector::Vector;
 

@@ -308,6 +308,36 @@ impl CsrMatrix {
         })
     }
 
+    /// Wraps arrays that are already a CSR matrix, for a builder that
+    /// writes them at their final size: `indptr` holds `rows + 1`
+    /// monotone row starts from `0` to `indices.len()`, `values` is as
+    /// long as `indices`, and each row's column ids increase strictly and
+    /// stay below `cols`. Debug builds check every invariant.
+    /// shape: (rows, cols)
+    pub(crate) fn from_raw_parts(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert!(check_dims(rows, cols).is_ok());
+        debug_assert!(indptr.len() == rows + 1 && indptr.first() == Some(&0));
+        debug_assert!(indptr.is_sorted() && indptr.last() == Some(&indices.len()));
+        debug_assert_eq!(indices.len(), values.len());
+        debug_assert!(indptr.windows(2).all(|span| {
+            let row = &indices[span[0]..span[1]];
+            row.is_sorted_by(|a, b| a < b) && row.last().is_none_or(|&j| widen(j) < cols)
+        }));
+        CsrMatrix {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Converts a dense matrix to CSR, dropping entries with
     /// `|a_ij| <= threshold`.
     ///
@@ -503,9 +533,8 @@ impl CsrMatrix {
     }
 
     /// Half-bandwidth: the largest `|i - j|` over stored entries (zero for
-    /// a diagonal or empty matrix). Drives the solver policy's choice
-    /// between incomplete-Cholesky CG (exact on narrow bands) and
-    /// multigrid (wide-band graph Laplacians).
+    /// a diagonal or empty matrix); about `rows` for a kNN graph in index
+    /// order, about `√rows` for a 2-D mesh in row order.
     /// complexity: O(nnz)
     pub fn bandwidth(&self) -> usize {
         let mut band = 0usize;

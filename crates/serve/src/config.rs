@@ -37,10 +37,9 @@ pub enum EngineSolver {
     Direct,
     /// Route every factorization through
     /// [`SolverPolicy::factor_spd`]: dense Cholesky, falling back to
-    /// dense LU when a pivot fails; for large sparse systems (or under a
-    /// forced [`gssl_linalg::SparseStrategy`]) IC(0)-preconditioned CG,
-    /// falling back to Jacobi-preconditioned CG when IC(0) breaks down,
-    /// or AMG for large mesh-like systems. When the policy selects an
+    /// dense LU when a pivot fails; for large sparse systems AMG (or,
+    /// under a forced [`gssl_linalg::SparseStrategy`], the backend it
+    /// names). When the policy selects an
     /// iterative backend no explicit inverse is formed — label arrivals
     /// re-solve the exactly-maintained cached system instead of updating
     /// an inverse, trading per-update cost for `O(nnz)` memory.

@@ -783,7 +783,7 @@ mod tests {
         // Forced-iterative route: the post-solve report exposes the PCG
         // iteration count and final residual, so a cap hit is observable.
         let policy = gssl_linalg::SolverPolicy {
-            sparse: gssl_linalg::SparseStrategy::Ic0,
+            sparse: gssl_linalg::SparseStrategy::Amg(gssl_linalg::AmgOptions::default()),
             ..gssl_linalg::SolverPolicy::default()
         };
         let config = hard_config().solver(EngineSolver::Auto(policy));

@@ -1,5 +1,6 @@
-//! Analyze fixture: panic-reachability through a private helper, plus a
-//! baselined offender the fixture baseline must suppress.
+//! Analyze fixture: panic-reachability through a private helper, a
+//! baselined offender the fixture baseline must suppress, and divisions
+//! behind both NaN-rejecting guard forms.
 
 /// Public entry point; reaches the unguarded index in `pick`.
 pub fn api(values: &[f64]) -> f64 {
@@ -21,4 +22,25 @@ pub fn guarded(values: &[f64]) -> f64 {
         return 0.0;
     }
     values[3]
+}
+
+/// Division behind a negated comparison, which also rejects NaN: silent.
+pub fn ratio_negated(num: f64, den: f64) -> f64 {
+    if !(den > 0.0) {
+        return 0.0;
+    }
+    num / den
+}
+
+/// Division behind an explicit NaN test: silent.
+pub fn ratio_explicit(num: f64, den: f64) -> f64 {
+    if den.is_nan() || den <= 0.0 {
+        return 0.0;
+    }
+    num / den
+}
+
+/// Division with no guard: flagged.
+pub fn ratio_unguarded(num: f64, den: f64) -> f64 {
+    num / den
 }

@@ -412,7 +412,9 @@ fn scan_body(toks: &[(usize, &Tok)], body: std::ops::Range<usize>) -> (Vec<Call>
         let prev = (k > body.start).then(|| toks[k - 1].1);
 
         if t.kind == TokKind::Ident {
-            let is_macro = next.is_some_and(|n| n.is_punct('!'));
+            // `if !(x > 0.0)` is a keyword and a negation, not a macro.
+            let is_macro = next.is_some_and(|n| n.is_punct('!'))
+                && !NON_CALL_KEYWORDS.contains(&t.text.as_str());
             if is_macro {
                 if t.text.contains("assert") {
                     guard_lines.push(t.line);

@@ -44,10 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = Problem::new(graph, ssl.labels.clone())?;
     let truth = ssl.hidden_targets_binary();
 
-    // The solver policy inspects the Eq. 5 system's size, density and
-    // bandwidth and picks the backend: dense direct for small systems,
-    // IC(0)-preconditioned CG for narrow bands, AMG for large wide-band
-    // graphs like this one.
+    // The solver policy inspects the Eq. 5 system's size and density and
+    // picks the backend: dense direct for small or dense systems, AMG for
+    // large sparse graphs like this one, whatever their bandwidth.
     let policy = SolverPolicy::default();
     let system: CsrMatrix = problem.unlabeled_system_csr()?;
     println!(

@@ -84,8 +84,8 @@ rm -f BENCH_scale_ci.json
 
 echo "== solver crossover bench, ci sizes (writes BENCH_solver_ci.json)"
 # Sweeps grid-Laplacian systems through every factorization backend
-# (dense Cholesky, Jacobi-CG, IC(0) PCG, AMG) and
-# exits nonzero if any solve misses its residual gate or IC(0) needs
+# (dense Cholesky, Jacobi-CG, AMG) and
+# exits nonzero if any solve misses its residual gate or AMG needs
 # more CG iterations than plain Jacobi — deterministic correctness
 # properties, never timing. The committed BENCH_solver.json comes from
 # the full run (`--bin solver_crossover`, no flags) and is not touched.

@@ -35,7 +35,7 @@ use gssl_index::{
 };
 use gssl_linalg::{
     AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, Lu, Matrix, PrecondCg,
-    PrecondKind, SolverPolicy, Vector,
+    SolverPolicy, Vector,
 };
 use gssl_runtime::{sim, Executor};
 use gssl_serve::{EngineConfig, QueryPoint, ServingEngine, ShardPlan, ShardedEngine};
@@ -813,20 +813,15 @@ fn loose_cg() -> CgOptions {
     }
 }
 
-/// Solves `sparse x = rhs` with the PCG backend of `kind` sequentially and
+/// Solves `sparse x = rhs` with the Jacobi PCG backend sequentially and
 /// at 1/2/4/8 workers, and asserts every solve is bitwise the first.
-fn assert_pcg_bit_identical(
-    sparse: &CsrMatrix,
-    rhs: &Vector,
-    kind: PrecondKind,
-    options: CgOptions,
-) {
-    let reference = PrecondCg::factor_sparse_with(sparse, kind.clone(), options.clone())
+fn assert_pcg_bit_identical(sparse: &CsrMatrix, rhs: &Vector, options: CgOptions) {
+    let reference = PrecondCg::factor_sparse(sparse, options.clone())
         .expect("sequential factor")
         .solve(rhs)
         .expect("sequential solve");
     for workers in [1, 2, 4, 8] {
-        let parallel = PrecondCg::factor_sparse_with(sparse, kind.clone(), options.clone())
+        let parallel = PrecondCg::factor_sparse(sparse, options.clone())
             .expect("parallel factor")
             .with_executor(Executor::with_workers(workers))
             .solve(rhs)
@@ -834,7 +829,7 @@ fn assert_pcg_bit_identical(
         assert_eq!(
             reference.as_slice(),
             parallel.as_slice(),
-            "{kind:?} PCG solve of {} rows diverged at {workers} workers",
+            "Jacobi PCG solve of {} rows diverged at {workers} workers",
             sparse.rows()
         );
     }
@@ -842,33 +837,32 @@ fn assert_pcg_bit_identical(
 
 #[test]
 fn preconditioned_cg_backends_are_bit_identical_across_worker_counts() {
-    // Every preconditioner family behind PrecondCg shards only the CG
-    // matvecs, and only once the matrix stores SHARDING_GATE_NNZ entries;
-    // the preconditioner application stays sequential. The solve must
-    // therefore be byte-for-byte the sequential result at any worker
-    // count, and two independent factorizations must agree bitwise. The
-    // small system runs below the gate, the grid above it.
+    // PrecondCg shards only the CG matvecs, and only once the matrix
+    // stores SHARDING_GATE_NNZ entries; the Jacobi scaling stays
+    // sequential. The solve must therefore be byte-for-byte the
+    // sequential result at any worker count, and two independent
+    // factorizations must agree bitwise. The small system runs below the
+    // gate, the grid above it.
     let (a, rhs) = spd_system(48);
     let sparse = CsrMatrix::from_dense(&a, 0.0);
-    for kind in [PrecondKind::Jacobi, PrecondKind::Ic0] {
-        assert_pcg_bit_identical(&sparse, &rhs, kind, CgOptions::default());
-    }
-    // IC(0) alone keeps the above-gate case short in a debug build.
+    assert_pcg_bit_identical(&sparse, &rhs, CgOptions::default());
     let (grid, grid_rhs) = grid_system(325);
     assert!(grid.nnz() >= SHARDING_GATE_NNZ);
-    assert_pcg_bit_identical(&grid, &grid_rhs, PrecondKind::Ic0, loose_cg());
+    assert_pcg_bit_identical(&grid, &grid_rhs, loose_cg());
 }
 
 #[test]
 fn amg_hierarchy_and_solves_are_bit_identical_across_worker_counts() {
-    // Coarsening (heavy-edge matching + Galerkin products) is a pure
-    // sequential function of the matrix, so two independent hierarchies
-    // must be identical. A solve shards the outer CG matvec and each
-    // level's matvec only when that matrix stores SHARDING_GATE_NNZ
-    // entries, and everything else in the K-cycle is sequential, so
-    // solves must match the sequential run bitwise at any worker count.
-    // The small system stays below the gate on every level; the grid's
-    // finest level sits above it and its coarser levels below.
+    // Heavy-edge matching is sequential, and each Galerkin product shards
+    // its coarse rows into one block per worker once the fine matrix
+    // stores SHARDING_GATE_NNZ entries, every row computed the same way
+    // in any block; so hierarchies built on any executor must be
+    // identical. A solve shards the outer CG matvec and each level's
+    // matvec under the same gate, and everything else in the K-cycle is
+    // sequential, so solves must match the sequential run bitwise at any
+    // worker count. The small system stays below the gate on every
+    // level; the grid's finest level sits above it (so its first
+    // product is sharded) and its coarser levels below.
     let (a, rhs) = spd_system(96);
     let (grid, grid_rhs) = grid_system(325);
     assert!(grid.nnz() >= SHARDING_GATE_NNZ);
@@ -891,11 +885,12 @@ fn amg_hierarchy_and_solves_are_bit_identical_across_worker_counts() {
             "independent AMG hierarchies solved differently"
         );
         for workers in [1, 2, 4, 8] {
-            let parallel = AmgCg::factor_sparse(&sparse, options.clone())
-                .expect("parallel factor")
-                .with_executor(Executor::with_workers(workers))
-                .solve(&rhs)
-                .expect("parallel solve");
+            let executor = Executor::with_workers(workers);
+            let parallel = AmgCg::factor_sparse_with(&sparse, options.clone(), &executor)
+                .expect("parallel factor");
+            assert_eq!(parallel.levels(), reference.levels());
+            assert_eq!(parallel.coarse_dim(), reference.coarse_dim());
+            let parallel = parallel.solve(&rhs).expect("parallel solve");
             assert_eq!(
                 sequential.as_slice(),
                 parallel.as_slice(),
@@ -1553,24 +1548,19 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
             "dense_factorizations_are_bit_identical_across_worker_counts",
         ),
         (
-            "crates/linalg/src/precond.rs",
-            "factor",
-            "preconditioned_cg_backends_are_bit_identical_across_worker_counts",
+            "crates/linalg/src/amg.rs",
+            "factor_sparse",
+            "amg_hierarchy_and_solves_are_bit_identical_across_worker_counts",
         ),
         (
             "crates/linalg/src/amg.rs",
-            "factor_sparse",
+            "factor_sparse_with",
             "amg_hierarchy_and_solves_are_bit_identical_across_worker_counts",
         ),
         (
             "crates/linalg/src/sparse.rs",
             "matvec_into_with",
             "amg_hierarchy_and_solves_are_bit_identical_across_worker_counts",
-        ),
-        (
-            "crates/linalg/src/factor.rs",
-            "factor_sparse_with",
-            "preconditioned_cg_backends_are_bit_identical_across_worker_counts",
         ),
         (
             "crates/linalg/src/factor.rs",
@@ -1718,7 +1708,7 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         stale.is_empty(),
         "coverage rows whose `/// deterministic` marker is gone: {stale:?}"
     );
-    assert_eq!(annotated.len(), 57, "inventory drifted from the pinned 57");
+    assert_eq!(annotated.len(), 56, "inventory drifted from the pinned 56");
 
     // Every covering test named above must actually exist in this file.
     let this_file = std::fs::read_to_string(root.join("tests").join("determinism.rs"))

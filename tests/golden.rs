@@ -31,8 +31,8 @@ use gssl_graph::{
     Symmetrization,
 };
 use gssl_linalg::{
-    AmgCg, AmgOptions, CgOptions, CsrMatrix, Factorization, Matrix, PrecondCg, PrecondKind,
-    SolverPolicy, SparseStrategy, Vector,
+    AmgCg, AmgOptions, CgOptions, CsrMatrix, Factorization, Matrix, SolverPolicy, SparseStrategy,
+    Vector,
 };
 use gssl_runtime::Executor;
 use gssl_serve::{EngineConfig, QueryPoint, ServingEngine};
@@ -289,9 +289,8 @@ fn digests() -> BTreeMap<String, u64> {
             cg: cg(1e-8),
             ..AmgOptions::default()
         };
-        let amg = AmgCg::factor_sparse(&lattice, options)
-            .expect("amg")
-            .with_executor(Executor::with_workers(w));
+        let amg =
+            AmgCg::factor_sparse_with(&lattice, options, &Executor::with_workers(w)).expect("amg");
         let x = amg.solve(&rhs).expect("amg solve");
         let mut h = Fnv::new();
         h.f64s(x.as_slice());
@@ -300,26 +299,15 @@ fn digests() -> BTreeMap<String, u64> {
         put(format!("amg.lattice66.w{w}"), h.0);
     }
 
-    // IC(0)-PCG, AMG-PCG and the hard and soft fits on the kNN problem.
+    // AMG-PCG and the hard and soft fits on the kNN problem.
     let rhs = problem.unlabeled_rhs().expect("rhs");
     for w in WORKERS {
         let ex = Executor::with_workers(w);
-        let pcg = PrecondCg::factor_sparse_with(&eq5, PrecondKind::Ic0, cg(1e-10))
-            .expect("ic0")
-            .with_executor(ex.clone());
-        let x = pcg.solve(&rhs).expect("ic0 solve");
-        let mut h = Fnv::new();
-        h.f64s(x.as_slice());
-        h.usize(pcg.last_iterations().unwrap_or(0));
-        put(format!("ic0_pcg.knn.w{w}"), h.0);
-
         let options = AmgOptions {
             cg: cg(1e-10),
             ..AmgOptions::default()
         };
-        let amg = AmgCg::factor_sparse(&eq5, options)
-            .expect("amg")
-            .with_executor(ex.clone());
+        let amg = AmgCg::factor_sparse_with(&eq5, options, &ex).expect("amg");
         let x = amg.solve(&rhs).expect("amg solve");
         let mut h = Fnv::new();
         h.f64s(x.as_slice());
