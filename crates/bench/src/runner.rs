@@ -1,11 +1,11 @@
 //! Parallel Monte-Carlo repetition runner.
 //!
 //! Repetitions are embarrassingly parallel; this runner fans them out over
-//! the available cores through [`gssl_runtime::ThreadPool::map_tasks`]
+//! the available cores through [`gssl_runtime::Executor::map_tasks`]
 //! (one claim per repetition) and collects results in repetition order.
 //! On a single-core host it degrades to the sequential loop.
 
-use gssl_runtime::ThreadPool;
+use gssl_runtime::Executor;
 
 /// A failed repetition's message. Boxed errors are not `Send` in general,
 /// so a repetition's error crosses the worker boundary as text.
@@ -33,7 +33,7 @@ where
     F: Fn(usize) -> Result<Vec<f64>, Box<dyn std::error::Error>> + Sync,
 {
     let indices: Vec<usize> = (0..repetitions).collect();
-    ThreadPool::with_available_parallelism()
+    Executor::with_available_parallelism()
         .map_tasks(&indices, |r, _| {
             f(r).map_err(|e| RepetitionFailed(e.to_string()))
         })

@@ -1,14 +1,16 @@
 //! Deterministic interleaving harness for the chunk-claim protocol of
-//! [`crate::ThreadPool`] (mini-loom).
+//! the dispatch loop in [`crate::pool`] (mini-loom).
 //!
-//! `ThreadPool::map` and `ThreadPool::map_chunks` coordinate their workers
-//! through exactly two shared objects: an atomic cursor advanced by one
-//! `fetch_add` per claim, and a mutex-protected slot vector written once
-//! per claimed chunk. Every observable behaviour of the protocol is
-//! therefore a sequence of *atomic steps* — claims and publishes — and for
-//! a bounded batch the set of such sequences is finite.
-//! [`enumerate_schedules`](crate::sim::enumerate_schedules) walks **all**
-//! of them by depth-first search with backtracking, executing the
+//! Every [`crate::Executor`] primitive — `map`, `map_tasks`, `map_chunks`
+//! and `for_each_chunk_mut` — runs on that one loop, whose workers
+//! coordinate through exactly two shared objects: an atomic cursor
+//! advanced by one `fetch_add` per claim, and a mutex-protected slot
+//! vector touched once per claimed range (a result written into it, or a
+//! pre-split mutable chunk taken out of it). Every observable behaviour of
+//! the protocol is therefore a sequence of *atomic steps* — claims and
+//! publishes — and for a bounded batch the set of such sequences is
+//! finite. [`enumerate_schedules`](crate::sim::enumerate_schedules) walks
+//! **all** of them by depth-first search with backtracking, executing the
 //! production claim code (`pool::claim` at the width chosen by
 //! `pool::chunk_size`) at every claim step, and checks three safety
 //! properties in every schedule:
@@ -20,17 +22,18 @@
 //!   never scheduled again.
 //!
 //! [`enumerate_schedules_with_width`](crate::sim::enumerate_schedules_with_width)
-//! runs the identical search at a caller-chosen chunk width, covering the
-//! `map_chunks` protocol where the width is picked by the caller rather
-//! than by `chunk_size`.
+//! runs the identical search at a caller-chosen claim width. Width 1 is
+//! `map_tasks`; a caller's width is `map_chunks` and `for_each_chunk_mut`;
+//! `chunk_size`'s width is `map`. One worker is the sequential executor,
+//! which runs the same loop on the calling thread.
 //!
 //! `Ordering::Relaxed` on the cursor is sound precisely because the
 //! modification order of a single atomic object is total regardless of
 //! ordering strength: the schedules enumerated here cover every order in
 //! which the hardware may serialize the `fetch_add`s, and no other data
-//! flows through the cursor (results are published under the slots mutex
-//! and fenced by the `thread::scope` join). This module is the proof
-//! referenced by the `relaxed_ordering` entry in
+//! flows through the cursor (results and chunks pass through the slots
+//! mutex and are fenced by the `thread::scope` join). This module is the
+//! proof referenced by the `relaxed_ordering` entry in
 //! `crates/xtask/analyze.baseline`; `gssl-serve`'s
 //! `tests/interleavings.rs` runs it exhaustively over a grid of batch
 //! shapes.
@@ -239,7 +242,7 @@ impl Sim {
 
 /// Exhaustively enumerates every interleaving of claim/publish steps for a
 /// batch of `len` items on a pool of `workers` threads at the production
-/// [`ThreadPool::map`](crate::ThreadPool::map) chunk width, checking the
+/// [`Executor::map`](crate::Executor::map) chunk width, checking the
 /// protocol invariants in each one. Returns coverage statistics, or a
 /// description of the first violated invariant (including the offending
 /// schedule as a sequence of worker indices).
@@ -262,8 +265,10 @@ pub fn enumerate_schedules(len: usize, workers: usize) -> Result<ScheduleReport,
 
 /// Same exhaustive search as [`enumerate_schedules`], but at a
 /// caller-chosen chunk `width` — the configuration exercised by
-/// [`ThreadPool::map_chunks`](crate::ThreadPool::map_chunks), where the
-/// caller (not `chunk_size`) picks the claim stride.
+/// [`Executor::map_chunks`](crate::Executor::map_chunks) and
+/// [`Executor::for_each_chunk_mut`](crate::Executor::for_each_chunk_mut),
+/// where the caller (not `chunk_size`) picks the claim stride, and by
+/// [`Executor::map_tasks`](crate::Executor::map_tasks) at width 1.
 ///
 /// # Errors
 ///

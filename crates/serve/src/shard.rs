@@ -76,7 +76,16 @@ impl Shard {
 
     /// Extracts the rows of the first `take` (labeled) members — the
     /// labeled-first target block handed to the per-shard fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `take` exceeds the member count; the fit passes
+    /// [`Shard::n_labeled`], a prefix count of the members.
     pub(crate) fn extract_labeled_rows(&self, full: &Matrix, take: usize) -> Matrix {
+        assert!(
+            take <= self.members.len(),
+            "labeled rows are a prefix of the members"
+        );
         Matrix::from_fn(take, full.cols(), |i, j| full.get(self.members[i], j))
     }
 }

@@ -1,19 +1,28 @@
 //! Approximate cross-crate call graph and the panic-reachability pass.
 //!
-//! Nodes are the functions extracted by [`crate::items`]; edges are
-//! name-resolved calls. Resolution is deliberately permissive: a call
-//! `Type::name(…)` links to the function whose qualified name matches; a
-//! bare or method call `name(…)` / `.name(…)` links to *every* extracted
-//! function with that simple name. Over-approximation is the right
-//! direction for a reachability lint — a spurious edge can only make the
-//! pass more conservative, never hide a panic path.
+//! Nodes are the functions extracted by [`crate::items`]; edges are calls
+//! resolved by name and by the kind of call:
+//!
+//! * `Type::name(…)` links to the function whose qualified name matches;
+//!   `Self::name(…)` does the same with the caller's impl type.
+//! * `.name(…)` links to every function with that simple name and a
+//!   `self` receiver — a method call cannot reach a free function.
+//! * `name(…)` and lowercase `module::name(…)` link only to free
+//!   functions of that name: those in `module.rs` (or `module/mod.rs`)
+//!   when the path names such a file, else the caller's file's own
+//!   non-test ones when it has any, else every free function of that
+//!   name.
+//!
+//! Within a kind, resolution stays permissive. Over-approximation is the
+//! right direction for a reachability lint — a spurious edge can only make
+//! the pass more conservative, never hide a panic path.
 //!
 //! The pass reports each non-test function containing an **unguarded**
 //! panic site (see [`crate::items::Site`]) that is reachable from an
 //! unrestricted `pub` function, together with one shortest call chain from
 //! such a `pub` root (found by reverse BFS from the offending function).
 
-use crate::items::FnInfo;
+use crate::items::{Call, FnInfo};
 use std::collections::{HashMap, VecDeque};
 
 /// The assembled workspace call graph.
@@ -41,29 +50,39 @@ pub struct PanicPath {
 /// Builds the call graph from every extracted function.
 #[must_use]
 pub fn build(fns: Vec<FnInfo>) -> CallGraph {
-    // Name indexes. Qualified: "Type::name" → idx. Simple: "name" → idxs.
+    // Qualified: "Type::name" → idxs. Methods and free functions by
+    // simple name.
     let mut by_qual: HashMap<&str, Vec<usize>> = HashMap::new();
-    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut methods: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut free: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, f) in fns.iter().enumerate() {
         by_qual.entry(f.qual.as_str()).or_default().push(i);
-        by_name.entry(f.name.as_str()).or_default().push(i);
+        if f.has_self {
+            methods.entry(f.name.as_str()).or_default().push(i);
+        } else if f.qual == f.name {
+            free.entry(f.name.as_str()).or_default().push(i);
+        }
     }
+    let lookup = |map: &HashMap<&str, Vec<usize>>, key: &str| -> Vec<usize> {
+        map.get(key).cloned().unwrap_or_default()
+    };
 
     let mut callers: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
     for (caller, f) in fns.iter().enumerate() {
         for call in &f.calls {
-            let targets: &[usize] = match &call.qual {
-                Some(q) => {
-                    let qualified = format!("{q}::{}", call.name);
-                    by_qual
-                        .get(qualified.as_str())
-                        .map_or(&[][..], Vec::as_slice)
+            let targets = match call.qual.as_deref() {
+                _ if call.method => lookup(&methods, &call.name),
+                Some("Self") => f
+                    .qual
+                    .strip_suffix(&format!("::{}", f.name))
+                    .map(|ty| lookup(&by_qual, &format!("{ty}::{}", call.name)))
+                    .unwrap_or_default(),
+                Some(q) if q.starts_with(|c: char| c.is_ascii_uppercase()) => {
+                    lookup(&by_qual, &format!("{q}::{}", call.name))
                 }
-                None => by_name
-                    .get(call.name.as_str())
-                    .map_or(&[][..], Vec::as_slice),
+                _ => free_targets(&fns, f, call, lookup(&free, &call.name)),
             };
-            for &t in targets {
+            for t in targets {
                 if t != caller && !callers[t].contains(&caller) {
                     callers[t].push(caller);
                 }
@@ -71,6 +90,26 @@ pub fn build(fns: Vec<FnInfo>) -> CallGraph {
         }
     }
     CallGraph { fns, callers }
+}
+
+/// Narrows the free functions named like a bare or module-qualified
+/// `call` made by `caller`: those of the named module's file, else the
+/// caller's file's own non-test ones, else all of them.
+fn free_targets(fns: &[FnInfo], caller: &FnInfo, call: &Call, all: Vec<usize>) -> Vec<usize> {
+    let module_file = |file: &str| {
+        call.qual.as_deref().is_some_and(|m| {
+            file.ends_with(&format!("/{m}.rs")) || file.ends_with(&format!("/{m}/mod.rs"))
+        })
+    };
+    let narrow = |keep: &dyn Fn(&FnInfo) -> bool| -> Vec<usize> {
+        all.iter().copied().filter(|&i| keep(&fns[i])).collect()
+    };
+    let in_module = narrow(&|f| module_file(&f.file));
+    let local = narrow(&|f| f.file == caller.file && !f.in_test);
+    [in_module, local]
+        .into_iter()
+        .find(|narrowed| !narrowed.is_empty())
+        .unwrap_or(all)
 }
 
 /// Runs the panic-reachability pass: one [`PanicPath`] per non-test

@@ -6,8 +6,8 @@
 //! names, return-type tokens and brace-matched bodies, and then scans each
 //! body for:
 //!
-//! * **calls** — `name(…)`, `.method(…)`, `Path::name(…)` — the edges of
-//!   the approximate call graph;
+//! * **calls** — `name(…)`, `.method(…)`, `Path::name(…)`, each recorded
+//!   with its kind — the edges of the approximate call graph;
 //! * **panic sites** — unguarded indexing `x[i]`, integer/float division
 //!   `a / b` (and `%`), and slice arithmetic inside index brackets
 //!   (`x[i - 1]`) — the seeds of the panic-reachability pass;
@@ -65,6 +65,9 @@ pub struct Call {
     pub qual: Option<String>,
     /// The called function/method name.
     pub name: String,
+    /// Whether this is a method call (`.name(…)`), which only a function
+    /// with a `self` receiver can answer.
+    pub method: bool,
     /// 1-based source line of the call.
     pub line: usize,
 }
@@ -438,6 +441,7 @@ fn scan_body(toks: &[(usize, &Tok)], body: std::ops::Range<usize>) -> (Vec<Call>
                 calls.push(Call {
                     qual,
                     name: t.text.clone(),
+                    method: prev.is_some_and(|p| p.is_punct('.')),
                     line: t.line,
                 });
             }
@@ -650,8 +654,11 @@ mod tests {
         assert!(calls
             .iter()
             .any(|c| c.name == "zeros" && c.qual.as_deref() == Some("Matrix")));
-        assert!(calls.iter().any(|c| c.name == "solve" && c.qual.is_none()));
-        assert!(calls.iter().any(|c| c.name == "helper"));
+        assert!(calls
+            .iter()
+            .any(|c| c.name == "solve" && c.qual.is_none() && c.method));
+        assert!(calls.iter().any(|c| c.name == "helper" && !c.method));
+        assert!(calls.iter().all(|c| c.name != "zeros" || !c.method));
     }
 
     #[test]

@@ -92,4 +92,10 @@ echo "== solver crossover bench, ci sizes (writes BENCH_solver_ci.json)"
 cargo run --release -q -p gssl-bench --bin solver_crossover -- --ci --quiet
 rm -f BENCH_solver_ci.json
 
+echo "== results files match their commands (scripts/results.sh)"
+# Reruns every results binary with the command on the first line of its
+# results_*.txt file and diffs the output byte for byte: the end-to-end
+# check that a change leaves every number the reproduction reports alone.
+scripts/results.sh
+
 echo "All checks passed."

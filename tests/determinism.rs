@@ -1040,11 +1040,13 @@ fn score_argsort_is_deterministic() {
     assert_eq!(argsort_scores(&[0.5, f64::NAN, -1.0]), vec![2, 0, 1]);
 }
 
-/// The exhaustive proof backing the `map_chunks` determinism claim: every
+/// The exhaustive proof backing the determinism claim of every `Executor`
+/// primitive, all of which claim through the one dispatch loop: every
 /// bounded interleaving of the chunk-claim protocol yields disjoint,
 /// exhaustive claims with results published once each — for the same
 /// (len, workers, width) grid shapes the library uses (width from
-/// `len.div_ceil(workers * 4).max(1)` plus adversarial widths).
+/// `len.div_ceil(workers * 4).max(1)` plus adversarial widths; width 1 is
+/// `map_tasks`).
 #[test]
 fn schedule_enumeration_proves_the_map_chunks_claim_protocol() {
     for len in [1usize, 2, 5, 6] {
@@ -1060,7 +1062,7 @@ fn schedule_enumeration_proves_the_map_chunks_claim_protocol() {
             }
         }
     }
-    // And the production `ThreadPool::map` width selection itself.
+    // And the production `Executor::map` width selection itself.
     let report = sim::enumerate_schedules(6, 2).expect("map chunk protocol");
     assert!(report.schedules > 0);
 }

@@ -9,6 +9,8 @@
 use gssl::{Criterion, GsslModel, HardCriterion, Problem, SoftCriterion};
 use gssl_graph::{Bandwidth, Kernel};
 use gssl_linalg::Matrix;
+use gssl_runtime::Executor;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn line_points() -> Matrix {
     Matrix::from_rows(&[&[0.0], &[1.0], &[0.5]]).unwrap()
@@ -138,5 +140,57 @@ fn errors_format_without_panicking() {
     ];
     for e in errors {
         assert!(!e.to_string().is_empty());
+    }
+}
+
+/// A panic inside any of the four `Executor` primitives reaches the caller
+/// as a panic — never as an `Ok` with a missing slot — whether the batch
+/// ran on the calling thread (one worker) or on scoped workers, and the
+/// same executor then returns the right answer.
+#[test]
+fn worker_panics_reach_the_caller_and_leave_the_executor_usable() {
+    type Outcome = Result<Vec<u64>, gssl_runtime::Error>;
+    let items: Vec<u64> = (0..64).collect();
+    let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+    // Item 37 sits in a middle range at every claim width used below, so
+    // other ranges are still pending or in flight when it panics.
+    let square = |poisoned: bool| {
+        move |i: usize, x: &u64| {
+            assert!(!(poisoned && i == 37), "injected panic at item {i}");
+            Ok::<u64, gssl_runtime::Error>(x * x + 1)
+        }
+    };
+    for workers in [1, 2, 4] {
+        let executor = Executor::pool(workers).unwrap();
+        let check = |name: &str, run: &dyn Fn(bool) -> Outcome| {
+            let caught = catch_unwind(AssertUnwindSafe(|| run(true)));
+            assert!(
+                caught.is_err(),
+                "{name} at {workers} workers swallowed the panic: {caught:?}"
+            );
+            assert_eq!(
+                run(false).unwrap(),
+                expected,
+                "{name} at {workers} workers after a panic"
+            );
+        };
+        check("map", &|poisoned| executor.map(&items, square(poisoned)));
+        check("map_tasks", &|poisoned| {
+            executor.map_tasks(&items, square(poisoned))
+        });
+        check("map_chunks", &|poisoned| {
+            executor.map_chunks(items.len(), 5, |range| {
+                range.map(|i| square(poisoned)(i, &items[i])).collect()
+            })
+        });
+        check("for_each_chunk_mut", &|poisoned| {
+            let mut out = items.clone();
+            executor.for_each_chunk_mut(&mut out, 5, |start, chunk| {
+                for (offset, value) in chunk.iter_mut().enumerate() {
+                    *value = square(poisoned)(start + offset, value).unwrap();
+                }
+            })?;
+            Ok(out)
+        });
     }
 }
